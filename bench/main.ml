@@ -4,7 +4,8 @@
    2.1.2 claim) and ablation sweeps over the design knobs.
 
    Default run: micro suite + all figures + ablations at quick scale.
-   Usage: main.exe [--fig micro|1|3|4|5|10|rob|ablation|all] [--full] *)
+   Usage: main.exe [--fig NAME] [--full] [--json]; NAME is one of
+   [known] below (main.exe --help lists them). *)
 
 open Bechamel
 open Pop_harness
@@ -948,16 +949,6 @@ let emit_json fig results =
     Printf.printf "wrote %s (%d cells)\n" path (List.length results)
   end
 
-(* Tournament cells arrive pre-labelled ("scenario/scheme"): the same
-   scheme appears once per scenario, so the ds/smr/tN label above would
-   collide across scenarios. *)
-let emit_labelled_json fig labelled =
-  if !json_out then begin
-    let path = Printf.sprintf "BENCH_%s.json" fig in
-    Runner.write_json path labelled;
-    Printf.printf "wrote %s (%d cells)\n" path (List.length labelled)
-  end
-
 let emit_micro_json rows =
   if !json_out then begin
     let path = "BENCH_micro.json" in
@@ -1074,11 +1065,12 @@ let emit_alloc_json (balanced, imbalanced, churn) =
       (List.length imbalanced) (List.length churn)
   end
 
+let known =
+  [ "micro"; "1"; "2"; "3"; "4"; "5"; "9"; "10"; "11"; "over"; "latency"; "seg"; "alloc"; "kv";
+    "ablation"; "all" ]
+
 let usage () =
-  prerr_endline
-    "usage: main.exe [--fig \
-     micro|1|...|11|rob|churn|over|latency|seg|alloc|kv|tournament|ablation|all] [--full] \
-     [--json]";
+  Printf.eprintf "usage: main.exe [--fig %s] [--full] [--json]\n" (String.concat "|" known);
   exit 2
 
 let () =
@@ -1101,10 +1093,6 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let sc = if !full then Experiments.full else Experiments.quick in
-  let known =
-    [ "micro"; "1"; "2"; "3"; "4"; "5"; "9"; "10"; "11"; "rob"; "churn"; "over"; "latency";
-      "seg"; "alloc"; "kv"; "tournament"; "ablation"; "all" ]
-  in
   if not (List.mem !fig known) then usage ();
   let want tags = List.mem !fig ("all" :: tags) in
   if want [ "micro" ] then emit_micro_json (fig_micro ());
@@ -1113,13 +1101,9 @@ let () =
   if want [ "5"; "9" ] then emit_json "5" (Experiments.fig_read_heavy_appendix sc);
   if want [ "4" ] then emit_json "4" (Experiments.fig_long_running_reads sc);
   if want [ "10"; "11" ] then emit_json "10" (Experiments.fig_crystalline sc);
-  if want [ "rob" ] then emit_json "rob" (Experiments.fig_robustness sc);
-  if want [ "churn" ] then emit_json "churn" (Experiments.fig_churn sc);
   if want [ "seg" ] then emit_seg_json (fig_seg sc);
   if want [ "alloc" ] then emit_alloc_json (fig_alloc sc);
   if want [ "kv" ] then emit_json "kv" (Experiments.fig_kv sc);
-  if want [ "tournament" ] then
-    emit_labelled_json "tournament" (Experiments.fig_tournament sc);
   if want [ "over" ] then fig_oversubscription sc;
   if want [ "latency" ] then fig_signal_latency sc;
   if want [ "ablation" ] then fig_ablation sc;

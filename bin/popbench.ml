@@ -1,5 +1,6 @@
 (* popbench: run one benchmark cell (any data structure x any SMR) and
-   print its full result, or run a whole figure's sweep. *)
+   print its full result, or run the robustness tournament. Figure
+   sweeps run through bench/main.exe. *)
 
 open Cmdliner
 open Pop_harness
@@ -22,7 +23,7 @@ let smr_conv =
           (`Msg
              (Printf.sprintf
                 "unknown SMR %S \
-                 (nr|hp|hp-asym|he|ebr|ibr|nbr|hp-pop|he-pop|epoch-pop|hyaline|hyaline-1|hyaline-1s|cadence)"
+                 (nr|hp|hp-asym|he|ebr|ibr|nbr|hp-pop|he-pop|epoch-pop|hyaline-1|hyaline-1s|cadence)"
                 s))
   in
   Arg.conv (parse, fun fmt a -> Format.pp_print_string fmt (Dispatch.smr_name a))
@@ -160,21 +161,6 @@ let run_cell ds smr threads duration key_range ins del reclaim_freq reclaim_scal
       Runner.write_json file [ (label, r) ];
       Printf.printf "wrote %s\n" file
 
-let run_figure fig fullscale =
-  let sc = if fullscale then Experiments.full else Experiments.quick in
-  let known = [ "1"; "2"; "3"; "4"; "5"; "9"; "10"; "11"; "rob"; "deaf"; "churn"; "kv"; "all" ] in
-  if not (List.mem fig known) then
-    invalid_arg (Printf.sprintf "unknown figure %S (use 1|3|4|5|10|rob|deaf|churn|kv|all)" fig);
-  if List.mem fig [ "1"; "2"; "all" ] then ignore (Experiments.fig_update_heavy sc);
-  if List.mem fig [ "3"; "all" ] then ignore (Experiments.fig_read_heavy sc);
-  if List.mem fig [ "5"; "9"; "all" ] then ignore (Experiments.fig_read_heavy_appendix sc);
-  if List.mem fig [ "4"; "all" ] then ignore (Experiments.fig_long_running_reads sc);
-  if List.mem fig [ "10"; "11"; "all" ] then ignore (Experiments.fig_crystalline sc);
-  if List.mem fig [ "rob"; "all" ] then ignore (Experiments.fig_robustness sc);
-  if List.mem fig [ "deaf"; "all" ] then ignore (Experiments.fig_deaf sc);
-  if List.mem fig [ "churn"; "all" ] then ignore (Experiments.fig_churn sc);
-  if List.mem fig [ "kv"; "all" ] then ignore (Experiments.fig_kv sc)
-
 let run_tournament smrs scenarios fullscale json =
   let sc = if fullscale then Experiments.full else Experiments.quick in
   let cells = Experiments.fig_tournament ?smrs ?scenarios sc in
@@ -256,7 +242,7 @@ let cmd =
     Arg.(
       value & opt float 0.1
       & info [ "churn-period" ]
-          ~doc:"Seconds between churn events, as a fraction of the run duration.")
+          ~doc:"Time between churn events, as a fraction of the run duration.")
   in
   let ping_timeout =
     Arg.(
@@ -311,9 +297,6 @@ let cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE" ~doc:"Also write the cell result as JSON to $(docv).")
   in
-  let fig =
-    Arg.(value & opt (some string) None & info [ "fig" ] ~doc:"Run a figure sweep instead.")
-  in
   let tournament =
     Arg.(
       value & flag
@@ -339,20 +322,16 @@ let cmd =
             "Restrict the tournament to these scenarios \
              (stall-poll|stall-deaf|crash|churn|oversub|kv-skew; default: all six).")
   in
-  let fullscale = Arg.(value & flag & info [ "full" ] ~doc:"Full-scale figure sweep.") in
+  let fullscale = Arg.(value & flag & info [ "full" ] ~doc:"Full-scale tournament.") in
   let main ds smr threads duration key_range ins del reclaim reclaim_scale epochf popm lrr kv
       zipf rate stall_for stall_polling churn_counts churn_start churn_period ping_timeout
-      suspect_after probe_cap segment_size drop_ping delay_poll seed sanitize csv json fig
+      suspect_after probe_cap segment_size drop_ping delay_poll seed sanitize csv json
       tournament smrs scenarios fullscale =
     if tournament then run_tournament smrs scenarios fullscale json
     else
-      match fig with
-      | Some f -> run_figure f fullscale
-      | None ->
-          run_cell ds smr threads duration key_range ins del reclaim reclaim_scale epochf popm
-            lrr kv zipf rate stall_for stall_polling churn_counts churn_start churn_period
-            ping_timeout suspect_after probe_cap segment_size drop_ping delay_poll seed
-            sanitize csv json
+      run_cell ds smr threads duration key_range ins del reclaim reclaim_scale epochf popm lrr
+        kv zipf rate stall_for stall_polling churn_counts churn_start churn_period ping_timeout
+        suspect_after probe_cap segment_size drop_ping delay_poll seed sanitize csv json
   in
   Cmd.v
     (Cmd.info "popbench" ~doc:"Publish-on-ping reclamation benchmark")
@@ -360,7 +339,7 @@ let cmd =
       const main $ ds $ smr $ threads $ duration $ key_range $ ins $ del $ reclaim
       $ reclaim_scale $ epochf $ popm $ lrr $ kv $ zipf $ rate $ stall_for $ stall_polling
       $ churn_counts $ churn_start $ churn_period $ ping_timeout $ suspect_after $ probe_cap
-      $ segment_size $ drop_ping $ delay_poll $ seed $ sanitize $ csv $ json $ fig $ tournament
+      $ segment_size $ drop_ping $ delay_poll $ seed $ sanitize $ csv $ json $ tournament
       $ tournament_smrs $ tournament_scenarios $ fullscale)
 
 let () = exit (Cmd.eval cmd)

@@ -8,8 +8,7 @@ let name = "hyaline-1"
    simulator keeps the counter beside the node array instead of reusing
    a node's link word). [refs] starts at 0 and is adjusted exactly once,
    by the retirer, with the number of slots the batch was enlisted on —
-   the deferred-adjustment protocol of Hyaline-1, as opposed to
-   [Hyaline_lite]'s eager creator-token (+1 per slot up front). *)
+   the deferred-adjustment protocol of Hyaline-1. *)
 type 'a batch = { nodes : 'a Heap.node array; refs : int Atomic.t }
 
 (* A thread's slot: [Inactive] outside operations, [Active enlisted]

@@ -13,14 +13,9 @@
     per-thread snapshots — reclamation cost is O(active threads) per
     batch, independent of the retired population.
 
-    Differences from its siblings:
-    - {!Hyaline_lite} is the repo's simplified warm-up: an eager
-      creator-token protocol (+1 per slot up front, the token keeping
-      the count positive during distribution) rather than the paper's
-      single deferred adjustment.
-    - {!Hyaline_one_s} (Hyaline-1S) adds the birth-era guard that makes
-      the scheme robust: stalled or crashed threads with frozen eras
-      stop being charged for batches born after they froze.
+    Its sibling {!Hyaline_one_s} (Hyaline-1S) adds the birth-era guard
+    that makes the scheme robust: stalled or crashed threads with frozen
+    eras stop being charged for batches born after they froze.
 
     Like EBR, plain Hyaline-1 is {e not} robust: a stalled or crashed
     thread whose slot stays active is enlisted on every later batch and

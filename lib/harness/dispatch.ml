@@ -13,7 +13,6 @@ type smr_kind =
   | HPPOP
   | HEPOP
   | EPOCHPOP
-  | HYALINE
   | HYALINE1
   | HYALINE1S
   | CADENCE
@@ -24,7 +23,7 @@ let all_ds = [ HML; LL; HMHT; DGT; ABT ]
 let all_ds_ext = all_ds @ [ SL ]
 
 let all_smr =
-  [ NR; HP; HPASYM; HE; EBR; IBR; NBR; HPPOP; HEPOP; EPOCHPOP; HYALINE; HYALINE1; HYALINE1S; CADENCE ]
+  [ NR; HP; HPASYM; HE; EBR; IBR; NBR; HPPOP; HEPOP; EPOCHPOP; HYALINE1; HYALINE1S; CADENCE ]
 
 let paper_smrs = [ NR; HP; HPASYM; HE; EBR; IBR; NBR; HPPOP; HEPOP; EPOCHPOP ]
 
@@ -47,7 +46,6 @@ let smr_name = function
   | HPPOP -> "hp-pop"
   | HEPOP -> "he-pop"
   | EPOCHPOP -> "epoch-pop"
-  | HYALINE -> "hyaline"
   | HYALINE1 -> "hyaline-1"
   | HYALINE1S -> "hyaline-1s"
   | CADENCE -> "cadence"
@@ -75,8 +73,7 @@ let smr_of_string s =
   | "hp-pop" | "hppop" -> Some HPPOP
   | "he-pop" | "hepop" -> Some HEPOP
   | "epoch-pop" | "epochpop" -> Some EPOCHPOP
-  | "hyaline" | "crystalline" -> Some HYALINE
-  | "hyaline-1" | "hyaline1" -> Some HYALINE1
+  | "hyaline-1" | "hyaline1" | "hyaline" | "crystalline" -> Some HYALINE1
   | "hyaline-1s" | "hyaline1s" -> Some HYALINE1S
   | "cadence" | "qsense" -> Some CADENCE
   | "unsafe" | "unsafe-free" -> Some UNSAFE
@@ -93,7 +90,6 @@ let base_smr_module : smr_kind -> (module Pop_core.Smr.S) = function
   | HPPOP -> (module Pop_core.Hazard_ptr_pop)
   | HEPOP -> (module Pop_core.Hazard_era_pop)
   | EPOCHPOP -> (module Pop_core.Epoch_pop)
-  | HYALINE -> (module Pop_baselines.Hyaline_lite)
   | HYALINE1 -> (module Pop_baselines.Hyaline_one)
   | HYALINE1S -> (module Pop_baselines.Hyaline_one_s)
   | CADENCE -> (module Pop_baselines.Cadence)

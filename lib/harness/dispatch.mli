@@ -13,8 +13,7 @@ type smr_kind =
   | HPPOP
   | HEPOP
   | EPOCHPOP
-  | HYALINE  (** The simplified {!Pop_baselines.Hyaline_lite} warm-up. *)
-  | HYALINE1  (** Hyaline-1: deferred-adjustment batch refcounts. *)
+  | HYALINE1  (** Hyaline-1 batch refcounts; also parsed from ["hyaline"]. *)
   | HYALINE1S  (** Hyaline-1S: Hyaline-1 + the robust birth-era guard. *)
   | CADENCE
   | UNSAFE

@@ -171,122 +171,10 @@ let fig_long_running_reads sc =
   !acc
 
 let fig_crystalline sc =
-  fig_mixed ~title:"Fig 10-11 (incl. hyaline) update-heavy" ~mix:Workload.update_heavy
+  fig_mixed ~title:"Fig 10-11 (incl. hyaline-1) update-heavy" ~mix:Workload.update_heavy
     ~dss:[ Dispatch.HML; Dispatch.HMHT ]
-    ~smrs:(Dispatch.paper_smrs @ [ Dispatch.HYALINE ])
+    ~smrs:(Dispatch.paper_smrs @ [ Dispatch.HYALINE1 ])
     sc
-
-let fig_robustness sc =
-  let threads = List.fold_left max 2 sc.threads_list in
-  let duration = max 1.0 sc.duration in
-  Report.section
-    (Printf.sprintf
-       "Robustness: one of %d threads stalls mid-operation for %.1fs (hml size=%d, \
-        update-heavy)"
-       threads (0.7 *. duration) sc.size_hml);
-  let smrs = Dispatch.[ EBR; IBR; HE; NBR; HPPOP; HEPOP; EPOCHPOP ] in
-  let cells =
-    List.map
-      (fun smr ->
-        ( smr,
-          Runner.run
-            {
-              (base_cfg sc Dispatch.HML smr threads) with
-              duration;
-              stall =
-                Some
-                  {
-                    Runner.stall_tid = 0;
-                    stall_after = 0.1 *. duration;
-                    stall_for = 0.7 *. duration;
-                    stall_polling = true;
-                  };
-            } ))
-      smrs
-  in
-  Report.table
-    ~header:[ "algo"; "Mops"; "max garbage"; "final garbage"; "pop passes"; "pings" ]
-    ~rows:
-      (List.map
-         (fun (smr, (r : Runner.result)) ->
-           [
-             Dispatch.smr_name smr ^ flag r;
-             Report.fmt_mops r.mops;
-             Report.fmt_count r.max_unreclaimed;
-             Report.fmt_count r.final_unreclaimed;
-             Report.fmt_count r.smr.pop_passes;
-             Report.fmt_count r.smr.pings;
-           ])
-         cells);
-  List.map snd cells
-
-let fig_churn sc =
-  let threads = max 4 (List.fold_left max 2 sc.threads_list) in
-  let duration = max 1.0 sc.duration in
-  let churn =
-    Some
-      {
-        Runner.exits = 2;
-        crashes = 2;
-        joins = 2;
-        churn_start = 0.15 *. duration;
-        churn_period = 0.1 *. duration;
-      }
-  in
-  Report.section
-    (Printf.sprintf
-       "Churn: %d workers; mid-run 2 exit cleanly, 2 crash mid-operation and 2 fresh \
-        workers join on recycled tids (hml size=%d, update-heavy). Clean exits donate \
-        their retire buffers to the orphanage; crashes abandon theirs. A crashed peer \
-        pins at most max_hp nodes under HP/HE/POP once the failure detector \
-        quarantines it, while EBR's garbage keeps growing behind the dead thread's \
-        frozen epoch."
-       threads sc.size_hml);
-  let smrs = Dispatch.[ EBR; HP; HE; IBR; HPPOP; HEPOP; EPOCHPOP ] in
-  let cells =
-    List.map
-      (fun smr ->
-        ( smr,
-          Runner.run
-            {
-              (base_cfg sc Dispatch.HML smr threads) with
-              duration;
-              churn;
-              (* Short spin budget so quarantine kicks in well before the
-                 run ends even at quick scale. *)
-              ping_timeout_spins = 24;
-            } ))
-      smrs
-  in
-  Report.table
-    ~header:
-      [
-        "algo";
-        "Mops";
-        "max garbage";
-        "final garbage";
-        "exit/crash/join";
-        "donated";
-        "adopted";
-        "suspects";
-        "quar rounds";
-      ]
-    ~rows:
-      (List.map
-         (fun (smr, (r : Runner.result)) ->
-           [
-             Dispatch.smr_name smr ^ flag r;
-             Report.fmt_mops r.mops;
-             Report.fmt_count r.max_unreclaimed;
-             Report.fmt_count r.final_unreclaimed;
-             Printf.sprintf "%d/%d/%d" r.exited r.crashed r.joined;
-             Report.fmt_count r.smr.orphans_donated;
-             Report.fmt_count r.smr.orphans_adopted;
-             Report.fmt_count r.smr.suspects;
-             Report.fmt_count r.smr.quarantine_rounds;
-           ])
-         cells);
-  List.map snd cells
 
 let fig_kv sc =
   let module Histogram = Pop_runtime.Histogram in
@@ -344,66 +232,13 @@ let fig_kv sc =
     [ Dispatch.HMHT; Dispatch.SL ];
   !acc
 
-let fig_deaf sc =
-  let threads = List.fold_left max 2 sc.threads_list in
-  let duration = max 1.0 sc.duration in
-  Report.section
-    (Printf.sprintf
-       "Deaf thread: one of %d threads stalls mid-operation WITHOUT polling for the \
-        rest of the run (hml size=%d, update-heavy). Before the bounded handshake \
-        this configuration hung every ping-based scheme; now each handshake times \
-        out and falls back to the stalled thread's racy reservations / announced \
-        epoch."
-       threads sc.size_hml);
-  let smrs = Dispatch.[ NBR; HPASYM; CADENCE; HPPOP; HEPOP; EPOCHPOP ] in
-  let cells =
-    List.map
-      (fun smr ->
-        ( smr,
-          Runner.run
-            {
-              (base_cfg sc Dispatch.HML smr threads) with
-              duration;
-              (* Stall far past the run's end: the wake-on-stop hook ends
-                 the stall, so the run still finishes on time. *)
-              stall =
-                Some
-                  {
-                    Runner.stall_tid = 0;
-                    stall_after = 0.1 *. duration;
-                    stall_for = 100.0 *. duration;
-                    stall_polling = false;
-                  };
-              (* Short spin budget so even quick runs hit many timeouts. *)
-              ping_timeout_spins = 24;
-            } ))
-      smrs
-  in
-  Report.table
-    ~header:
-      [ "algo"; "Mops"; "max garbage"; "final garbage"; "hs timeouts"; "uaf"; "dfree" ]
-    ~rows:
-      (List.map
-         (fun (smr, (r : Runner.result)) ->
-           [
-             Dispatch.smr_name smr ^ flag r;
-             Report.fmt_mops r.mops;
-             Report.fmt_count r.max_unreclaimed;
-             Report.fmt_count r.final_unreclaimed;
-             Report.fmt_count r.smr.handshake_timeouts;
-             string_of_int r.uaf;
-             string_of_int r.double_free;
-           ])
-         cells);
-  List.map snd cells
-
 (* ------------------------------------------------------------------ *)
 (* Robustness tournament: every scheme crossed with every adversarial  *)
 (* scenario, scored on throughput, bounded garbage and recovery time.  *)
 (* ------------------------------------------------------------------ *)
 
 let tournament_smrs =
-  Dispatch.[ EBR; IBR; HE; HP; HPPOP; HEPOP; EPOCHPOP; HYALINE; HYALINE1; HYALINE1S ]
+  Dispatch.[ EBR; IBR; HE; HP; HPPOP; HEPOP; EPOCHPOP; HYALINE1; HYALINE1S ]
 
 (* Each scenario is (name, one-line description, cfg builder). All cells
    run sanitized so the committed JSON doubles as a safety check, and
@@ -530,6 +365,7 @@ let fig_tournament ?(smrs = tournament_smrs) ?scenarios sc =
             "final garb";
             "viol";
             "uaf";
+            "hs t/o";
           ]
         ~rows:
           (List.map
@@ -544,6 +380,7 @@ let fig_tournament ?(smrs = tournament_smrs) ?scenarios sc =
                  Report.fmt_count r.final_unreclaimed;
                  string_of_int r.smr.violations;
                  string_of_int r.uaf;
+                 Report.fmt_count r.smr.handshake_timeouts;
                ])
              cells);
       List.iter

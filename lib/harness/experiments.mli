@@ -57,22 +57,7 @@ val fig_long_running_reads : scale -> Runner.result list
     the read-throughput ratio vs NR. *)
 
 val fig_crystalline : scale -> Runner.result list
-(** Appendix Figures 10–11: HML and HMHT including Hyaline-lite. *)
-
-val fig_robustness : scale -> Runner.result list
-(** The robustness claim (Properties 3/5): one thread stalls mid-
-    operation; EBR's garbage grows unboundedly while POP algorithms stay
-    bounded. *)
-
-val fig_churn : scale -> Runner.result list
-(** Thread churn under failure: mid-run some workers exit cleanly
-    (donating their retire buffers to the orphanage), some crash
-    mid-operation (abandoning reservations and buffers), and fresh
-    workers join on the recycled tids. Reports garbage bounds, churn
-    event counts, orphanage traffic and the failure detector's
-    suspect/quarantine counters. EBR's garbage grows behind a crashed
-    thread's frozen epoch; HP/HE/POP stay bounded by [max_hp] per
-    crashed thread. *)
+(** Appendix Figures 10–11: HML and HMHT including Hyaline-1. *)
 
 val fig_kv : scale -> Runner.result list
 (** Production KV-service cells (ROADMAP item 1): a memcached-style
@@ -85,7 +70,7 @@ val fig_kv : scale -> Runner.result list
 
 val tournament_smrs : Dispatch.smr_kind list
 (** The default tournament entrants: the paper's ping-based algorithms,
-    the classic baselines and all three Hyalines. *)
+    the classic baselines, Hyaline-1 and Hyaline-1S. *)
 
 val fig_tournament :
   ?smrs:Dispatch.smr_kind list ->
@@ -95,18 +80,13 @@ val fig_tournament :
 (** The adversarial robustness tournament: a seeded scenario matrix —
     [stall-poll], [stall-deaf], [crash], [churn], [oversub], [kv-skew]
     — crossed with every scheme in [smrs] (default {!tournament_smrs}).
-    Every cell runs sanitized; each is scored on throughput, bounded
-    garbage ([max_unreclaimed]) and recovery time ([recovery_ns]: from
-    disruption end until throughput regains 90% of its pre-disruption
-    rate). Returns [("scenario/scheme", result)] pairs ready for
+    These scenarios are the repo's only definitions of the stall, deaf
+    and churn shapes. Every cell runs sanitized; each is scored on
+    throughput, bounded garbage ([max_unreclaimed]) and recovery time
+    ([recovery_ns]: from disruption end until throughput regains 90% of
+    its pre-disruption rate); the table also shows handshake timeouts.
+    Returns [("scenario/scheme", result)] pairs ready for
     {!Runner.write_json}, whose per-cell ["scenario"] descriptor makes
     the emitted file self-describing. [scenarios] filters the matrix by
     name (unknown names are ignored) — the tier-1 smoke runs a 2-scheme
     x 3-scenario slice this way. *)
-
-val fig_deaf : scale -> Runner.result list
-(** Adversarial variant of {!fig_robustness} for the bounded handshake:
-    one thread goes deaf (stalls without polling) until the end of the
-    run, so every ping round against it must time out. Reports
-    throughput, garbage, and the [handshake_timeouts] counter for each
-    ping-based scheme; before bounded waiting this scenario hung. *)

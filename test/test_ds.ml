@@ -138,7 +138,6 @@ let per_ds ds =
     QCheck_alcotest.to_alcotest (model_prop ~count:20 ds Dispatch.HEPOP);
     QCheck_alcotest.to_alcotest (model_prop ~count:20 ds Dispatch.HE);
     QCheck_alcotest.to_alcotest (model_prop ~count:20 ds Dispatch.IBR);
-    QCheck_alcotest.to_alcotest (model_prop ~count:20 ds Dispatch.HYALINE);
     QCheck_alcotest.to_alcotest (model_prop ~count:20 ds Dispatch.HYALINE1);
     QCheck_alcotest.to_alcotest (model_prop ~count:20 ds Dispatch.HYALINE1S);
     QCheck_alcotest.to_alcotest (model_prop ~count:20 ds Dispatch.CADENCE);

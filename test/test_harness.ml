@@ -17,13 +17,21 @@ let dispatch_round_trip () =
       | Some smr' when smr' = smr -> ()
       | _ -> Alcotest.failf "smr round trip failed for %s" (Dispatch.smr_name smr))
     (Dispatch.UNSAFE :: Dispatch.all_smr);
+  List.iter
+    (fun alias ->
+      Alcotest.(check bool) (alias ^ " is hyaline-1") true
+        (Dispatch.smr_of_string alias = Some Dispatch.HYALINE1))
+    [ "hyaline"; "crystalline" ];
+  let names = List.map Dispatch.smr_name Dispatch.all_smr in
+  Alcotest.(check int) "no scheme listed twice" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
   Alcotest.(check (option reject)) "unknown ds" None
     (Option.map (fun _ -> ()) (Dispatch.ds_of_string "nope"));
   Alcotest.(check (option reject)) "unknown smr" None
     (Option.map (fun _ -> ()) (Dispatch.smr_of_string "nope"))
 
 let paper_set_excludes_extras () =
-  Alcotest.(check bool) "no hyaline" true (not (List.mem Dispatch.HYALINE Dispatch.paper_smrs));
+  Alcotest.(check bool) "no hyaline" true (not (List.mem Dispatch.HYALINE1 Dispatch.paper_smrs));
   Alcotest.(check bool) "no unsafe" true (not (List.mem Dispatch.UNSAFE Dispatch.all_smr));
   Alcotest.(check int) "ten paper algorithms" 10 (List.length Dispatch.paper_smrs)
 

@@ -214,9 +214,11 @@ let check_deaf name (r : Runner.result) =
     true
     (r.Runner.smr.Smr_stats.handshake_timeouts > 0)
 
-let deaf_to_the_end_epoch_pop () = check_deaf "epoch-pop" (runner_deaf Dispatch.EPOCHPOP)
-
-let deaf_to_the_end_hp_pop () = check_deaf "hp-pop" (runner_deaf Dispatch.HPPOP)
+let deaf_to_the_end smr =
+  let name = Dispatch.smr_name smr in
+  case
+    (Printf.sprintf "deaf to the end: %s terminates safely" name)
+    (fun () -> check_deaf name (runner_deaf smr))
 
 let suite =
   [
@@ -226,6 +228,5 @@ let suite =
     case "runner stall: ebr unbounded vs epoch-pop bounded" stalled_ebr_vs_epoch_pop;
     case "runner stall: hp-pop stays bounded" stalled_hp_pop_stays_bounded;
     case "deaf stall delays reclaimers but recovers" deaf_stall_delays_but_recovers;
-    case "deaf to the end: epoch-pop terminates safely" deaf_to_the_end_epoch_pop;
-    case "deaf to the end: hp-pop terminates safely" deaf_to_the_end_hp_pop;
   ]
+  @ List.map deaf_to_the_end Dispatch.[ EPOCHPOP; HPPOP; HEPOP; NBR; HPASYM; CADENCE ]

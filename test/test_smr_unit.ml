@@ -199,30 +199,29 @@ let nbr_write_set_bounded () =
 
 (* --- Hyaline: batches are charged to active threads --- *)
 
-module Hyaline_rig = Smr_rig (Pop_baselines.Hyaline_lite)
+module One_rig = Smr_rig (Pop_baselines.Hyaline_one)
 
 let hyaline_batch_held_by_active_thread () =
-  Hyaline_rig.run (fun _rig g ctx0 ->
+  One_rig.run (fun _rig g ctx0 ->
       let open Pop_baselines in
-      let ctx1 = Hyaline_lite.register g ~tid:1 in
-      Hyaline_lite.start_op ctx0;
+      let ctx1 = Hyaline_one.register g ~tid:1 in
+      Hyaline_one.start_op ctx0;
       (* tid1 retires a full batch while tid0 is active. *)
       for _ = 1 to 4 do
-        Hyaline_lite.retire ctx1 (Hyaline_lite.alloc ctx1)
+        Hyaline_one.retire ctx1 (Hyaline_one.alloc ctx1)
       done;
-      Alcotest.(check int) "batch held" 4 (Hyaline_lite.unreclaimed g);
-      Hyaline_lite.end_op ctx0;
-      Alcotest.(check int) "freed when holder leaves" 0 (Hyaline_lite.unreclaimed g))
+      Alcotest.(check int) "batch held" 4 (Hyaline_one.unreclaimed g);
+      Hyaline_one.end_op ctx0;
+      Alcotest.(check int) "freed when holder leaves" 0 (Hyaline_one.unreclaimed g))
 
 let hyaline_idle_world_frees_immediately () =
-  Hyaline_rig.run (fun _rig g ctx ->
-      Hyaline_rig.retire_n ctx 4;
-      Alcotest.(check int) "no active threads: freed" 0 (Pop_baselines.Hyaline_lite.unreclaimed g))
+  One_rig.run (fun _rig g ctx ->
+      One_rig.retire_n ctx 4;
+      Alcotest.(check int) "no active threads: freed" 0 (Pop_baselines.Hyaline_one.unreclaimed g))
 
-(* --- Hyaline family edge cases, shared by lite / -1 / -1S ---
+(* --- Hyaline family edge cases, shared by -1 / -1S ---
 
-   Pinned *before* judging the full Hyaline against the lite warm-up:
-   empty batches (flush with nothing pending must not form or adjust
+   Empty batches (flush with nothing pending must not form or adjust
    anything), single-node batches (reclaim_freq = 1 degenerates every
    batch to one node), and retiring into an adopted orphanage (a
    departing thread's donation must ride the adopter's next batch). *)
@@ -240,7 +239,7 @@ module Hyaline_family (R : Smr.S) = struct
         Alcotest.(check int) "nothing pending" 0 (R.unreclaimed g))
 
   (* [held]: how many of the three singleton batches the active holder
-     pins. 3 for lite/-1; 1 for -1S, whose era guard lets every batch
+     pins. 3 for -1; 1 for -1S, whose era guard lets every batch
      born after the holder's published era slide past it (each
      singleton reclaim bumps the global era, so only the first batch is
      coeval with the holder). *)
@@ -279,50 +278,13 @@ module Hyaline_family (R : Smr.S) = struct
         R.deregister ctx2)
 end
 
-module Lite_family = Hyaline_family (Pop_baselines.Hyaline_lite)
 module One_family = Hyaline_family (Pop_baselines.Hyaline_one)
 module One_s_family = Hyaline_family (Pop_baselines.Hyaline_one_s)
-
-(* Lite/full equivalence: on any shared single-threaded trace the lite
-   creator-token protocol and Hyaline-1's deferred adjustment must agree
-   on every observable pending count — they differ only in how the batch
-   counter is driven, never in when a batch becomes free. *)
-let hyaline_trace (module R : Smr.S) seed =
-  let rig = make_rig () in
-  let g = R.create rig.cfg rig.hub rig.heap in
-  let ctx0 = R.register g ~tid:0 in
-  let ctx1 = R.register g ~tid:1 in
-  let rng = Rng.make seed in
-  let active = ref false in
-  let obs = ref [] in
-  for _ = 1 to 200 do
-    (match Rng.int rng 4 with
-    | 0 ->
-        if !active then R.end_op ctx1 else R.start_op ctx1;
-        active := not !active
-    | 1 | 2 -> R.retire ctx0 (R.alloc ctx0)
-    | _ -> R.flush ctx0);
-    obs := R.unreclaimed g :: !obs
-  done;
-  if !active then R.end_op ctx1;
-  R.flush ctx0;
-  obs := R.unreclaimed g :: !obs;
-  List.rev !obs
-
-let hyaline_lite_full_equivalence () =
-  List.iter
-    (fun seed ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "trace seed %d" seed)
-        (hyaline_trace (module Pop_baselines.Hyaline_lite) seed)
-        (hyaline_trace (module Pop_baselines.Hyaline_one) seed))
-    [ 1; 7; 42; 1234 ]
 
 (* The deliberate 1S divergence: a holder whose published era predates
    every node in a batch is skipped, so garbage born after a thread
    froze is freed out from under it — the robustness bound Hyaline-1
    lacks. *)
-module One_rig = Smr_rig (Pop_baselines.Hyaline_one)
 module One_s_rig = Smr_rig (Pop_baselines.Hyaline_one_s)
 
 let hyaline_1s_era_guard_skips_frozen_holder () =
@@ -499,8 +461,7 @@ let generic =
       else [ threshold_reclaims algo; stats_accumulate algo; deregister_releases algo ])
     reclaiming_smrs
 
-let protection =
-  List.map protected_survives (List.filter (fun (n, _) -> n <> "hyaline") reclaiming_smrs)
+let protection = List.map protected_survives reclaiming_smrs
 
 let suite =
   generic @ protection
@@ -513,18 +474,14 @@ let suite =
       case "nbr: write phase immune to neutralize" nbr_write_phase_immune;
       case "nbr: neutralize caught at write-phase entry" nbr_neutralize_before_write_phase;
       case "nbr: write set bounded by max_hp" nbr_write_set_bounded;
-      case "hyaline: batch held by active thread" hyaline_batch_held_by_active_thread;
-      case "hyaline: idle world frees immediately" hyaline_idle_world_frees_immediately;
-      case "hyaline: empty batch is a no-op" Lite_family.empty_batch;
-      case "hyaline: single-node batches" (Lite_family.single_node_batches ~held:3);
-      case "hyaline: retire during adopt" Lite_family.retire_during_adopt;
+      case "hyaline-1: batch held by active thread" hyaline_batch_held_by_active_thread;
+      case "hyaline-1: idle world frees immediately" hyaline_idle_world_frees_immediately;
       case "hyaline-1: empty batch is a no-op" One_family.empty_batch;
       case "hyaline-1: single-node batches" (One_family.single_node_batches ~held:3);
       case "hyaline-1: retire during adopt" One_family.retire_during_adopt;
       case "hyaline-1s: empty batch is a no-op" One_s_family.empty_batch;
       case "hyaline-1s: single-node batches" (One_s_family.single_node_batches ~held:1);
       case "hyaline-1s: retire during adopt" One_s_family.retire_during_adopt;
-      case "hyaline lite = hyaline-1 on shared traces" hyaline_lite_full_equivalence;
       case "hyaline-1s: era guard skips frozen holder"
         hyaline_1s_era_guard_skips_frozen_holder;
       case "hyaline-1: frozen holder pins everything"

@@ -84,7 +84,6 @@ let all_safe_smrs : (string * (module Smr.S)) list =
     ("hp-pop", (module Hazard_ptr_pop));
     ("he-pop", (module Hazard_era_pop));
     ("epoch-pop", (module Epoch_pop));
-    ("hyaline", (module Pop_baselines.Hyaline_lite));
     ("hyaline-1", (module Pop_baselines.Hyaline_one));
     ("hyaline-1s", (module Pop_baselines.Hyaline_one_s));
     ("cadence", (module Pop_baselines.Cadence));
