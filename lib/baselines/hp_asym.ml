@@ -20,7 +20,8 @@ type 'a tctx = {
   g : 'a t;
   tid : int;
   port : Softsignal.port;
-  row : int array; (* plain SWMR reservation row (no fence) *)
+  rows : int array; (* plain SWMR reservation rows (no fence) *)
+  base : int; (* index of this thread's slot 0 in [rows] *)
   fence : Fence.cell;
   rl : 'a Reclaimer.local;
   counter_scratch : int array;
@@ -51,7 +52,8 @@ let register g ~tid =
       g;
       tid;
       port;
-      row = Reservations.local_row g.res ~tid;
+      rows = Reservations.local_block g.res;
+      base = Reservations.local_base g.res ~tid;
       fence = Fence.make_cell ();
       rl = Reclaimer.register g.eng ~tid ~scratch_slots:nres;
       counter_scratch = Array.make g.cfg.max_threads 0;
@@ -78,7 +80,7 @@ let poll ctx = Softsignal.poll ctx.port
 let rec read ctx slot addr proj =
   let v = Atomic.get addr in
   let n = proj v in
-  Array.unsafe_set ctx.row slot n.Heap.id;
+  Array.unsafe_set ctx.rows (ctx.base + slot) n.Heap.id;
   Softsignal.poll ctx.port;
   if Atomic.get addr == v then v else read ctx slot addr proj
 

@@ -6,7 +6,7 @@
     two tables:
 
     - the {e local} table: plain (unfenced) writes, readable only by the
-      owner — except for the membarrier-style HPAsym scheme, which reads
+      owner, each row on cache lines of its own — except for the membarrier-style HPAsym scheme, which reads
       peers' local rows racily after a barrier round;
     - the {e shared} table: single-writer multi-reader atomic cells, the
       [sharedReservations] array of Algorithms 1–5.
@@ -30,9 +30,14 @@ val none : t -> int
 val set_local : t -> tid:int -> slot:int -> int -> unit
 (** Plain store; no fence. The traversal-path write of POP. *)
 
-val local_row : t -> tid:int -> int array
-(** The owner's private row, for hot read paths that cache it in their
-    thread context and write slots directly (always [slots] long). *)
+val local_block : t -> int array
+(** Every thread's private row in one {!Pop_runtime.Padded} block, so
+    no two threads' rows share a cache line. Hot read paths cache it
+    with {!local_base} in their thread context and write slot [i] of
+    their row at [local_base + i] with a plain store. *)
+
+val local_base : t -> tid:int -> int
+(** Index of [tid]'s slot 0 in {!local_block}. *)
 
 val shared_row : t -> tid:int -> int Atomic.t array
 (** The owner's shared row, cached by eager (HP/HE) read paths. *)

@@ -1,10 +1,6 @@
 type cell = int Atomic.t
 
-let make_cell () =
-  let c = Atomic.make 0 in
-  let _pad : int array = Array.make 14 0 in
-  ignore (Sys.opaque_identity _pad);
-  c
+let make_cell () = Atomic.make 0
 
 let execute cell n =
   for _ = 1 to n do

@@ -10,14 +10,15 @@
     would look alike.
 
     [execute cell n] therefore performs [n] sequentially consistent
-    read-modify-writes on the caller's own cache line: a real, ordered
+    read-modify-writes on the caller's own atomic cell: a real, ordered
     cost — not a sleep — whose magnitude restores the fence-to-step
     ratio. Each algorithm invokes it exactly where the real
     implementation executes a fence (see Smr_config.fence_cost; setting
     it to 0 disables the model). The ablation bench sweeps this knob. *)
 
 type cell
-(** A per-thread fence target (own cache line; never contended). *)
+(** A per-thread fence target: no other thread writes it, though it may
+    share a cache line with other data (see {!Striped}). *)
 
 val make_cell : unit -> cell
 

@@ -8,7 +8,7 @@ type faults = {
 type t = {
   pending : Striped.t; (* 0 = clear, 1 = pinged *)
   active : Striped.t; (* 0 = dead, 1 = alive *)
-  heartbeats : Striped.t; (* bumped on every poll; failure-detector input *)
+  heartbeats : Padded.t; (* bumped on every poll; failure-detector input *)
   handlers : (unit -> unit) array;
   sent : int Atomic.t;
   runs : int Atomic.t;
@@ -21,7 +21,8 @@ type port = {
   hub : t;
   id : int;
   my_pending : int Atomic.t;
-  my_heartbeat : int Atomic.t;
+  hb : int array; (* the heartbeat block, written only at [hb_at] *)
+  hb_at : int;
 }
 
 let no_handler () = ()
@@ -30,7 +31,7 @@ let create ~max_threads =
   {
     pending = Striped.create max_threads;
     active = Striped.create max_threads;
-    heartbeats = Striped.create max_threads;
+    heartbeats = Padded.create ~max_threads ~width:1 0;
     handlers = Array.make max_threads no_handler;
     sent = Atomic.make 0;
     runs = Atomic.make 0;
@@ -68,14 +69,10 @@ let register t ~tid =
   Striped.set t.pending tid 0;
   (* A fresh registrant starts from a moved heartbeat so a detector that
      quarantined the slot's previous (crashed) occupant re-probes it. *)
-  Striped.incr t.heartbeats tid;
+  let hb = Padded.block t.heartbeats and hb_at = Padded.base t.heartbeats tid in
+  hb.(hb_at) <- hb.(hb_at) + 1;
   Striped.set t.active tid 1;
-  {
-    hub = t;
-    id = tid;
-    my_pending = Striped.cell t.pending tid;
-    my_heartbeat = Striped.cell t.heartbeats tid;
-  }
+  { hub = t; id = tid; my_pending = Striped.cell t.pending tid; hb; hb_at }
 
 let set_handler p f = p.hub.handlers.(p.id) <- f
 
@@ -103,8 +100,11 @@ let poll p =
   (* Heartbeat first: a poll that finds no pending ping must still be
      visible to the failure detector, which distinguishes "slow to ack"
      from "stopped polling entirely". Single writer per slot, so a plain
-     read-increment-write on the atomic cell suffices. *)
-  Atomic.set p.my_heartbeat (Atomic.get p.my_heartbeat + 1);
+     store on the owner's own line suffices: no barrier, no shared line.
+     A peer reading it racily may see an older count, which can only add
+     a strike or delay lifting a quarantine, the conservative fallback a
+     timeout already takes. *)
+  Array.unsafe_set p.hb p.hb_at (Array.unsafe_get p.hb p.hb_at + 1);
   if Atomic.get p.my_pending = 1 then begin
     let t = p.hub in
     match t.faults with
@@ -132,7 +132,7 @@ let deregister p =
   Atomic.set p.my_pending 0;
   p.hub.handlers.(p.id) <- no_handler
 
-let heartbeat t id = Striped.get t.heartbeats id
+let heartbeat t id = (Padded.block t.heartbeats).(Padded.base t.heartbeats id)
 
 let pings_sent t = Atomic.get t.sent
 

@@ -67,12 +67,15 @@ val pending : port -> bool
 (** Racy check whether a ping is pending (without handling it). *)
 
 val heartbeat : t -> int -> int
-(** Racy read of slot [tid]'s heartbeat counter. {!poll} bumps it on
-    every call (whether or not a ping was pending), and {!register}
-    bumps it once when a new occupant claims the slot. A failure
-    detector that sees the counter unchanged across several timeout
-    rounds may treat the thread as crashed; any movement proves the
-    occupant is still polling (or was replaced). *)
+(** Racy read of slot [tid]'s heartbeat counter. {!poll} bumps it by
+    one on every call (whether or not a ping was pending), and
+    {!register} bumps it once when a new occupant claims the slot. The
+    owner bumps it with a plain store on a cache line of its own (no
+    barrier), so a reader on another domain may see a count that lags
+    the owner's latest polls. A failure detector that sees the counter
+    unchanged across several timeout rounds may treat the thread as
+    crashed; any movement proves the occupant is still polling (or was
+    replaced). *)
 
 val pings_sent : t -> int
 (** Total pings delivered through this hub (for stats). *)

@@ -1,14 +1,6 @@
 type t = int Atomic.t array
 
-(* Allocate a junk block between consecutive atomics so the 2-word atomic
-   records land on distinct cache lines (a 14-word block + headers spans
-   more than 64 bytes on amd64). *)
-let create n =
-  Array.init n (fun _ ->
-      let cell = Atomic.make 0 in
-      let _pad : int array = Array.make 14 0 in
-      ignore (Sys.opaque_identity _pad);
-      cell)
+let create n = Array.init n (fun _ -> Atomic.make 0)
 
 let length = Array.length
 

@@ -1,10 +1,13 @@
-(** False-sharing-avoiding arrays of per-thread atomic counters.
+(** Arrays of per-thread atomic counters.
 
-    A plain [int Atomic.t array] places the atomic cells next to each other
-    on the heap, so two threads incrementing adjacent slots ping-pong the
-    same cache line. [Striped] spaces the cells out by allocating padding
-    blocks between them, which is the closest OCaml gets to cache-line
-    alignment without C stubs. *)
+    Each slot is its own [int Atomic.t] block, so the slots are distinct
+    atomic words, not distinct cache lines: the minor GC promotes them
+    wherever the major heap has room, and blocks made one after another
+    usually end up next to each other. Two threads updating neighbouring
+    slots can therefore contend for one line. That is acceptable for
+    counters updated off the hot path; a single-writer word written on
+    every operation belongs in {!Padded} instead, as a plain store on a
+    line of its own. *)
 
 type t
 (** A fixed-size array of single-writer multi-reader counters. *)

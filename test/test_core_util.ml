@@ -161,9 +161,9 @@ let reservations_collect () =
 
 let reservations_rows_are_views () =
   let r = Reservations.create ~max_threads:1 ~slots:2 ~none:0 in
-  let row = Reservations.local_row r ~tid:0 in
-  row.(0) <- 5;
-  Alcotest.(check int) "row aliases table" 5 (Reservations.get_local r ~tid:0 ~slot:0);
+  let block = Reservations.local_block r and base = Reservations.local_base r ~tid:0 in
+  block.(base + 1) <- 5;
+  Alcotest.(check int) "row aliases table" 5 (Reservations.get_local r ~tid:0 ~slot:1);
   let srow = Reservations.shared_row r ~tid:0 in
   Atomic.set srow.(1) 6;
   Alcotest.(check int) "shared row aliases" 6 (Reservations.get_shared r ~tid:0 ~slot:1)

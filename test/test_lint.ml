@@ -166,6 +166,37 @@ let era_per_node () =
   Alcotest.(check bool) "unrelated scheme code accepted" false
     (flags "era-per-node" "lib/baselines/hazard_eras.ml" "let e = Id_set.mem snap n.id")
 
+let fence_free_read () =
+  let hp = "lib/core/hazard_ptr_pop.ml" in
+  let fenced =
+    "let rec read ctx slot addr proj =\n  let v = Atomic.get addr in\n\
+    \  Atomic.set ctx.srow.(slot) (proj v).Heap.id;\n\
+    \  if Atomic.get addr == v then v else read ctx slot addr proj\n"
+  in
+  let plain =
+    "let rec read ctx slot addr proj =\n  let v = Atomic.get addr in\n\
+    \  Array.unsafe_set ctx.rows (ctx.base + slot) (proj v).Heap.id;\n\
+    \  Softsignal.poll ctx.port;\n\
+    \  if Atomic.get addr == v then v else read ctx slot addr proj\n\n\
+     let end_op ctx = Atomic.set ctx.my_epoch max_int\n"
+  in
+  Alcotest.(check (list (pair string int)))
+    "seq-cst store in read flagged at its line" [ ("fence-free-read", 3) ] (rules_of hp fenced);
+  Alcotest.(check (list (pair string int)))
+    "plain store passes; writes outside read are free" [] (rules_of hp plain);
+  Alcotest.(check bool) "a renamed read is a finding" true
+    (flags "fence-free-read" hp "let rec read_protected ctx = ctx\n");
+  let poll body = "let poll p =\n" ^ body ^ "  if Atomic.get p.my_pending = 1 then\n\
+                                         \    Atomic.set p.my_pending 0\n" in
+  Alcotest.(check bool) "exchange before the pending check flagged" true
+    (flags "fence-free-read" "lib/runtime/softsignal.ml"
+       (poll "  Atomic.set p.my_heartbeat (Atomic.get p.my_heartbeat + 1);\n"));
+  Alcotest.(check bool) "writes after the pending check accepted" false
+    (flags "fence-free-read" "lib/runtime/softsignal.ml"
+       (poll "  Array.unsafe_set p.hb p.hb_at (Array.unsafe_get p.hb p.hb_at + 1);\n"));
+  Alcotest.(check bool) "other schemes unscoped" false
+    (flags "fence-free-read" "lib/baselines/hp.ml" fenced)
+
 let diagnostics_have_positions () =
   match L.check_source ~path:"lib/a.ml" "let a = 1\nlet b = Obj.magic a\n" with
   | [ d ] ->
@@ -244,6 +275,7 @@ let suite =
     case "rule: heap-free-loop scoping" heap_free_loop;
     case "rule: raw-smr-in-dslib scoping" raw_smr;
     case "rule: era-per-node scoping" era_per_node;
+    case "rule: fence-free-read scoping" fence_free_read;
     case "diagnostics carry file:line" diagnostics_have_positions;
     case "allow.sexp parsing" parse_allow;
     case "rule: missing-mli over a tree" missing_mli;

@@ -450,6 +450,69 @@ let epoch_pop_birth_eras_advance () =
       let b1 = (Epoch_pop.alloc ctx).Heap.birth_era in
       Alcotest.(check bool) "birth era advanced" true (b1 > b0))
 
+(* Count-based read-path guard. A fixed-seed, single-thread replay of
+   1,000 hml [contains] through a counting wrapper: every heartbeat tick
+   must come from a [read] or an explicit [poll], one each, so a cheaper
+   poll cannot hide fewer delivery points. HazardEraPOP's read polls
+   once more on the first read of each slot in an operation: [end_op]
+   clears the era row, so that read re-reserves and goes round again
+   (no retires here, so the era never moves otherwise). *)
+module Counting (S : Smr.S) = struct
+  include S
+
+  let reads = ref 0
+
+  let polls = ref 0
+
+  let first_uses = ref 0 (* (operation, slot) pairs read *)
+
+  let used = ref 0 (* bitmask of slots read since the last end_op *)
+
+  let read ctx slot cell proj =
+    incr reads;
+    if !used land (1 lsl slot) = 0 then begin
+      incr first_uses;
+      used := !used lor (1 lsl slot)
+    end;
+    S.read ctx slot cell proj
+
+  let end_op ctx =
+    used := 0;
+    S.end_op ctx
+
+  let poll ctx =
+    incr polls;
+    S.poll ctx
+end
+
+let heartbeat_per_delivery_point (module S : Smr.S) ~rereserve () =
+  let module C = Counting (S) in
+  let module L = Pop_ds.Hm_list.Make (Smr_typed.Of (C)) in
+  let hub = Softsignal.create ~max_threads:1 in
+  let set =
+    L.create
+      (Smr_config.default ~max_threads:1 ())
+      (Pop_ds.Ds_config.default ~key_range:256)
+      ~hub
+  in
+  let ctx = L.register set ~tid:0 in
+  let rng = Rng.make 42 in
+  for _ = 1 to 128 do
+    ignore (L.insert ctx (Rng.int rng 256))
+  done;
+  let hb0 = Softsignal.heartbeat hub 0 and r0 = !C.reads and p0 = !C.polls in
+  let f0 = !C.first_uses in
+  for _ = 1 to 1000 do
+    ignore (L.contains ctx (Rng.int rng 256));
+    L.poll ctx
+  done;
+  let reads = !C.reads - r0 and polls = !C.polls - p0 and firsts = !C.first_uses - f0 in
+  Alcotest.(check bool) "a real traversal" true (reads > 10_000);
+  Alcotest.(check int) "explicit polls" 1000 polls;
+  Alcotest.(check int) "heartbeat delta"
+    (reads + polls + if rereserve then firsts else 0)
+    (Softsignal.heartbeat hub 0 - hb0)
+
 (* Cadence gates frees on global barrier ticks, so threshold-exact
    expectations do not apply to it; it gets dedicated tests instead. *)
 let generic =
@@ -494,4 +557,10 @@ let suite =
         he_old_nodes_freeable_despite_reservation;
       case "ibr: overlapping interval protects" ibr_interval_protects;
       case "epoch-pop: birth eras advance" epoch_pop_birth_eras_advance;
+      case "hp-pop: one heartbeat per read and poll"
+        (heartbeat_per_delivery_point (module Hazard_ptr_pop) ~rereserve:false);
+      case "he-pop: one heartbeat per read and poll"
+        (heartbeat_per_delivery_point (module Hazard_era_pop) ~rereserve:true);
+      case "epoch-pop: one heartbeat per read and poll"
+        (heartbeat_per_delivery_point (module Epoch_pop) ~rereserve:false);
     ]

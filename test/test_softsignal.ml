@@ -174,6 +174,81 @@ let fault_validation () =
     (Invalid_argument "Softsignal.inject_faults: probabilities must be in [0,1]") (fun () ->
       Softsignal.inject_faults h ~seed:0 ~drop_ping:1.5 ~delay_poll:0.0)
 
+(* --- Heartbeat contract: +1 per poll, +1 per register, per slot --- *)
+
+let hb h = Softsignal.heartbeat h 0
+
+let heartbeat_one_per_poll () =
+  let h = Softsignal.create ~max_threads:2 in
+  let p = Softsignal.register h ~tid:0 in
+  let runs = ref 0 in
+  Softsignal.set_handler p (fun () -> incr runs);
+  let step label =
+    let before = hb h in
+    Softsignal.poll p;
+    Alcotest.(check int) label (before + 1) (hb h)
+  in
+  step "no ping pending";
+  ignore (Softsignal.ping h 0);
+  step "ping consumed";
+  Alcotest.(check int) "handler ran" 1 !runs;
+  Softsignal.inject_faults h ~seed:5 ~drop_ping:0.0 ~delay_poll:1.0;
+  ignore (Softsignal.ping h 0);
+  step "ping deferred by delay_poll";
+  Alcotest.(check bool) "still pending" true (Softsignal.pending p);
+  Alcotest.(check int) "handler deferred" 1 !runs
+
+let heartbeat_one_per_register () =
+  let h = Softsignal.create ~max_threads:2 in
+  Alcotest.(check int) "fresh hub" 0 (hb h);
+  let p = Softsignal.register h ~tid:0 in
+  Alcotest.(check int) "first register" 1 (hb h);
+  Softsignal.deregister p;
+  let after_leave = hb h in
+  ignore (Softsignal.register h ~tid:0);
+  Alcotest.(check int) "re-register" (after_leave + 1) (hb h)
+
+let heartbeats_are_per_port () =
+  let h = Softsignal.create ~max_threads:2 in
+  let p0 = Softsignal.register h ~tid:0 and p1 = Softsignal.register h ~tid:1 in
+  for _ = 1 to 5 do
+    Softsignal.poll p0
+  done;
+  Softsignal.poll p1;
+  Alcotest.(check int) "port 0" 6 (Softsignal.heartbeat h 0);
+  Alcotest.(check int) "port 1" 2 (Softsignal.heartbeat h 1)
+
+(* The layout promise of [Padded], by index arithmetic alone: indices 8
+   apart can never share a 64-byte line, whatever the block alignment. *)
+let padded_layout () =
+  for max_threads = 1 to 9 do
+    for width = 1 to 9 do
+      let t = Padded.create ~max_threads ~width 0 in
+      let len = Array.length (Padded.block t) in
+      let owner = Array.make len (-1) in
+      for tid = 0 to max_threads - 1 do
+        for i = 0 to width - 1 do
+          let at = Padded.base t tid + i in
+          let where = Printf.sprintf "threads=%d width=%d tid=%d slot=%d" max_threads width tid i in
+          Alcotest.(check bool) (where ^ ": 8 words after the start") true (at >= 8);
+          Alcotest.(check bool) (where ^ ": 8 words before the end") true (at <= len - 9);
+          Alcotest.(check int) (where ^ ": no overlap") (-1) owner.(at);
+          owner.(at) <- tid
+        done
+      done;
+      Array.iteri
+        (fun a ta ->
+          if ta >= 0 then
+            Array.iteri
+              (fun b tb ->
+                if tb >= 0 && tb <> ta && abs (a - b) < 8 then
+                  Alcotest.failf "threads=%d width=%d: slots %d (tid %d) and %d (tid %d) share a line"
+                    max_threads width a ta b tb)
+              owner)
+        owner
+    done
+  done
+
 let suite =
   [
     case "register bounds and double registration" register_bounds;
@@ -189,4 +264,8 @@ let suite =
     case "fault injection: dropped pings" fault_drop_ping;
     case "fault injection: delayed polls" fault_delay_poll;
     case "fault injection: probability validation" fault_validation;
+    case "heartbeat: +1 per poll, pending or not" heartbeat_one_per_poll;
+    case "heartbeat: +1 per register" heartbeat_one_per_register;
+    case "heartbeat: ports move independently" heartbeats_are_per_port;
+    case "padded: rows never share a line" padded_layout;
   ]

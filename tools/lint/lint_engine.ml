@@ -390,7 +390,89 @@ let check_heap_free_loop lines =
     (fun line -> (line, heap_free_loop_msg))
     !diags
 
-let file_rules = [ ("heap-free-loop", heap_free_loop_applies, check_heap_free_loop) ]
+(* fence-free-read: the POP read path runs no barrier (paper section
+   2.1.2). Inside the guarded top-level functions — each POP scheme's
+   [read]/[read_from], and [Softsignal.poll] up to its pending check —
+   no sequentially consistent store or read-modify-write may appear:
+   no [Atomic] write, no [Striped] write, no modelled fence. A body runs
+   from its [let]/[and] line to the next line that starts in column 0.
+   A guarded function that cannot be found is itself a finding, so a
+   rename cannot switch the rule off. *)
+let fence_free_guards =
+  [
+    ("lib/core/hazard_ptr_pop.ml", [ "read" ], None);
+    ("lib/core/hazard_era_pop.ml", [ "read"; "read_from" ], None);
+    ("lib/core/epoch_pop.ml", [ "read" ], None);
+    ("lib/runtime/softsignal.ml", [ "poll" ], Some "my_pending");
+  ]
+
+let fenced_writes =
+  [
+    "Atomic.set"; "Atomic.incr"; "Atomic.decr"; "Atomic.fetch_and_add"; "Atomic.exchange";
+    "Atomic.compare_and_set"; "Striped.set"; "Striped.incr"; "Striped.add"; "Fence.execute";
+  ]
+
+let defined_name line =
+  if line = "" || line.[0] = ' ' then None
+  else
+    match String.split_on_char ' ' line |> List.filter (fun w -> w <> "") with
+    | ("let" | "and") :: "rec" :: name :: _ | ("let" | "and") :: name :: _ -> Some name
+    | _ -> None
+
+let check_fence_free path lines =
+  match List.find_opt (fun (p, _, _) -> p = path) fence_free_guards with
+  | None -> []
+  | Some (_, names, stop) ->
+      let diags = ref [] and seen = ref [] and inside = ref None in
+      List.iteri
+        (fun idx line ->
+          if line <> "" && line.[0] <> ' ' then begin
+            inside := None;
+            match defined_name line with
+            | Some n when List.mem n names ->
+                seen := n :: !seen;
+                inside := Some n
+            | _ -> ()
+          end;
+          match !inside with
+          | None -> ()
+          | Some name ->
+              (* Only the part of the stop line before the stop token counts. *)
+              let scanned =
+                match Option.bind stop (fun tok -> find_sub line tok 0) with
+                | Some i ->
+                    inside := None;
+                    String.sub line 0 i
+                | None -> line
+              in
+              List.iter
+                (fun tok ->
+                  if has_token scanned tok then
+                    diags :=
+                      ( idx + 1,
+                        Printf.sprintf
+                          "%s in %s: the POP read path runs no barrier; keep owner-written \
+                           words plain (Pop_runtime.Padded)"
+                          tok name )
+                      :: !diags)
+                fenced_writes)
+        lines;
+      let missing =
+        List.filter_map
+          (fun n ->
+            if List.mem n !seen then None
+            else Some (1, Printf.sprintf "guarded function %s not found; update the rule" n))
+          names
+      in
+      missing @ List.rev !diags
+
+let file_rules =
+  [
+    ("heap-free-loop", heap_free_loop_applies, fun _path -> check_heap_free_loop);
+    ( "fence-free-read",
+      (fun path -> List.exists (fun (p, _, _) -> p = path) fence_free_guards),
+      check_fence_free );
+  ]
 
 let check_source ~path contents =
   let stripped = strip contents in
@@ -410,7 +492,9 @@ let check_source ~path contents =
     List.concat_map
       (fun (name, applies, check) ->
         if applies path then
-          List.map (fun (line, message) -> { file = path; line; rule = name; message }) (check lines)
+          List.map
+            (fun (line, message) -> { file = path; line; rule = name; message })
+            (check path lines)
         else [])
       file_rules
   in

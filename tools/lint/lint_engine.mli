@@ -23,6 +23,11 @@
       block contents drained by the engine go back through
       [Heap.free_block] in one call, preserving the allocator's
       block-granularity hand-off;
+    - [fence-free-read] — no sequentially consistent store,
+      read-modify-write or modelled fence inside the POP read path: the
+      [read]/[read_from] bodies of [hazard_ptr_pop], [hazard_era_pop]
+      and [epoch_pop] in [lib/core], and [Softsignal.poll] before its
+      pending check; a guarded function that is missing is a finding;
     - [missing-mli] — every [lib/] module except [*_intf.ml] carries an
       interface file.
 
