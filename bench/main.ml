@@ -315,16 +315,21 @@ module Reclaimer = Pop_core.Reclaimer
 module Counters = Pop_core.Counters
 module Heap = Pop_sim.Heap
 
-type seg_cell = {
-  sc_covered : int;
-  sc_uncovered : int;
-  sc_freed : int;
-  sc_fresh_ns : float;
-  sc_forced_ns : float;
-  sc_fresh_blocks : int;
-  sc_forced_blocks : int;
-  sc_recycled : int;
-}
+(* Figure cells from here on are JSON field lists from the start: the
+   list written to BENCH_<fig>.json is the one the tables and the
+   best-of selections read, so each field is named once. *)
+type cell = (string * Json.t) list
+
+let num (c : cell) k = Json.to_number (List.assoc k c)
+
+(* One (header, field, decimals) per column; ints ignore the decimals. *)
+let cells_table columns (cells : cell list) =
+  let text c (_, k, dp) =
+    match List.assoc k c with Json.Float f -> Printf.sprintf "%.*f" dp f | v -> Json.to_string v
+  in
+  Report.table
+    ~header:(List.map (fun (h, _, _) -> h) columns)
+    ~rows:(List.map (fun c -> List.map (text c) columns) cells)
 
 (* Engine-level trace replay at freed-set parity: on top of [covered]
    permanently reserved nodes (retire_era 0, [keep] = era 0), every
@@ -404,16 +409,16 @@ let seg_cell ~rounds ~covered ~uncovered =
   let s_fresh = Counters.snapshot c ~hub ~epoch:0 in
   let forced_ns = phase ~force:true in
   let s_forced = Counters.snapshot c ~hub ~epoch:0 in
-  {
-    sc_covered = covered;
-    sc_uncovered = uncovered;
-    sc_freed = uncovered;
-    sc_fresh_ns = fresh_ns;
-    sc_forced_ns = forced_ns;
-    sc_fresh_blocks = s_fresh.Pop_core.Smr_stats.max_scan_blocks;
-    sc_forced_blocks = s_forced.Pop_core.Smr_stats.max_scan_blocks;
-    sc_recycled = s_forced.Pop_core.Smr_stats.segments_recycled;
-  }
+  [
+    ("covered", Json.Int covered);
+    ("uncovered", Int uncovered);
+    ("freed_per_pass", Int uncovered);
+    ("fresh_ns_per_pass", Float fresh_ns);
+    ("forced_ns_per_pass", Float forced_ns);
+    ("fresh_max_scan_blocks", Int s_fresh.Pop_core.Smr_stats.max_scan_blocks);
+    ("forced_max_scan_blocks", Int s_forced.Pop_core.Smr_stats.max_scan_blocks);
+    ("segments_recycled", Int s_forced.Pop_core.Smr_stats.segments_recycled);
+  ]
 
 let fig_seg_pass_cost sc =
   Report.section
@@ -429,45 +434,25 @@ let fig_seg_pass_cost sc =
       (fun (c, u) ->
         let cell = seg_cell ~rounds ~covered:c ~uncovered:u in
         match Hashtbl.find_opt best (c, u) with
-        | Some prev when prev.sc_fresh_ns <= cell.sc_fresh_ns -> ()
+        | Some prev when num prev "fresh_ns_per_pass" <= num cell "fresh_ns_per_pass" -> ()
         | _ -> Hashtbl.replace best (c, u) cell)
       configs
   done;
   let cells = List.map (fun cu -> Hashtbl.find best cu) configs in
-  Report.table
-    ~header:
-      [
-        "covered C"; "uncovered U"; "fresh ns/pass"; "forced ns/pass"; "fresh max blk";
-        "forced max blk"; "blocks recycled";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             string_of_int r.sc_covered;
-             string_of_int r.sc_uncovered;
-             Printf.sprintf "%.0f" r.sc_fresh_ns;
-             Printf.sprintf "%.0f" r.sc_forced_ns;
-             string_of_int r.sc_fresh_blocks;
-             string_of_int r.sc_forced_blocks;
-             string_of_int r.sc_recycled;
-           ])
-         cells);
+  cells_table
+    [
+      ("covered C", "covered", 0); ("uncovered U", "uncovered", 0);
+      ("fresh ns/pass", "fresh_ns_per_pass", 0); ("forced ns/pass", "forced_ns_per_pass", 0);
+      ("fresh max blk", "fresh_max_scan_blocks", 0);
+      ("forced max blk", "forced_max_scan_blocks", 0);
+      ("blocks recycled", "segments_recycled", 0);
+    ]
+    cells;
   cells
 
 (* ------------------------------------------------------------------ *)
 (* Era-span replay (PR 6): block-stamp fast path vs covered backlog     *)
 (* ------------------------------------------------------------------ *)
-
-type era_cell = {
-  ec_covered : int;
-  ec_uncovered : int;
-  ec_freed : int;
-  ec_fresh_ns : float;
-  ec_block_keeps : int;
-  ec_block_skips : int;
-  ec_stale : int;
-}
 
 (* The era-interval pass through [Reclaimer.scan_eras], with eras
    deliberately spanning blocks: every covered node was born in era 0
@@ -557,15 +542,15 @@ let era_cell ~rounds ~covered ~uncovered =
      the minimum is the cost with the least unrelated interference
      (GC slices, VM preemption) — the right statistic for a flatness
      claim on a noisy single-core box. *)
-  {
-    ec_covered = covered;
-    ec_uncovered = uncovered;
-    ec_freed = uncovered;
-    ec_fresh_ns = samples.(0) *. 1e9;
-    ec_block_keeps = s1.Pop_core.Smr_stats.block_keeps - s0.Pop_core.Smr_stats.block_keeps;
-    ec_block_skips = s1.Pop_core.Smr_stats.block_skips - s0.Pop_core.Smr_stats.block_skips;
-    ec_stale = s1.Pop_core.Smr_stats.stale_stamps;
-  }
+  [
+    ("covered", Json.Int covered);
+    ("uncovered", Int uncovered);
+    ("freed_per_pass", Int uncovered);
+    ("fresh_ns_per_pass", Float (samples.(0) *. 1e9));
+    ("block_keeps", Int (s1.Pop_core.Smr_stats.block_keeps - s0.Pop_core.Smr_stats.block_keeps));
+    ("block_skips", Int (s1.Pop_core.Smr_stats.block_skips - s0.Pop_core.Smr_stats.block_skips));
+    ("stale_stamps", Int s1.Pop_core.Smr_stats.stale_stamps);
+  ]
 
 let fig_seg_era_span sc =
   Report.section
@@ -583,45 +568,23 @@ let fig_seg_era_span sc =
       (fun (c, u) ->
         let cell = era_cell ~rounds ~covered:c ~uncovered:u in
         match Hashtbl.find_opt best c with
-        | Some prev when prev.ec_fresh_ns <= cell.ec_fresh_ns -> ()
+        | Some prev when num prev "fresh_ns_per_pass" <= num cell "fresh_ns_per_pass" -> ()
         | _ -> Hashtbl.replace best c cell)
       configs
   done;
   let cells = List.map (fun (c, _) -> Hashtbl.find best c) configs in
-  Report.table
-    ~header:
-      [
-        "covered C"; "uncovered U"; "fresh ns/pass"; "block keeps"; "block skips";
-        "stale stamps";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             string_of_int r.ec_covered;
-             string_of_int r.ec_uncovered;
-             Printf.sprintf "%.0f" r.ec_fresh_ns;
-             string_of_int r.ec_block_keeps;
-             string_of_int r.ec_block_skips;
-             string_of_int r.ec_stale;
-           ])
-         cells);
+  cells_table
+    [
+      ("covered C", "covered", 0); ("uncovered U", "uncovered", 0);
+      ("fresh ns/pass", "fresh_ns_per_pass", 0); ("block keeps", "block_keeps", 0);
+      ("block skips", "block_skips", 0); ("stale stamps", "stale_stamps", 0);
+    ]
+    cells;
   cells
 
 (* ------------------------------------------------------------------ *)
 (* Donor-churn sweep (PR 6): hand-off throughput vs donor count         *)
 (* ------------------------------------------------------------------ *)
-
-type churn_cell = {
-  cc_donors : int;
-  cc_nodes : int;
-  cc_ns : float;
-  cc_mops : float;
-  cc_splice_moves : int;
-  cc_contention : int;
-  cc_donated : int;
-  cc_adopted : int;
-}
 
 (* Fixed total work (N retire+donate+adopt+free node hand-offs) split
    across D donor contexts on distinct tids, interleaved with one
@@ -685,16 +648,16 @@ let churn_cell ~donors ~total =
     Array.fold_left (fun acc l -> acc + Reclaimer.node_moves l) 0 donor_locals
   in
   let s = Counters.snapshot c ~hub ~epoch:0 in
-  {
-    cc_donors = donors;
-    cc_nodes = goal;
-    cc_ns = dt *. 1e9;
-    cc_mops = float_of_int goal /. dt /. 1e6;
-    cc_splice_moves = donor_moves + Reclaimer.node_moves adopter - goal;
-    cc_contention = s.Pop_core.Smr_stats.orphan_stripe_contention;
-    cc_donated = s.Pop_core.Smr_stats.orphans_donated;
-    cc_adopted = s.Pop_core.Smr_stats.orphans_adopted;
-  }
+  [
+    ("donors", Json.Int donors);
+    ("nodes", Int goal);
+    ("ns_total", Float (dt *. 1e9));
+    ("handoff_mops", Float (float_of_int goal /. dt /. 1e6));
+    ("splice_moves", Int (donor_moves + Reclaimer.node_moves adopter - goal));
+    ("stripe_contention", Int s.Pop_core.Smr_stats.orphan_stripe_contention);
+    ("donated", Int s.Pop_core.Smr_stats.orphans_donated);
+    ("adopted", Int s.Pop_core.Smr_stats.orphans_adopted);
+  ]
 
 let fig_seg_donor_churn sc =
   Report.section
@@ -714,30 +677,18 @@ let fig_seg_donor_churn sc =
       (fun d ->
         let cell = churn_cell ~donors:d ~total in
         match Hashtbl.find_opt best d with
-        | Some prev when prev.cc_ns <= cell.cc_ns -> ()
+        | Some prev when num prev "ns_total" <= num cell "ns_total" -> ()
         | _ -> Hashtbl.replace best d cell)
       ds
   done;
   let cells = List.map (Hashtbl.find best) ds in
-  Report.table
-    ~header:
-      [
-        "donors"; "nodes"; "handoff Mops"; "splice moves"; "stripe contention"; "donated";
-        "adopted";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             string_of_int r.cc_donors;
-             string_of_int r.cc_nodes;
-             Printf.sprintf "%.2f" r.cc_mops;
-             string_of_int r.cc_splice_moves;
-             string_of_int r.cc_contention;
-             string_of_int r.cc_donated;
-             string_of_int r.cc_adopted;
-           ])
-         cells);
+  cells_table
+    [
+      ("donors", "donors", 0); ("nodes", "nodes", 0); ("handoff Mops", "handoff_mops", 2);
+      ("splice moves", "splice_moves", 0); ("stripe contention", "stripe_contention", 0);
+      ("donated", "donated", 0); ("adopted", "adopted", 0);
+    ]
+    cells;
   cells
 
 let fig_seg sc =
@@ -750,28 +701,17 @@ let fig_seg sc =
 (* Constant-time allocator (PR 10): ns/op vs thread count               *)
 (* ------------------------------------------------------------------ *)
 
-type alloc_cell = {
-  al_threads : int;
-  al_ops : int;
-  al_ns_per_op : float;
-  al_grabs : int;
-  al_returns : int;
-  al_pool_blocks : int;
-  al_uaf : int;
-  al_double_free : int;
-}
-
 let alloc_cell_of heap ~threads ~ops ~dt =
-  {
-    al_threads = threads;
-    al_ops = ops;
-    al_ns_per_op = dt *. 1e9 /. float_of_int ops;
-    al_grabs = Heap.block_grabs heap;
-    al_returns = Heap.block_returns heap;
-    al_pool_blocks = Heap.pool_blocks heap;
-    al_uaf = Heap.uaf_count heap;
-    al_double_free = Heap.double_free_count heap;
-  }
+  [
+    ("threads", Json.Int threads);
+    ("ops", Int ops);
+    ("ns_per_op", Float (dt *. 1e9 /. float_of_int ops));
+    ("block_grabs", Int (Heap.block_grabs heap));
+    ("block_returns", Int (Heap.block_returns heap));
+    ("pool_blocks", Int (Heap.pool_blocks heap));
+    ("uaf", Int (Heap.uaf_count heap));
+    ("double_free", Int (Heap.double_free_count heap));
+  ]
 
 (* Fixed total work split across T thread contexts (single-core replay,
    same discipline as the donor-churn sweep): an op is one [alloc] or
@@ -886,7 +826,7 @@ let fig_alloc sc =
         (fun t ->
           let c = cell ~threads:t ~total in
           match Hashtbl.find_opt best t with
-          | Some prev when prev.al_ns_per_op <= c.al_ns_per_op -> ()
+          | Some prev when num prev "ns_per_op" <= num c "ns_per_op" -> ()
           | _ -> Hashtbl.replace best t c)
         ts
     done;
@@ -898,24 +838,13 @@ let fig_alloc sc =
   let churn = sweep alloc_churn_cell in
   let table name cells =
     Report.section (Printf.sprintf "alloc: %s" name);
-    Report.table
-      ~header:
-        [ "threads"; "ops"; "ns/op"; "block grabs"; "block returns"; "pool blocks"; "uaf";
-          "dfree" ]
-      ~rows:
-        (List.map
-           (fun r ->
-             [
-               string_of_int r.al_threads;
-               string_of_int r.al_ops;
-               Printf.sprintf "%.1f" r.al_ns_per_op;
-               string_of_int r.al_grabs;
-               string_of_int r.al_returns;
-               string_of_int r.al_pool_blocks;
-               string_of_int r.al_uaf;
-               string_of_int r.al_double_free;
-             ])
-           cells)
+    cells_table
+      [
+        ("threads", "threads", 0); ("ops", "ops", 0); ("ns/op", "ns_per_op", 1);
+        ("block grabs", "block_grabs", 0); ("block returns", "block_returns", 0);
+        ("pool blocks", "pool_blocks", 0); ("uaf", "uaf", 0); ("dfree", "double_free", 0);
+      ]
+      cells
   in
   table "balanced (alloc/free pairs, local blocks only)" balanced;
   table "imbalanced (producers alloc, consumers free_block)" imbalanced;
@@ -936,134 +865,44 @@ let fig_ablation sc =
 
 let json_out = ref false
 
-let emit_json fig results =
+let write_bench fig doc =
   if !json_out then begin
-    let label (r : Runner.result) =
-      Printf.sprintf "%s/%s/t%d"
-        (Dispatch.ds_name r.Runner.r_cfg.ds)
-        (Dispatch.smr_name r.Runner.r_cfg.smr)
-        r.Runner.r_cfg.threads
-    in
     let path = Printf.sprintf "BENCH_%s.json" fig in
-    Runner.write_json path (List.map (fun r -> (label r, r)) results);
-    Printf.printf "wrote %s (%d cells)\n" path (List.length results)
+    Json.to_file path doc;
+    Printf.printf "wrote %s\n" path
   end
+
+let emit_json fig results =
+  let label (r : Runner.result) =
+    Printf.sprintf "%s/%s/t%d"
+      (Dispatch.ds_name r.Runner.r_cfg.ds)
+      (Dispatch.smr_name r.Runner.r_cfg.smr)
+      r.Runner.r_cfg.threads
+  in
+  write_bench fig (Runner.cells_json (List.map (fun r -> (label r, r)) results))
+
+let cells rs = Json.List (List.map (fun c -> Json.Obj c) rs)
 
 let emit_micro_json rows =
-  if !json_out then begin
-    let path = "BENCH_micro.json" in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc "[\n";
-        let escape s =
-          String.concat ""
-            (List.map
-               (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-               (List.of_seq (String.to_seq s)))
-        in
-        List.iteri
-          (fun i (label, ns, r2) ->
-            if i > 0 then output_string oc ",\n";
-            (* Same contract as Runner.json_float: a broken measurement
-               emits null and trips the smoke assertions, not "0.0". *)
-            let num f = if Float.is_finite f then Printf.sprintf "%.4f" f else "null" in
-            Printf.fprintf oc "  {\"label\": \"%s\", \"ns_per_op\": %s, \"r_square\": %s}"
-              (escape label) (num ns) (num r2))
-          rows;
-        output_string oc "\n]\n");
-    Printf.printf "wrote %s (%d cases)\n" path (List.length rows)
-  end
+  write_bench "micro"
+    (cells
+       (List.map
+          (fun (label, ns, r2) ->
+            [ ("label", Json.String label); ("ns_per_op", Float ns); ("r_square", Float r2) ])
+          rows))
 
 (* BENCH_seg.json holds three differently-shaped cell arrays under one
-   keyed object: the PR 5 pass-cost replay, the era-span replay and the
+   keyed object: the pass-cost replay, the era-span replay and the
    donor-churn sweep. *)
-let emit_seg_json (pass_cells, era_cells, churn_cells) =
-  if !json_out then begin
-    let path = "BENCH_seg.json" in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        let array key emit cells =
-          Printf.fprintf oc "  \"%s\": [\n" key;
-          List.iteri
-            (fun i r ->
-              if i > 0 then output_string oc ",\n";
-              emit r)
-            cells;
-          output_string oc "\n  ]"
-        in
-        output_string oc "{\n";
-        array "pass_cost"
-          (fun r ->
-            Printf.fprintf oc
-              "    {\"covered\": %d, \"uncovered\": %d, \"freed_per_pass\": %d, \
-               \"fresh_ns_per_pass\": %.1f, \"forced_ns_per_pass\": %.1f, \
-               \"fresh_max_scan_blocks\": %d, \"forced_max_scan_blocks\": %d, \
-               \"segments_recycled\": %d}"
-              r.sc_covered r.sc_uncovered r.sc_freed r.sc_fresh_ns r.sc_forced_ns
-              r.sc_fresh_blocks r.sc_forced_blocks r.sc_recycled)
-          pass_cells;
-        output_string oc ",\n";
-        array "era_span"
-          (fun r ->
-            Printf.fprintf oc
-              "    {\"covered\": %d, \"uncovered\": %d, \"freed_per_pass\": %d, \
-               \"fresh_ns_per_pass\": %.1f, \"block_keeps\": %d, \"block_skips\": %d, \
-               \"stale_stamps\": %d}"
-              r.ec_covered r.ec_uncovered r.ec_freed r.ec_fresh_ns r.ec_block_keeps
-              r.ec_block_skips r.ec_stale)
-          era_cells;
-        output_string oc ",\n";
-        array "donor_churn"
-          (fun r ->
-            Printf.fprintf oc
-              "    {\"donors\": %d, \"nodes\": %d, \"ns_total\": %.0f, \
-               \"handoff_mops\": %.3f, \"splice_moves\": %d, \"stripe_contention\": %d, \
-               \"donated\": %d, \"adopted\": %d}"
-              r.cc_donors r.cc_nodes r.cc_ns r.cc_mops r.cc_splice_moves r.cc_contention
-              r.cc_donated r.cc_adopted)
-          churn_cells;
-        output_string oc "\n}\n");
-    Printf.printf "wrote %s (%d+%d+%d cells)\n" path (List.length pass_cells)
-      (List.length era_cells) (List.length churn_cells)
-  end
+let emit_seg_json (pass, era, churn) =
+  write_bench "seg"
+    (Obj [ ("pass_cost", cells pass); ("era_span", cells era); ("donor_churn", cells churn) ])
 
 (* BENCH_alloc.json: three thread sweeps under one keyed object, same
    shape discipline as BENCH_seg.json. *)
 let emit_alloc_json (balanced, imbalanced, churn) =
-  if !json_out then begin
-    let path = "BENCH_alloc.json" in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        let array key cells =
-          Printf.fprintf oc "  \"%s\": [\n" key;
-          List.iteri
-            (fun i r ->
-              if i > 0 then output_string oc ",\n";
-              Printf.fprintf oc
-                "    {\"threads\": %d, \"ops\": %d, \"ns_per_op\": %.2f, \
-                 \"block_grabs\": %d, \"block_returns\": %d, \"pool_blocks\": %d, \
-                 \"uaf\": %d, \"double_free\": %d}"
-                r.al_threads r.al_ops r.al_ns_per_op r.al_grabs r.al_returns
-                r.al_pool_blocks r.al_uaf r.al_double_free)
-            cells;
-          output_string oc "\n  ]"
-        in
-        output_string oc "{\n";
-        array "balanced" balanced;
-        output_string oc ",\n";
-        array "imbalanced" imbalanced;
-        output_string oc ",\n";
-        array "churn" churn;
-        output_string oc "\n}\n");
-    Printf.printf "wrote %s (%d+%d+%d cells)\n" path (List.length balanced)
-      (List.length imbalanced) (List.length churn)
-  end
+  write_bench "alloc"
+    (Obj [ ("balanced", cells balanced); ("imbalanced", cells imbalanced); ("churn", cells churn) ])
 
 let known =
   [ "micro"; "1"; "2"; "3"; "4"; "5"; "9"; "10"; "11"; "over"; "latency"; "seg"; "alloc"; "kv";

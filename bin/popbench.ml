@@ -158,7 +158,7 @@ let run_cell ds smr threads duration key_range ins del reclaim_freq reclaim_scal
   | None -> ()
   | Some file ->
       let label = Printf.sprintf "%s/%s/t%d" (Dispatch.ds_name ds) (Dispatch.smr_name smr) threads in
-      Runner.write_json file [ (label, r) ];
+      Json.to_file file (Runner.cells_json [ (label, r) ]);
       Printf.printf "wrote %s\n" file
 
 let run_tournament smrs scenarios fullscale json =
@@ -167,7 +167,7 @@ let run_tournament smrs scenarios fullscale json =
   match json with
   | None -> ()
   | Some file ->
-      Runner.write_json file cells;
+      Json.to_file file (Runner.cells_json cells);
       Printf.printf "wrote %s (%d cells)\n" file (List.length cells)
 
 let cmd =

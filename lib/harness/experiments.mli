@@ -86,7 +86,7 @@ val fig_tournament :
     ([recovery_ns]: from disruption end until throughput regains 90% of
     its pre-disruption rate); the table also shows handshake timeouts.
     Returns [("scenario/scheme", result)] pairs ready for
-    {!Runner.write_json}, whose per-cell ["scenario"] descriptor makes
+    {!Runner.cells_json}, whose per-cell ["scenario"] descriptor makes
     the emitted file self-describing. [scenarios] filters the matrix by
     name (unknown names are ignored) — the tier-1 smoke runs a 2-scheme
     x 3-scenario slice this way. *)

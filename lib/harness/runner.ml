@@ -572,144 +572,71 @@ let run cfg =
 let consistent r =
   r.final_size = r.expected_size && r.invariants_ok && r.uaf = 0 && r.double_free = 0
 
-(* Hand-rolled JSON (no JSON library in the toolchain): every emitted
-   value is a bool, an int, a finite float, or an escaped string. *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* NaN/∞ must surface as JSON [null], never as a plausible-looking
-   "0.0": a broken cell (zero-duration run, divide-by-zero rate) should
-   fail the tier1 smoke assertions, not masquerade as a throughput. *)
-let json_float f = if Float.is_finite f then Printf.sprintf "%.6f" f else "null"
-
 (* The scenario descriptor makes each emitted row self-describing: every
    parameter needed to reproduce the cell from the committed JSON alone
    (disruption shape, load shape, seed) travels with the measurement. *)
-let scenario_json r =
-  let b = Buffer.create 256 in
-  let field name value = Buffer.add_string b (Printf.sprintf "\"%s\": %s, " name value) in
-  Buffer.add_string b "{";
-  field "seed" (string_of_int r.r_cfg.seed);
-  field "threads" (string_of_int r.r_cfg.threads);
-  field "cores" (string_of_int (Domain.recommended_domain_count ()));
-  field "oversubscribed"
-    (if r.r_cfg.threads > Domain.recommended_domain_count () then "true" else "false");
-  (match r.r_cfg.stall with
-  | None -> field "stall" "null"
-  | Some sp ->
-      field "stall"
-        (Printf.sprintf "{\"tid\": %d, \"after\": %s, \"for\": %s, \"polling\": %b}"
-           sp.stall_tid (json_float sp.stall_after) (json_float sp.stall_for)
-           sp.stall_polling));
-  (match r.r_cfg.churn with
-  | None -> field "churn" "null"
-  | Some c ->
-      field "churn"
-        (Printf.sprintf
-           "{\"exits\": %d, \"crashes\": %d, \"joins\": %d, \"start\": %s, \"period\": %s}"
-           c.exits c.crashes c.joins (json_float c.churn_start)
-           (json_float c.churn_period)));
-  field "kv" (if r.r_cfg.kv then "true" else "false");
-  field "zipf_theta" (json_float r.r_cfg.zipf_theta);
-  field "arrival_rate" (json_float r.r_cfg.arrival_rate);
-  field "duration" (json_float r.r_cfg.duration);
-  field "ping_timeout_spins" (string_of_int r.r_cfg.ping_timeout_spins);
-  field "spin_yield_after" (string_of_int r.r_cfg.spin_yield_after);
-  Buffer.add_string b
-    (Printf.sprintf "\"sanitize\": %b}" r.r_cfg.sanitize);
-  Buffer.contents b
+let scenario_json cfg =
+  let cores = Domain.recommended_domain_count () in
+  Json.Obj
+    [
+      ("seed", Int cfg.seed); ("threads", Int cfg.threads); ("cores", Int cores);
+      ("oversubscribed", Bool (cfg.threads > cores));
+      ( "stall",
+        match cfg.stall with
+        | None -> Null
+        | Some sp ->
+            Obj [ ("tid", Int sp.stall_tid); ("after", Float sp.stall_after);
+                  ("for", Float sp.stall_for); ("polling", Bool sp.stall_polling) ] );
+      ( "churn",
+        match cfg.churn with
+        | None -> Null
+        | Some c ->
+            Obj [ ("exits", Int c.exits); ("crashes", Int c.crashes); ("joins", Int c.joins);
+                  ("start", Float c.churn_start); ("period", Float c.churn_period) ] );
+      ("kv", Bool cfg.kv); ("zipf_theta", Float cfg.zipf_theta);
+      ("arrival_rate", Float cfg.arrival_rate); ("duration", Float cfg.duration);
+      ("ping_timeout_spins", Int cfg.ping_timeout_spins);
+      ("spin_yield_after", Int cfg.spin_yield_after); ("sanitize", Bool cfg.sanitize);
+    ]
 
-let to_json ?(label = "") r =
-  let b = Buffer.create 1024 in
-  let field name value = Buffer.add_string b (Printf.sprintf "\"%s\": %s, " name value) in
-  Buffer.add_string b "{";
-  field "label" (Printf.sprintf "\"%s\"" (json_escape label));
-  field "scenario" (scenario_json r);
-  field "ds" (Printf.sprintf "\"%s\"" (json_escape (Dispatch.ds_name r.r_cfg.ds)));
-  field "smr" (Printf.sprintf "\"%s\"" (json_escape (Dispatch.smr_name r.r_cfg.smr)));
-  field "threads" (string_of_int r.r_cfg.threads);
-  field "duration" (json_float r.r_cfg.duration);
-  field "reclaim_freq" (string_of_int r.r_cfg.reclaim_freq);
-  field "reclaim_scale" (string_of_int r.r_cfg.reclaim_scale);
-  field "mops" (json_float r.mops);
-  field "read_mops" (json_float r.read_mops);
-  field "pre_mops" (json_float r.pre_mops);
-  field "recovery_ns" (string_of_int r.recovery_ns);
-  field "recovered" (if r.recovered then "true" else "false");
-  field "kv" (if r.r_cfg.kv then "true" else "false");
-  field "zipf_theta" (json_float r.r_cfg.zipf_theta);
-  field "rate" (json_float r.r_cfg.arrival_rate);
+let cell_json label r =
+  let cfg = r.r_cfg and s = r.smr in
   (* Latency percentiles in microseconds (0 outside KV mode, where no
      samples are recorded), plus the worst single reclamation-pass
      pause any thread absorbed. *)
-  let us ns = float_of_int ns /. 1e3 in
-  field "lat_count" (string_of_int (Histogram.count r.latency));
-  field "p50" (json_float (us (Histogram.quantile r.latency 0.50)));
-  field "p99" (json_float (us (Histogram.quantile r.latency 0.99)));
-  field "p999" (json_float (us (Histogram.quantile r.latency 0.999)));
-  field "max" (json_float (us (Histogram.max_value r.latency)));
-  field "max_pause" (json_float (us r.smr.Pop_core.Smr_stats.max_pause_ns));
-  field "total_ops" (string_of_int r.total_ops);
-  field "read_ops" (string_of_int r.read_ops);
-  field "update_ops" (string_of_int r.update_ops);
-  field "max_live" (string_of_int r.max_live);
-  field "max_unreclaimed" (string_of_int r.max_unreclaimed);
-  field "final_unreclaimed" (string_of_int r.final_unreclaimed);
-  field "uaf" (string_of_int r.uaf);
-  field "double_free" (string_of_int r.double_free);
-  field "exited" (string_of_int r.exited);
-  field "crashed" (string_of_int r.crashed);
-  field "joined" (string_of_int r.joined);
-  field "consistent" (if consistent r then "true" else "false");
+  let us ns = Json.Float (float_of_int ns /. 1e3) in
+  let lat q = us (Histogram.quantile r.latency q) in
   (* Amortization stats: frees per pass and the cache-hit ratio of the
      shared reclaimer's snapshot reuse. *)
-  let alist = Pop_core.Smr_stats.to_alist r.smr in
-  let lookup k = try List.assoc k alist with Not_found -> 0 in
-  let passes = lookup "reclaim_passes" + lookup "pop_passes" in
-  field "frees_per_pass"
-    (json_float (if passes = 0 then 0.0 else float_of_int (lookup "freed") /. float_of_int passes));
-  field "snapshot_reuse_ratio"
-    (json_float
-       (let total = passes + lookup "snapshot_reuses" in
-        if total = 0 then 0.0 else float_of_int (lookup "snapshot_reuses") /. float_of_int total));
-  (* Per-category sanitizer breakdown (empty object when the run was
-     not sanitized: the plain typed facade reports no categories). *)
-  Buffer.add_string b "\"violations_by_category\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "\"%s\": %d" (json_escape k) v))
-    r.violations_by_category;
-  Buffer.add_string b "}, ";
-  Buffer.add_string b "\"smr\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "\"%s\": %d" k v))
-    alist;
-  Buffer.add_string b "}}";
-  Buffer.contents b
+  let passes = s.reclaim_passes + s.pop_passes in
+  let ratio num den = Json.Float (if den = 0 then 0.0 else float_of_int num /. float_of_int den) in
+  let counts alist = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) alist) in
+  Json.Obj
+    [
+      ("label", String label); ("scenario", scenario_json cfg);
+      ("ds", String (Dispatch.ds_name cfg.ds)); ("smr", String (Dispatch.smr_name cfg.smr));
+      ("threads", Int cfg.threads); ("duration", Float cfg.duration);
+      ("reclaim_freq", Int cfg.reclaim_freq); ("reclaim_scale", Int cfg.reclaim_scale);
+      ("mops", Float r.mops); ("read_mops", Float r.read_mops); ("pre_mops", Float r.pre_mops);
+      ("recovery_ns", Int r.recovery_ns); ("recovered", Bool r.recovered);
+      ("kv", Bool cfg.kv); ("zipf_theta", Float cfg.zipf_theta); ("rate", Float cfg.arrival_rate);
+      ("lat_count", Int (Histogram.count r.latency));
+      ("p50", lat 0.50); ("p99", lat 0.99); ("p999", lat 0.999);
+      ("max", us (Histogram.max_value r.latency)); ("max_pause", us s.max_pause_ns);
+      ("total_ops", Int r.total_ops); ("read_ops", Int r.read_ops);
+      ("update_ops", Int r.update_ops); ("max_live", Int r.max_live);
+      ("max_unreclaimed", Int r.max_unreclaimed); ("final_unreclaimed", Int r.final_unreclaimed);
+      ("uaf", Int r.uaf); ("double_free", Int r.double_free);
+      ("exited", Int r.exited); ("crashed", Int r.crashed); ("joined", Int r.joined);
+      ("consistent", Bool (consistent r));
+      ("frees_per_pass", ratio s.freed passes);
+      ("snapshot_reuse_ratio", ratio s.snapshot_reuses (passes + s.snapshot_reuses));
+      (* Per-category sanitizer breakdown (empty object when the run was
+         not sanitized: the plain typed facade reports no categories). *)
+      ("violations_by_category", counts r.violations_by_category);
+      ("smr", counts (Pop_core.Smr_stats.to_alist s));
+    ]
 
-let write_json path results =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "[\n";
-      List.iteri
-        (fun i (label, r) ->
-          if i > 0 then output_string oc ",\n";
-          output_string oc ("  " ^ to_json ~label r))
-        results;
-      output_string oc "\n]\n")
+let to_json ?(label = "") r = Json.to_string (cell_json label r)
+
+let cells_json results = Json.List (List.map (fun (label, r) -> cell_json label r) results)

@@ -163,9 +163,10 @@ val to_json : ?label:string -> result -> string
     ([max_pause]), amortization stats ([frees_per_pass],
     [snapshot_reuse_ratio]), the sanitizer's per-category tallies under
     ["violations_by_category"] (an empty object on unsanitized runs)
-    and the full {!Pop_core.Smr_stats} record under ["smr"].
-    Handwritten emitter — no JSON library dependency. *)
+    and the full {!Pop_core.Smr_stats} record under ["smr"], printed
+    by {!Json.to_string}. *)
 
-val write_json : string -> (string * result) list -> unit
-(** [write_json path results] writes a JSON array of labelled results
-    to [path] (e.g. [BENCH_micro.json]). *)
+val cells_json : (string * result) list -> Json.t
+(** A JSON array of labelled {!to_json} cells: the shape of
+    [BENCH_kv.json], [BENCH_tournament.json] and [popbench --json].
+    {!Json.to_file} prints it one cell per line. *)

@@ -15,4 +15,6 @@ let () =
       ("robustness", Test_robustness.suite);
       ("churn", Test_churn.suite);
       ("harness", Test_harness.suite);
+      ("json", Test_json.suite);
+      ("contracts", Test_contracts.suite);
     ]
