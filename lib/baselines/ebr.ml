@@ -70,7 +70,7 @@ let poll ctx = Softsignal.poll ctx.port
 
 let read _ctx _slot addr _proj = Atomic.get addr
 
-let check ctx n = Heap.check_access ctx.g.heap n
+let check ctx n = if n.Heap.seq land 1 = 1 then Heap.check_access ctx.g.heap n
 
 let alloc ctx = Heap.alloc ctx.g.heap ~tid:ctx.tid ~birth_era:0
 

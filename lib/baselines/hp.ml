@@ -62,7 +62,7 @@ let rec read ctx slot addr proj =
   Fence.execute ctx.fence (ctx.g.cfg.fence_cost - 1);
   if Atomic.get addr == v then v else read ctx slot addr proj
 
-let check ctx n = Heap.check_access ctx.g.heap n
+let check ctx n = if n.Heap.seq land 1 = 1 then Heap.check_access ctx.g.heap n
 
 let alloc ctx = Heap.alloc ctx.g.heap ~tid:ctx.tid ~birth_era:0
 

@@ -20,6 +20,7 @@ type 'a tctx = {
   g : 'a t;
   tid : int;
   port : Softsignal.port;
+  pending : int Atomic.t; (* the port's ping flag, tested inline by [read] *)
   rows : int array; (* plain SWMR reservation rows (no fence) *)
   base : int; (* index of this thread's slot 0 in [rows] *)
   fence : Fence.cell;
@@ -52,6 +53,7 @@ let register g ~tid =
       g;
       tid;
       port;
+      pending = Softsignal.pending_cell port;
       rows = Reservations.local_block g.res;
       base = Reservations.local_base g.res ~tid;
       fence = Fence.make_cell ();
@@ -81,10 +83,10 @@ let rec read ctx slot addr proj =
   let v = Atomic.get addr in
   let n = proj v in
   Array.unsafe_set ctx.rows (ctx.base + slot) n.Heap.id;
-  Softsignal.poll ctx.port;
+  if Atomic.get ctx.pending = 1 then Softsignal.poll ctx.port;
   if Atomic.get addr == v then v else read ctx slot addr proj
 
-let check ctx n = Heap.check_access ctx.g.heap n
+let check ctx n = if n.Heap.seq land 1 = 1 then Heap.check_access ctx.g.heap n
 
 let alloc ctx = Heap.alloc ctx.g.heap ~tid:ctx.tid ~birth_era:0
 
@@ -98,9 +100,9 @@ let reclaim ?force ctx =
     (* Only the count is needed here: the scan below already reads every
        peer's local row racily, including a timed-out peer's. A peer deaf
        for the whole spin budget has not executed READ since long before
-       the ping (every READ polls), so its last reservation stores are
-       visible; an in-flight unvalidated reservation is safe to honour
-       because the validating re-read retries on conflict. *)
+       the ping (every READ tests the flag), so its last reservation
+       stores are visible; an in-flight unvalidated reservation is safe
+       to honour because the validating re-read retries on conflict. *)
     Counters.handshake_timeout g.c ~tid:ctx.tid timeouts;
     Reservations.collect_local g.res scratch
   in

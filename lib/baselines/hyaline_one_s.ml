@@ -92,7 +92,7 @@ let read ctx _slot addr proj =
   let cell = Array.unsafe_get ctx.g.eras ctx.tid in
   read_from ctx cell addr proj (Atomic.get cell)
 
-let check ctx n = Heap.check_access ctx.g.heap n
+let check ctx n = if n.Heap.seq land 1 = 1 then Heap.check_access ctx.g.heap n
 
 let alloc ctx = Heap.alloc ctx.g.heap ~tid:ctx.tid ~birth_era:(Atomic.get ctx.g.era)
 

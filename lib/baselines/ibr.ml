@@ -85,7 +85,7 @@ let read ctx _slot addr _proj =
   end;
   Atomic.get addr
 
-let check ctx n = Heap.check_access ctx.g.heap n
+let check ctx n = if n.Heap.seq land 1 = 1 then Heap.check_access ctx.g.heap n
 
 let alloc ctx =
   ctx.alloc_counter <- ctx.alloc_counter + 1;

@@ -26,6 +26,7 @@ type 'a tctx = {
   g : 'a t;
   tid : int;
   port : Softsignal.port;
+  pending : int Atomic.t; (* the port's ping flag, tested inline by [read] *)
   rl : 'a Reclaimer.local;
   counter_scratch : int array;
   timeout_scratch : bool array;
@@ -64,6 +65,7 @@ let register g ~tid =
       g;
       tid;
       port;
+      pending = Softsignal.pending_cell port;
       rl = Reclaimer.register g.eng ~tid ~scratch_slots:nres;
       counter_scratch = Array.make g.cfg.max_threads 0;
       timeout_scratch = Array.make g.cfg.max_threads false;
@@ -97,12 +99,12 @@ let end_op ctx =
 
 let poll ctx = Softsignal.poll ctx.port
 
-(* Unprotected read; the poll is the (soft) signal delivery point. A
+(* Unprotected read; the flag test is the (soft) signal delivery point. A
    neutralized thread raises before touching anything it read, the
    polling analogue of siglongjmp out of the handler. *)
 let read ctx _slot addr _proj =
   let v = Atomic.get addr in
-  Softsignal.poll ctx.port;
+  if Atomic.get ctx.pending = 1 then Softsignal.poll ctx.port;
   if ctx.neutralized then begin
     ctx.neutralized <- false;
     Counters.restart ctx.g.c ~tid:ctx.tid;
@@ -111,7 +113,7 @@ let read ctx _slot addr _proj =
   end;
   v
 
-let check ctx n = Heap.check_access ctx.g.heap n
+let check ctx n = if n.Heap.seq land 1 = 1 then Heap.check_access ctx.g.heap n
 
 let alloc ctx = Heap.alloc ctx.g.heap ~tid:ctx.tid ~birth_era:0
 
@@ -128,7 +130,7 @@ let enter_write_phase ctx nodes =
   (* One fence per write phase, not per read — NBR's fast read path. *)
   Fence.execute ctx.fence (ctx.g.cfg.fence_cost - 1);
   ctx.published_slots <- n;
-  Softsignal.poll ctx.port;
+  if Atomic.get ctx.pending = 1 then Softsignal.poll ctx.port;
   if ctx.neutralized then begin
     ctx.neutralized <- false;
     Counters.restart ctx.g.c ~tid:ctx.tid;

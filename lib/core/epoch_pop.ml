@@ -21,6 +21,7 @@ type 'a tctx = {
   g : 'a t;
   tid : int;
   port : Softsignal.port;
+  pending : int Atomic.t; (* the port's ping flag, tested inline by [read] *)
   rows : int array; (* every private row (Reservations.local_block) *)
   base : int; (* index of this thread's slot 0 in [rows] *)
   my_epoch : int Atomic.t; (* cached reserved-epoch announcement slot *)
@@ -63,6 +64,7 @@ let register g ~tid =
       g;
       tid;
       port;
+      pending = Softsignal.pending_cell port;
       rows = Reservations.local_block g.res;
       base = Reservations.local_base g.res ~tid;
       my_epoch = Striped.cell g.reserved_epoch tid;
@@ -110,10 +112,10 @@ let rec read ctx slot addr proj =
   let v = Atomic.get addr in
   let n = proj v in
   Array.unsafe_set ctx.rows (ctx.base + slot) n.Heap.id;
-  Softsignal.poll ctx.port;
+  if Atomic.get ctx.pending = 1 then Softsignal.poll ctx.port;
   if Atomic.get addr == v then v else read ctx slot addr proj
 
-let check ctx n = Heap.check_access ctx.g.heap n
+let check ctx n = if n.Heap.seq land 1 = 1 then Heap.check_access ctx.g.heap n
 
 let alloc ctx = Heap.alloc ctx.g.heap ~tid:ctx.tid ~birth_era:(Atomic.get ctx.g.epoch)
 

@@ -20,6 +20,7 @@ type 'a tctx = {
   g : 'a t;
   tid : int;
   port : Softsignal.port;
+  pending : int Atomic.t; (* the port's ping flag, tested inline by [read] *)
   rows : int array; (* every private era row (Reservations.local_block) *)
   base : int; (* index of this thread's slot 0 in [rows] *)
   fence : Fence.cell;
@@ -52,6 +53,7 @@ let register g ~tid =
       g;
       tid;
       port;
+      pending = Softsignal.pending_cell port;
       rows = Reservations.local_block g.res;
       base = Reservations.local_base g.res ~tid;
       fence = Fence.make_cell ();
@@ -81,7 +83,7 @@ let poll ctx = Softsignal.poll ctx.port
 let rec read_from ctx slot addr proj old_era =
   let v = Atomic.get addr in
   let e = Atomic.get ctx.g.epoch in
-  Softsignal.poll ctx.port;
+  if Atomic.get ctx.pending = 1 then Softsignal.poll ctx.port;
   if e = old_era then v
   else begin
     (* Era changed mid-read: re-reserve — but privately, with a plain
@@ -93,7 +95,7 @@ let rec read_from ctx slot addr proj old_era =
 let read ctx slot addr proj =
   read_from ctx slot addr proj (Array.unsafe_get ctx.rows (ctx.base + slot))
 
-let check ctx n = Heap.check_access ctx.g.heap n
+let check ctx n = if n.Heap.seq land 1 = 1 then Heap.check_access ctx.g.heap n
 
 let alloc ctx = Heap.alloc ctx.g.heap ~tid:ctx.tid ~birth_era:(Atomic.get ctx.g.epoch)
 

@@ -19,6 +19,7 @@ type 'a tctx = {
   g : 'a t;
   tid : int;
   port : Softsignal.port;
+  pending : int Atomic.t; (* the port's ping flag, tested inline by [read] *)
   rows : int array; (* every private row (Reservations.local_block) *)
   base : int; (* index of this thread's slot 0 in [rows] *)
   fence : Fence.cell;
@@ -51,6 +52,7 @@ let register g ~tid =
       g;
       tid;
       port;
+      pending = Softsignal.pending_cell port;
       rows = Reservations.local_block g.res;
       base = Reservations.local_base g.res ~tid;
       fence = Fence.make_cell ();
@@ -78,16 +80,17 @@ let end_op ctx = Reservations.clear_local ctx.g.res ~tid:ctx.tid
 let poll ctx = Softsignal.poll ctx.port
 
 (* Algorithm 1, READ: reserve locally (plain store, no store-load fence),
-   then validate that the pointer is unchanged. The poll between reserve
-   and validate is the soft-signal delivery point. *)
+   then validate that the pointer is unchanged. The flag test between
+   reserve and validate is the soft-signal delivery point: a pending
+   ping is handled here, and with none pending the test is one load. *)
 let rec read ctx slot addr proj =
   let v = Atomic.get addr in
   let n = proj v in
   Array.unsafe_set ctx.rows (ctx.base + slot) n.Heap.id;
-  Softsignal.poll ctx.port;
+  if Atomic.get ctx.pending = 1 then Softsignal.poll ctx.port;
   if Atomic.get addr == v then v else read ctx slot addr proj
 
-let check ctx n = Heap.check_access ctx.g.heap n
+let check ctx n = if n.Heap.seq land 1 = 1 then Heap.check_access ctx.g.heap n
 
 let alloc ctx = Heap.alloc ctx.g.heap ~tid:ctx.tid ~birth_era:0
 
@@ -109,9 +112,9 @@ let reclaim ?force ctx =
     (* A timed-out peer never ran its handler, so its shared row is stale.
        Union in a racy copy of its private row: a peer deaf for the whole
        spin budget has not executed READ since long before the ping (every
-       READ polls), so its last reservation stores are visible; and a
-       reservation written but not yet validated is safe to honour — the
-       validating re-read either confirms it or the peer retries. *)
+       READ tests the flag), so its last reservation stores are visible;
+       and a reservation written but not yet validated is safe to honour —
+       the validating re-read either confirms it or the peer retries. *)
     let k = ref k in
     if timeouts > 0 then
       for tid = 0 to g.cfg.max_threads - 1 do

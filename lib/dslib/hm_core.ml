@@ -2,8 +2,8 @@
     engine behind both the HML list and the HMHT hash table.
 
     Deletion marks live in the deleted node's own [next] link (an
-    immutable record swapped by CAS, so expected-value comparisons are
-    physical equality). [find] unlinks marked nodes as it goes —
+    immutable [Link] block swapped by CAS, so expected-value comparisons
+    are physical equality). [find] unlinks marked nodes as it goes —
     restarting the traversal as a fresh operation after each unlink,
     which keeps the write (the unlink CAS and retire) inside an NBR
     write phase without violating its one-write-phase-per-op rule.
@@ -23,15 +23,18 @@ module Heap = Pop_sim.Heap
 module Make (T : Smr_typed.S) = struct
   type data = { mutable key : int; next : link Atomic.t }
 
-  and link = { tgt : data Heap.node option; marked : bool }
+  (* The target sits in the [Link] block itself: one load per hop, one
+     allocation per store. [Nil] is only the placeholder in fresh
+     payloads; no linked node ever carries it. *)
+  and link = Nil | Link of { tgt : data Heap.node; marked : bool }
 
   type bucket = { head : data Heap.node }
 
   exception Retry_find
 
-  let payload _id = { key = 0; next = Atomic.make { tgt = None; marked = false } }
+  let payload _id = { key = 0; next = Atomic.make Nil }
 
-  let proj l = match l.tgt with Some n -> n | None -> assert false
+  let proj = function Link l -> l.tgt | Nil -> failwith "hm_core: read the Nil placeholder"
 
   let node_key (n : data Heap.node) = n.Heap.payload.key
 
@@ -45,7 +48,7 @@ module Make (T : Smr_typed.S) = struct
   let make_bucket heap ~tail =
     let head = Heap.sentinel heap in
     head.Heap.payload.key <- min_int;
-    Atomic.set head.Heap.payload.next { tgt = Some tail; marked = false };
+    Atomic.set head.Heap.payload.next (Link { tgt = tail; marked = false });
     { head }
 
   type find_res = {
@@ -72,21 +75,24 @@ module Make (T : Smr_typed.S) = struct
       else begin
         let nl = T.read a snext (next_cell curr) proj in
         if Atomic.get prev_cell != T.value curr_link then raise Retry_find;
-        if (T.value nl).marked then begin
-          (* curr is logically deleted: unlink it, then restart the
-             traversal as a fresh operation. *)
-          let w = T.enter_write_phase a [| prev_node; curr |] in
-          if
-            Atomic.compare_and_set prev_cell (T.value curr_link)
-              { tgt = (T.value nl).tgt; marked = false }
-          then T.retire w curr;
-          ignore (T.reopen_op w);
-          raise Retry_find
-        end
-        else if node_key curr >= key then
-          { found = node_key curr = key; fprev = prev_node; fprev_cell = prev_cell;
-            fcurr_link = curr_link; fnext_link = nl }
-        else step curr (next_cell curr) nl scurr snext sprev
+        (* A match, not a helper call: a helper referenced here would be
+           one more free variable in [step]'s closure, a word per find. *)
+        match T.value nl with
+        | Link { tgt = next; marked = true } ->
+            (* curr is logically deleted: unlink it, then restart the
+               traversal as a fresh operation. *)
+            let w = T.enter_write_phase a [| prev_node; curr |] in
+            if
+              Atomic.compare_and_set prev_cell (T.value curr_link)
+                (Link { tgt = next; marked = false })
+            then T.retire w curr;
+            ignore (T.reopen_op w);
+            raise Retry_find
+        | Link _ | Nil ->
+            if node_key curr >= key then
+              { found = node_key curr = key; fprev = prev_node; fprev_cell = prev_cell;
+                fcurr_link = curr_link; fnext_link = nl }
+            else step curr (next_cell curr) nl scurr snext sprev
       end
     in
     let cell = next_cell bucket.head in
@@ -108,11 +114,12 @@ module Make (T : Smr_typed.S) = struct
     else begin
       let n = T.alloc a in
       n.Heap.payload.key <- key;
-      Atomic.set n.Heap.payload.next { tgt = (T.value r.fcurr_link).tgt; marked = false };
+      Atomic.set n.Heap.payload.next
+        (Link { tgt = proj (T.value r.fcurr_link); marked = false });
       let w = T.enter_write_phase a [| r.fprev |] in
       if
         Atomic.compare_and_set r.fprev_cell (T.value r.fcurr_link)
-          { tgt = Some n; marked = false }
+          (Link { tgt = n; marked = false })
       then true
       else begin
         (* Never published: hand the node straight back to the heap. *)
@@ -132,7 +139,7 @@ module Make (T : Smr_typed.S) = struct
       if
         not
           (Atomic.compare_and_set (next_cell curr) (T.value r.fnext_link)
-             { tgt = (T.value r.fnext_link).tgt; marked = true })
+             (Link { tgt = proj (T.value r.fnext_link); marked = true }))
       then begin
         let a = T.reopen_op w in
         delete_in_op a sl bucket key
@@ -143,7 +150,7 @@ module Make (T : Smr_typed.S) = struct
            for a later find to unlink and retire. *)
         if
           Atomic.compare_and_set r.fprev_cell (T.value r.fcurr_link)
-            { tgt = (T.value r.fnext_link).tgt; marked = false }
+            (Link { tgt = proj (T.value r.fnext_link); marked = false })
         then T.retire w curr;
         true
       end
@@ -155,7 +162,9 @@ module Make (T : Smr_typed.S) = struct
     let rec go n =
       if node_key n <> max_int then begin
         let l = Atomic.get (next_cell n) in
-        if (not l.marked) && node_key n <> min_int then f (node_key n);
+        (match l with
+        | Link { marked = false; _ } when node_key n <> min_int -> f (node_key n)
+        | Link _ | Nil -> ());
         go (proj l)
       end
     in
@@ -167,14 +176,18 @@ module Make (T : Smr_typed.S) = struct
     !c
 
   (* Structural invariants: strictly ascending keys from head to tail,
-     and every linked node is live (anything freed-but-linked would be a
-     reclamation bug). *)
+     every linked node is live (anything freed-but-linked would be a
+     reclamation bug), and the chain never reaches the [Nil] placeholder
+     (a node linked before its [next] was set). *)
   let check_seq heap bucket =
     let rec go n last =
       let k = node_key n in
       if k <> min_int && not (Heap.is_live n) then failwith "hm_core: freed node still linked";
       if k <= last && k <> min_int then failwith "hm_core: keys not strictly ascending";
-      if k <> max_int then go (proj (Atomic.get (next_cell n))) (max k last)
+      if k <> max_int then
+        match Atomic.get (next_cell n) with
+        | Nil -> failwith "hm_core: chain reaches the Nil placeholder"
+        | Link l -> go l.tgt (max k last)
     in
     ignore heap;
     go bucket.head min_int

@@ -1,12 +1,18 @@
 (** Harris-Michael lock-free linked list machinery (Michael 2002), the
     engine behind both the HML list and the HMHT hash table.
 
-    Deletion marks live in the deleted node's own [next] link (an
-    immutable record swapped by CAS, so expected-value comparisons are
-    physical equality). [find] unlinks marked nodes as it goes —
-    restarting the traversal as a fresh operation after each unlink,
-    which keeps the write (the unlink CAS and retire) inside an NBR
-    write phase without violating its one-write-phase-per-op rule.
+    Deletion marks live in the deleted node's own [next] link. A link
+    is an immutable [Link] block that holds the target node itself (no
+    [option] box, so a hop is one dependent load). Every store
+    allocates a fresh block, so a CAS compares its expected value by
+    block identity: a link that was read, swapped away and then
+    replaced by one with the same target and mark is still a different
+    block, so the CAS fails instead of suffering ABA.
+
+    [find] unlinks marked nodes as it goes — restarting the traversal
+    as a fresh operation after each unlink, which keeps the write (the
+    unlink CAS and retire) inside an NBR write phase without violating
+    its one-write-phase-per-op rule.
 
     Every pointer step goes through [T.read] with three rotating
     reservation slots (prev, curr, next) and re-validates [prev.next]
@@ -18,7 +24,9 @@
 module Make (T : Pop_core.Smr_typed.S) : sig
   type data = { mutable key : int; next : link Atomic.t }
 
-  and link = { tgt : data Pop_sim.Heap.node option; marked : bool }
+  and link =
+    | Nil  (** Placeholder in fresh payloads; never read by a traversal. *)
+    | Link of { tgt : data Pop_sim.Heap.node; marked : bool }
 
   type bucket = { head : data Pop_sim.Heap.node }
 
@@ -28,7 +36,8 @@ module Make (T : Pop_core.Smr_typed.S) : sig
   (** Fresh-node payload builder, for {!Ds_common.Make.make_base}. *)
 
   val proj : link -> data Pop_sim.Heap.node
-  (** The link's target; the projection passed to [T.read]. *)
+  (** The link's target; the projection passed to [T.read]. Raises
+      [Failure] on [Nil]. *)
 
   val node_key : data Pop_sim.Heap.node -> int
 
@@ -77,5 +86,6 @@ module Make (T : Pop_core.Smr_typed.S) : sig
 
   val check_seq : data Pop_sim.Heap.t -> bucket -> unit
   (** Structural invariants: strictly ascending keys from head to tail,
-      and every linked node live. Raises [Failure] on violation. *)
+      every linked node live, and no chain reaching [Nil]. Raises
+      [Failure] on violation. *)
 end

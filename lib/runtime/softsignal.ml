@@ -119,6 +119,8 @@ let poll p =
 
 let pending p = Atomic.get p.my_pending = 1
 
+let pending_cell p = p.my_pending
+
 let deregister p =
   poll p;
   Striped.set p.hub.active p.id 0;

@@ -4,9 +4,13 @@
     every other thread and have each run a handler in its own context.
     OCaml domains cannot receive per-thread POSIX signals, so this module
     models delivery with a per-thread pending flag: {!ping_all} raises the
-    flag of every registered peer, and each thread calls {!poll} at every
-    SMR-protected read and at operation boundaries, running its handler
-    when the flag is up.
+    flag of every registered peer. At every SMR-protected read a thread
+    tests its own flag inline (through {!pending_cell}, cached in its
+    context) and calls {!poll} only when the flag is up, so a read with
+    no ping pending pays one load and a branch, as a read pays nothing
+    for a signal that has not arrived. Threads also call {!poll}
+    unconditionally at operation boundaries and in stall, lock and wait
+    loops; {!poll} runs the handler when the flag is up.
 
     Properties preserved from real signals (see DESIGN.md):
     - the handler runs in the target thread, so it observes that thread's
@@ -66,9 +70,17 @@ val poll : port -> unit
 val pending : port -> bool
 (** Racy check whether a ping is pending (without handling it). *)
 
+val pending_cell : port -> int Atomic.t
+(** The port's pending flag itself: [1] while a ping is pending, else
+    [0]. Only {!ping} raises it and only {!poll}/{!deregister} clear
+    it. A reader caches the cell and runs
+    [if Atomic.get cell = 1 then poll port] at each delivery point,
+    which delivers within one protected read without the call. *)
+
 val heartbeat : t -> int -> int
 (** Racy read of slot [tid]'s heartbeat counter. {!poll} bumps it by
-    one on every call (whether or not a ping was pending), and
+    one on every call (whether or not a ping was pending: at operation
+    boundaries, in stall and wait loops, and on every delivery), and
     {!register} bumps it once when a new occupant claims the slot. The
     owner bumps it with a plain store on a cache line of its own (no
     barrier), so a reader on another domain may see a count that lags

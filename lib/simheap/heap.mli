@@ -84,7 +84,9 @@ val is_live : 'a node -> bool
 
 val check_access : 'a t -> 'a node -> unit
 (** Record a use-after-free if [node] is currently free. Called by SMR
-    [read] on every protected dereference. *)
+    [check] on every protected dereference; the schemes test
+    [n.seq land 1 = 1] inline first and call this only on a freed node,
+    so a live dereference costs a load and a branch, not a call. *)
 
 val live_nodes : 'a t -> int
 (** Nodes allocated and not yet freed (reachable + retired garbage).

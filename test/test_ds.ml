@@ -143,4 +143,26 @@ let per_ds ds =
     QCheck_alcotest.to_alcotest (model_prop ~count:20 ds Dispatch.CADENCE);
   ]
 
-let suite = List.concat_map per_ds Dispatch.all_ds_ext
+(* Hm_core's structural check on hand-built chains: a node linked while
+   its [next] is still the fresh-payload [Nil] must fail [check_seq],
+   and the same chain finished with a link to the tail must pass. *)
+let hm_core_nil_fails_check () =
+  let module Core = Pop_ds.Hm_core.Make (Pop_core.Smr_typed.Of (Pop_baselines.Nr)) in
+  let module Heap = Pop_sim.Heap in
+  let heap = Heap.create ~max_threads:1 ~payload:Core.payload () in
+  let tail = Core.make_tail heap in
+  let bucket = Core.make_bucket heap ~tail in
+  Core.check_seq heap bucket;
+  let n = Heap.alloc heap ~tid:0 ~birth_era:0 in
+  n.Heap.payload.Core.key <- 5;
+  Atomic.set (Core.next_cell bucket.Core.head) (Core.Link { tgt = n; marked = false });
+  Alcotest.check_raises "chain reaching Nil rejected"
+    (Failure "hm_core: chain reaches the Nil placeholder") (fun () ->
+      Core.check_seq heap bucket);
+  Atomic.set (Core.next_cell n) (Core.Link { tgt = tail; marked = false });
+  Core.check_seq heap bucket;
+  Alcotest.(check int) "one key" 1 (Core.size_seq bucket)
+
+let suite =
+  List.concat_map per_ds Dispatch.all_ds_ext
+  @ [ case "hml: check_seq rejects a chain reaching Nil" hm_core_nil_fails_check ]

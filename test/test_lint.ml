@@ -171,6 +171,7 @@ let fence_free_read () =
   let fenced =
     "let rec read ctx slot addr proj =\n  let v = Atomic.get addr in\n\
     \  Atomic.set ctx.srow.(slot) (proj v).Heap.id;\n\
+    \  if Atomic.get ctx.pending = 1 then Softsignal.poll ctx.port;\n\
     \  if Atomic.get addr == v then v else read ctx slot addr proj\n"
   in
   let plain =
@@ -195,7 +196,36 @@ let fence_free_read () =
     (flags "fence-free-read" "lib/runtime/softsignal.ml"
        (poll "  Array.unsafe_set p.hb p.hb_at (Array.unsafe_get p.hb p.hb_at + 1);\n"));
   Alcotest.(check bool) "other schemes unscoped" false
-    (flags "fence-free-read" "lib/baselines/hp.ml" fenced)
+    (flags "fence-free-read" "lib/baselines/hp.ml" fenced);
+  let deaf =
+    "let rec read ctx slot addr proj =\n  let v = Atomic.get addr in\n\
+    \  Array.unsafe_set ctx.rows (ctx.base + slot) (proj v).Heap.id;\n\
+    \  if Atomic.get addr == v then v else read ctx slot addr proj\n"
+  in
+  Alcotest.(check (list (pair string int)))
+    "a guarded read without a poll flagged at its definition" [ ("fence-free-read", 1) ]
+    (rules_of hp deaf);
+  Alcotest.(check (list (pair string int)))
+    "he-pop: read delegates, read_from must deliver" [ ("fence-free-read", 3) ]
+    (rules_of "lib/core/hazard_era_pop.ml"
+       ("let read ctx slot addr proj = read_from ctx slot addr proj 0\n\n"
+      ^ "let rec read_from ctx slot addr proj e =\n  ignore e;\n  Atomic.get addr\n"));
+  let nbr = "lib/baselines/nbr.ml" in
+  let nbr_read body =
+    "let read ctx _slot addr _proj =\n  let v = Atomic.get addr in\n" ^ body
+    ^ "  if Atomic.get ctx.pending = 1 then Softsignal.poll ctx.port;\n  v\n\n\
+       let enter_write_phase ctx nodes =\n  Fence.execute ctx.fence 7;\n\
+      \  if Atomic.get ctx.pending = 1 then Softsignal.poll ctx.port\n"
+  in
+  Alcotest.(check (list (pair string int)))
+    "an NBR read with Atomic.set flagged" [ ("fence-free-read", 3) ]
+    (rules_of nbr (nbr_read "  Atomic.set ctx.flag 1;\n"));
+  Alcotest.(check (list (pair string int)))
+    "NBR: fences outside read are free" [] (rules_of nbr (nbr_read ""));
+  Alcotest.(check bool) "NBR: a deaf write-phase entry flagged" true
+    (flags "fence-free-read" nbr
+       "let read ctx _slot addr _proj =\n  Softsignal.poll ctx.port;\n  Atomic.get addr\n\n\
+        let enter_write_phase ctx nodes = ignore nodes\n")
 
 let diagnostics_have_positions () =
   match L.check_source ~path:"lib/a.ml" "let a = 1\nlet b = Obj.magic a\n" with

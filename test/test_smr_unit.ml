@@ -450,44 +450,57 @@ let epoch_pop_birth_eras_advance () =
       let b1 = (Epoch_pop.alloc ctx).Heap.birth_era in
       Alcotest.(check bool) "birth era advanced" true (b1 > b0))
 
-(* Count-based read-path guard. A fixed-seed, single-thread replay of
-   1,000 hml [contains] through a counting wrapper: every heartbeat tick
-   must come from a [read] or an explicit [poll], one each, so a cheaper
-   poll cannot hide fewer delivery points. HazardEraPOP's read polls
-   once more on the first read of each slot in an operation: [end_op]
-   clears the era row, so that read re-reserves and goes round again
-   (no retires here, so the era never moves otherwise). *)
-module Counting (S : Smr.S) = struct
+(* Delivery-bound guard (Assumption 1: a pending ping is handled within
+   one protected read). A fixed-seed, single-thread replay of 1,000 hml
+   [contains] through a wrapper that self-pings before every [period]-th
+   [read] and notes whether the handler ran inside that read. Every ping
+   must be delivered by the read it precedes, and the heartbeat must move
+   only for explicit polls and deliveries (a read with no ping pending
+   tests the flag and does not poll). NBR is pinged every 300th read,
+   not every read: its delivery neutralizes the read phase and restarts
+   the operation, and a traversal here is at most ~130 reads, so a ping
+   before every read would never let an operation finish. EBR's read has
+   no delivery point, so the same replay must find no delivery there. *)
+module Pinging (S : Smr.S) = struct
   include S
+
+  let hub = ref None (* set after the prefill *)
+
+  let period = ref 1
 
   let reads = ref 0
 
+  let pings = ref 0
+
+  let delivered = ref 0 (* reads inside which the handler ran *)
+
   let polls = ref 0
-
-  let first_uses = ref 0 (* (operation, slot) pairs read *)
-
-  let used = ref 0 (* bitmask of slots read since the last end_op *)
 
   let read ctx slot cell proj =
     incr reads;
-    if !used land (1 lsl slot) = 0 then begin
-      incr first_uses;
-      used := !used lor (1 lsl slot)
-    end;
-    S.read ctx slot cell proj
-
-  let end_op ctx =
-    used := 0;
-    S.end_op ctx
+    match !hub with
+    | Some h when !reads mod !period = 0 ->
+        incr pings;
+        ignore (Softsignal.ping h 0);
+        let r0 = Softsignal.handler_runs h in
+        let note () = if Softsignal.handler_runs h > r0 then incr delivered in
+        (match S.read ctx slot cell proj with
+        | v ->
+            note ();
+            v
+        | exception e ->
+            note ();
+            raise e)
+    | _ -> S.read ctx slot cell proj
 
   let poll ctx =
     incr polls;
     S.poll ctx
 end
 
-let heartbeat_per_delivery_point (module S : Smr.S) ~rereserve () =
-  let module C = Counting (S) in
-  let module L = Pop_ds.Hm_list.Make (Smr_typed.Of (C)) in
+let every_read_delivers (module S : Smr.S) ~period ~delivers () =
+  let module P = Pinging (S) in
+  let module L = Pop_ds.Hm_list.Make (Smr_typed.Of (P)) in
   let hub = Softsignal.create ~max_threads:1 in
   let set =
     L.create
@@ -500,18 +513,30 @@ let heartbeat_per_delivery_point (module S : Smr.S) ~rereserve () =
   for _ = 1 to 128 do
     ignore (L.insert ctx (Rng.int rng 256))
   done;
-  let hb0 = Softsignal.heartbeat hub 0 and r0 = !C.reads and p0 = !C.polls in
-  let f0 = !C.first_uses in
+  P.hub := Some hub;
+  P.period := period;
+  P.reads := 0;
+  P.polls := 0;
+  let hb0 = Softsignal.heartbeat hub 0 and runs0 = Softsignal.handler_runs hub in
+  let restarts0 = (L.smr_stats set).Smr_stats.restarts in
   for _ = 1 to 1000 do
     ignore (L.contains ctx (Rng.int rng 256));
     L.poll ctx
   done;
-  let reads = !C.reads - r0 and polls = !C.polls - p0 and firsts = !C.first_uses - f0 in
-  Alcotest.(check bool) "a real traversal" true (reads > 10_000);
-  Alcotest.(check int) "explicit polls" 1000 polls;
-  Alcotest.(check int) "heartbeat delta"
-    (reads + polls + if rereserve then firsts else 0)
-    (Softsignal.heartbeat hub 0 - hb0)
+  let runs = Softsignal.handler_runs hub - runs0 in
+  Alcotest.(check bool) "a real traversal" true (!P.reads > 10_000);
+  Alcotest.(check int) "one ping per period" (!P.reads / period) !P.pings;
+  Alcotest.(check int) "explicit polls" 1000 !P.polls;
+  if delivers then begin
+    Alcotest.(check int) "every pinged read delivers" !P.pings !P.delivered;
+    Alcotest.(check int) "handler runs = pinged reads" !P.pings runs
+  end
+  else Alcotest.(check int) "no delivery point in read" 0 !P.delivered;
+  Alcotest.(check int) "heartbeat = explicit polls + deliveries" (!P.polls + !P.delivered)
+    (Softsignal.heartbeat hub 0 - hb0);
+  if S.name = "nbr" then
+    Alcotest.(check int) "each delivery restarts the operation" !P.delivered
+      ((L.smr_stats set).Smr_stats.restarts - restarts0)
 
 (* Cadence gates frees on global barrier ticks, so threshold-exact
    expectations do not apply to it; it gets dedicated tests instead. *)
@@ -557,10 +582,14 @@ let suite =
         he_old_nodes_freeable_despite_reservation;
       case "ibr: overlapping interval protects" ibr_interval_protects;
       case "epoch-pop: birth eras advance" epoch_pop_birth_eras_advance;
-      case "hp-pop: one heartbeat per read and poll"
-        (heartbeat_per_delivery_point (module Hazard_ptr_pop) ~rereserve:false);
-      case "he-pop: one heartbeat per read and poll"
-        (heartbeat_per_delivery_point (module Hazard_era_pop) ~rereserve:true);
-      case "epoch-pop: one heartbeat per read and poll"
-        (heartbeat_per_delivery_point (module Epoch_pop) ~rereserve:false);
+      case "hp-pop: every protected read delivers a pending ping"
+        (every_read_delivers (module Hazard_ptr_pop) ~period:1 ~delivers:true);
+      case "he-pop: every protected read delivers a pending ping"
+        (every_read_delivers (module Hazard_era_pop) ~period:1 ~delivers:true);
+      case "epoch-pop: every protected read delivers a pending ping"
+        (every_read_delivers (module Epoch_pop) ~period:1 ~delivers:true);
+      case "nbr: every protected read delivers a pending ping"
+        (every_read_delivers (module Pop_baselines.Nbr) ~period:300 ~delivers:true);
+      case "ebr: a read with no delivery point delivers nothing"
+        (every_read_delivers (module Pop_baselines.Ebr) ~period:1 ~delivers:false);
     ]

@@ -390,20 +390,39 @@ let check_heap_free_loop lines =
     (fun line -> (line, heap_free_loop_msg))
     !diags
 
-(* fence-free-read: the POP read path runs no barrier (paper section
-   2.1.2). Inside the guarded top-level functions — each POP scheme's
-   [read]/[read_from], and [Softsignal.poll] up to its pending check —
-   no sequentially consistent store or read-modify-write may appear:
-   no [Atomic] write, no [Striped] write, no modelled fence. A body runs
-   from its [let]/[and] line to the next line that starts in column 0.
-   A guarded function that cannot be found is itself a finding, so a
-   rename cannot switch the rule off. *)
-let fence_free_guards =
+(* fence-free-read: the protected read path runs no barrier (paper
+   section 2.1.2) and delivers pending pings (Assumption 1). Inside the
+   [fence_free] top-level functions — each POP scheme's [read]/
+   [read_from], NBR's [read], and [Softsignal.poll] up to its pending
+   check — no sequentially consistent store or read-modify-write may
+   appear: no [Atomic] write, no [Striped] write, no modelled fence.
+   Each [delivers] function (those reads, NBR's [enter_write_phase],
+   and the signal-served reads of hp-asym and cadence) must contain the
+   [Softsignal.poll] call, so that no protected read can stop testing
+   the ping flag. A body runs from its [let]/[and] line to the next
+   line that starts in column 0. A guarded function that cannot be
+   found is itself a finding, so a rename cannot switch the rule off. *)
+type read_guard = {
+  path : string;
+  fence_free : string list;
+  delivers : string list;
+  stop : string option; (* fence scanning ends at this token *)
+}
+
+let read_guards =
   [
-    ("lib/core/hazard_ptr_pop.ml", [ "read" ], None);
-    ("lib/core/hazard_era_pop.ml", [ "read"; "read_from" ], None);
-    ("lib/core/epoch_pop.ml", [ "read" ], None);
-    ("lib/runtime/softsignal.ml", [ "poll" ], Some "my_pending");
+    { path = "lib/core/hazard_ptr_pop.ml"; fence_free = [ "read" ]; delivers = [ "read" ];
+      stop = None };
+    { path = "lib/core/hazard_era_pop.ml"; fence_free = [ "read"; "read_from" ];
+      delivers = [ "read_from" ]; stop = None };
+    { path = "lib/core/epoch_pop.ml"; fence_free = [ "read" ]; delivers = [ "read" ];
+      stop = None };
+    { path = "lib/baselines/nbr.ml"; fence_free = [ "read" ];
+      delivers = [ "read"; "enter_write_phase" ]; stop = None };
+    { path = "lib/baselines/hp_asym.ml"; fence_free = []; delivers = [ "read" ]; stop = None };
+    { path = "lib/baselines/cadence.ml"; fence_free = []; delivers = [ "read" ]; stop = None };
+    { path = "lib/runtime/softsignal.ml"; fence_free = [ "poll" ]; delivers = [];
+      stop = Some "my_pending" };
   ]
 
 let fenced_writes =
@@ -419,59 +438,78 @@ let defined_name line =
     | ("let" | "and") :: "rec" :: name :: _ | ("let" | "and") :: name :: _ -> Some name
     | _ -> None
 
-let check_fence_free path lines =
-  match List.find_opt (fun (p, _, _) -> p = path) fence_free_guards with
+let check_read_path path lines =
+  match List.find_opt (fun g -> g.path = path) read_guards with
   | None -> []
-  | Some (_, names, stop) ->
-      let diags = ref [] and seen = ref [] and inside = ref None in
+  | Some g ->
+      let diags = ref [] and seen = ref [] and polled = ref [] in
+      let inside = ref None and scanning = ref false in
       List.iteri
         (fun idx line ->
           if line <> "" && line.[0] <> ' ' then begin
             inside := None;
             match defined_name line with
-            | Some n when List.mem n names ->
-                seen := n :: !seen;
-                inside := Some n
+            | Some n when List.mem n g.fence_free || List.mem n g.delivers ->
+                seen := (n, idx + 1) :: !seen;
+                inside := Some n;
+                scanning := List.mem n g.fence_free
             | _ -> ()
           end;
           match !inside with
           | None -> ()
           | Some name ->
-              (* Only the part of the stop line before the stop token counts. *)
-              let scanned =
-                match Option.bind stop (fun tok -> find_sub line tok 0) with
-                | Some i ->
-                    inside := None;
-                    String.sub line 0 i
-                | None -> line
-              in
-              List.iter
-                (fun tok ->
-                  if has_token scanned tok then
-                    diags :=
-                      ( idx + 1,
-                        Printf.sprintf
-                          "%s in %s: the POP read path runs no barrier; keep owner-written \
-                           words plain (Pop_runtime.Padded)"
-                          tok name )
-                      :: !diags)
-                fenced_writes)
+              if has_token line "Softsignal.poll" then polled := name :: !polled;
+              if !scanning then begin
+                (* Only the part of the stop line before the stop token counts. *)
+                let scanned =
+                  match Option.bind g.stop (fun tok -> find_sub line tok 0) with
+                  | Some i ->
+                      scanning := false;
+                      String.sub line 0 i
+                  | None -> line
+                in
+                List.iter
+                  (fun tok ->
+                    if has_token scanned tok then
+                      diags :=
+                        ( idx + 1,
+                          Printf.sprintf
+                            "%s in %s: the protected read path runs no barrier; keep \
+                             owner-written words plain (Pop_runtime.Padded)"
+                            tok name )
+                        :: !diags)
+                  fenced_writes
+              end)
         lines;
       let missing =
         List.filter_map
           (fun n ->
-            if List.mem n !seen then None
+            if List.mem_assoc n !seen then None
             else Some (1, Printf.sprintf "guarded function %s not found; update the rule" n))
-          names
+          (List.sort_uniq String.compare (g.fence_free @ g.delivers))
       in
-      missing @ List.rev !diags
+      let deaf =
+        List.filter_map
+          (fun n ->
+            match List.assoc_opt n !seen with
+            | Some line when not (List.mem n !polled) ->
+                Some
+                  ( line,
+                    Printf.sprintf
+                      "%s has no Softsignal.poll: every protected read must test the ping \
+                       flag and deliver"
+                      n )
+            | _ -> None)
+          g.delivers
+      in
+      missing @ List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) (deaf @ List.rev !diags)
 
 let file_rules =
   [
     ("heap-free-loop", heap_free_loop_applies, fun _path -> check_heap_free_loop);
     ( "fence-free-read",
-      (fun path -> List.exists (fun (p, _, _) -> p = path) fence_free_guards),
-      check_fence_free );
+      (fun path -> List.exists (fun g -> g.path = path) read_guards),
+      check_read_path );
   ]
 
 let check_source ~path contents =

@@ -24,10 +24,14 @@
       [Heap.free_block] in one call, preserving the allocator's
       block-granularity hand-off;
     - [fence-free-read] — no sequentially consistent store,
-      read-modify-write or modelled fence inside the POP read path: the
-      [read]/[read_from] bodies of [hazard_ptr_pop], [hazard_era_pop]
-      and [epoch_pop] in [lib/core], and [Softsignal.poll] before its
-      pending check; a guarded function that is missing is a finding;
+      read-modify-write or modelled fence inside the protected read
+      path: the [read]/[read_from] bodies of [hazard_ptr_pop],
+      [hazard_era_pop] and [epoch_pop] in [lib/core], NBR's [read], and
+      [Softsignal.poll] before its pending check; and every delivery
+      point (those POP reads, NBR's [read] and [enter_write_phase],
+      hp-asym's and cadence's [read]) contains the [Softsignal.poll]
+      call; a guarded function that is
+      missing is a finding;
     - [missing-mli] — every [lib/] module except [*_intf.ml] carries an
       interface file.
 
