@@ -65,19 +65,15 @@ let update_path_test smr =
          else ignore (S.delete ctx (op lsr 1))))
 
 (* The primitive cost asymmetry the whole paper is about: a private
-   reservation (plain store) vs an eagerly published one (fenced). *)
+   reservation (plain store) vs an eagerly published one (fenced: OCaml's
+   [Atomic.set] is an [xchg] on x86). *)
 let primitive_tests =
   let row = Array.make 8 0 in
   let cell = Atomic.make 0 in
-  let fence = Pop_runtime.Fence.make_cell () in
   [
     Test.make ~name:"reserve-private(plain store)"
       (Staged.stage (fun () -> Array.unsafe_set row 0 42));
     Test.make ~name:"reserve-shared(atomic store)" (Staged.stage (fun () -> Atomic.set cell 42));
-    Test.make ~name:"reserve-shared+fence(model)"
-      (Staged.stage (fun () ->
-           Atomic.set cell 42;
-           Pop_runtime.Fence.execute fence 7));
   ]
 
 (* Bechamel's OLS exposes its bootstrap interval only through [OLS.pp]
@@ -148,33 +144,6 @@ let fig_micro () =
 (* ------------------------------------------------------------------ *)
 (* Ablation sweeps over the design knobs DESIGN.md calls out            *)
 (* ------------------------------------------------------------------ *)
-
-let ablation_fence sc =
-  Report.section
-    "Ablation: fence cost model (hml, update-heavy, 2 threads) — the POP/HP gap is the \
-     fence the read path avoids";
-  let costs = [ 0; 1; 4; 8; 16 ] in
-  let smrs = Dispatch.[ HP; HPASYM; CADENCE; HPPOP; EBR ] in
-  let run smr fc =
-    Runner.run
-      {
-        Runner.default_cfg with
-        ds = Dispatch.HML;
-        smr;
-        threads = 2;
-        duration = sc.Experiments.duration;
-        key_range = 2048;
-        fence_cost = fc;
-      }
-  in
-  Report.table
-    ~header:("algo" :: List.map (fun c -> Printf.sprintf "Mops(F=%d)" c) costs)
-    ~rows:
-      (List.map
-         (fun smr ->
-           Dispatch.smr_name smr
-           :: List.map (fun fc -> Report.fmt_mops (run smr fc).Runner.mops) costs)
-         smrs)
 
 let ablation_reclaim_freq sc =
   Report.section
@@ -903,7 +872,6 @@ let fig_alloc sc =
   (balanced, imbalanced, churn)
 
 let fig_ablation sc =
-  ablation_fence sc;
   ablation_reclaim_freq sc;
   ablation_pop_mult sc
 

@@ -29,7 +29,6 @@ type 'a tctx = {
   pending : int Atomic.t; (* the port's ping flag, tested inline by [read] *)
   rows : int array;
   base : int; (* index of this thread's slot 0 in [rows] *)
-  fence : Fence.cell;
   rl : 'a Reclaimer.local;
   counter_scratch : int array;
   timeout_scratch : bool array;
@@ -67,16 +66,15 @@ let register g ~tid =
       pending = Softsignal.pending_cell port;
       rows = Reservations.local_block g.res;
       base = Reservations.local_base g.res ~tid;
-      fence = Fence.make_cell ();
       rl = Reclaimer.register g.eng ~tid ~scratch_slots:nres;
       counter_scratch = Array.make g.cfg.max_threads 0;
       timeout_scratch = Array.make g.cfg.max_threads false;
       op_counter = 0;
     }
   in
-  (* The "context switch": a fence and an acknowledgement. *)
+  (* The "context switch": an acknowledgement, whose seq_cst increment is
+     the barrier that orders the thread's earlier plain reservations. *)
   Softsignal.set_handler port (fun () ->
-      Fence.execute ctx.fence g.cfg.fence_cost;
       Handshake.ack g.hs ~tid);
   ctx
 
@@ -94,7 +92,7 @@ let maybe_tick ctx =
         in
         Counters.handshake_timeout g.c ~tid:ctx.tid timeouts;
         (* Only a clean round is a real barrier: a timed-out peer never
-           fenced, so its reservation stores may be unordered and the
+           acknowledged, so its reservation stores may be unordered and the
            tick must not advance. The clock still resets, so a deaf peer
            costs one failed round per interval, not a ping storm. *)
         if timeouts = 0 then begin

@@ -6,11 +6,11 @@
     periodic {e global barrier round} — in the original, context
     switches forced by auxiliary threads pinned to every core — makes
     all reservations visible: here, whichever thread first notices the
-    tick interval elapsed pings everyone (handler = fence + ack) and
-    advances the global tick. Retired nodes are stamped with the tick
-    and may be freed once {e two} ticks have passed (so a full barrier
-    round separates retirement from the scan) and no visible
-    reservation covers them.
+    tick interval elapsed pings everyone (the handler is an ack, whose
+    seq_cst increment is the barrier) and advances the global tick.
+    Retired nodes are stamped with the tick and may be freed once {e two}
+    ticks have passed (so a full barrier round separates retirement from
+    the scan) and no visible reservation covers them.
 
     The paper's criticism is reproduced faithfully: the barrier rounds
     run at a fixed cadence {e whether or not anyone reclaims}, and

@@ -19,7 +19,6 @@ type 'a tctx = {
   tid : int;
   port : Softsignal.port;
   my_epoch : int Atomic.t; (* cached announcement slot *)
-  fence : Fence.cell;
   rl : 'a Reclaimer.local;
   mutable op_counter : int;
   mutable last_min_epoch : int; (* skip-rescan guard *)
@@ -48,7 +47,6 @@ let register g ~tid =
     tid;
     port = Softsignal.register g.hub ~tid;
     my_epoch = Striped.cell g.reserved_epoch tid;
-    fence = Fence.make_cell ();
     rl = Reclaimer.register g.eng ~tid ~scratch_slots:1;
     op_counter = 0;
     last_min_epoch = -1;
@@ -61,8 +59,7 @@ let start_op ctx =
     ignore (Atomic.fetch_and_add ctx.g.epoch 1);
     Reclaimer.invalidate ctx.g.eng
   end;
-  Atomic.set ctx.my_epoch (Atomic.get ctx.g.epoch);
-  Fence.execute ctx.fence (ctx.g.cfg.fence_cost - 1)
+  Atomic.set ctx.my_epoch (Atomic.get ctx.g.epoch)
 
 let end_op ctx = Atomic.set ctx.my_epoch max_int
 

@@ -21,7 +21,6 @@ type 'a tctx = {
   tid : int;
   port : Softsignal.port;
   srow : int Atomic.t array; (* cached shared era row *)
-  fence : Fence.cell;
   rl : 'a Reclaimer.local;
 }
 
@@ -44,7 +43,6 @@ let register g ~tid =
     tid;
     port = Softsignal.register g.hub ~tid;
     srow = Reservations.shared_row g.res ~tid;
-    fence = Fence.make_cell ();
     rl = Reclaimer.register g.eng ~tid ~scratch_slots:(g.cfg.max_threads * g.cfg.max_hp);
   }
 
@@ -61,7 +59,6 @@ let rec read_from ctx cell addr proj old_era =
   if e = old_era then v
   else begin
     Atomic.set cell e;
-    Fence.execute ctx.fence (ctx.g.cfg.fence_cost - 1);
     read_from ctx cell addr proj e
   end
 

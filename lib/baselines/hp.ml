@@ -20,7 +20,6 @@ type 'a tctx = {
   tid : int;
   port : Softsignal.port;
   srow : int Atomic.t array; (* cached shared reservation row *)
-  fence : Fence.cell;
   rl : 'a Reclaimer.local;
 }
 
@@ -43,7 +42,6 @@ let register g ~tid =
     tid;
     port = Softsignal.register g.hub ~tid;
     srow = Reservations.shared_row g.res ~tid;
-    fence = Fence.make_cell ();
     rl = Reclaimer.register g.eng ~tid ~scratch_slots:nres;
   }
 
@@ -53,13 +51,13 @@ let end_op ctx = Reservations.clear_shared ctx.g.res ~tid:ctx.tid
 
 let poll ctx = Softsignal.poll ctx.port
 
-(* Reserve, fence, re-validate — Michael's protocol. The fenced publish
-   on every pointer read is the cost the paper's POP variants remove. *)
+(* Reserve, fence, re-validate — Michael's protocol. [Atomic.set] is the
+   fence (an [xchg] on x86); this fenced publish on every pointer read is
+   the cost the paper's POP variants remove. *)
 let rec read ctx slot addr proj =
   let v = Atomic.get addr in
   let n = proj v in
   Atomic.set (Array.unsafe_get ctx.srow slot) n.Heap.id;
-  Fence.execute ctx.fence (ctx.g.cfg.fence_cost - 1);
   if Atomic.get addr == v then v else read ctx slot addr proj
 
 let check ctx n = if n.Heap.seq land 1 = 1 then Heap.check_access ctx.g.heap n

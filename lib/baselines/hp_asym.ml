@@ -23,7 +23,6 @@ type 'a tctx = {
   pending : int Atomic.t; (* the port's ping flag, tested inline by [read] *)
   rows : int array; (* plain SWMR reservation rows (no fence) *)
   base : int; (* index of this thread's slot 0 in [rows] *)
-  fence : Fence.cell;
   rl : 'a Reclaimer.local;
   counter_scratch : int array;
   timeout_scratch : bool array;
@@ -56,17 +55,15 @@ let register g ~tid =
       pending = Softsignal.pending_cell port;
       rows = Reservations.local_block g.res;
       base = Reservations.local_base g.res ~tid;
-      fence = Fence.make_cell ();
       rl = Reclaimer.register g.eng ~tid ~scratch_slots:nres;
       counter_scratch = Array.make g.cfg.max_threads 0;
       timeout_scratch = Array.make g.cfg.max_threads false;
     }
   in
-  (* The "membarrier": the handler only fences and acknowledges, which
-     orders the thread's earlier plain reservation stores — newly
-     visible reservation state, so cached snapshots go stale. *)
+  (* The "membarrier": the handler only acknowledges; the ack's seq_cst
+     increment orders the thread's earlier plain reservation stores —
+     newly visible reservation state, so cached snapshots go stale. *)
   Softsignal.set_handler port (fun () ->
-      Fence.execute ctx.fence g.cfg.fence_cost;
       Reclaimer.invalidate g.eng;
       Handshake.ack g.hs ~tid);
   ctx

@@ -27,7 +27,6 @@ type 'a tctx = {
   g : 'a t;
   tid : int;
   port : Softsignal.port;
-  fence : Fence.cell;
   rl : 'a Reclaimer.local;
 }
 
@@ -50,7 +49,6 @@ let register g ~tid =
     g;
     tid;
     port = Softsignal.register g.hub ~tid;
-    fence = Fence.make_cell ();
     rl = Reclaimer.register g.eng ~tid ~scratch_slots:1;
   }
 
@@ -65,7 +63,6 @@ let start_op ctx =
      enlisters and lose its protection. *)
   let cell = Array.unsafe_get ctx.g.eras ctx.tid in
   Atomic.set cell (Atomic.get ctx.g.era);
-  Fence.execute ctx.fence (ctx.g.cfg.fence_cost - 1);
   drain ctx (Atomic.exchange ctx.g.slots.(ctx.tid) (Active []))
 
 let end_op ctx =
@@ -84,7 +81,6 @@ let rec read_from ctx cell addr proj old_era =
   if e = old_era then v
   else begin
     Atomic.set cell e;
-    Fence.execute ctx.fence (ctx.g.cfg.fence_cost - 1);
     read_from ctx cell addr proj e
   end
 

@@ -25,7 +25,6 @@ type 'a tctx = {
   port : Softsignal.port;
   lo_cell : int Atomic.t;
   hi_cell : int Atomic.t;
-  fence : Fence.cell;
   rl : 'a Reclaimer.local;
   mutable cached_hi : int;
   mutable alloc_counter : int;
@@ -52,7 +51,6 @@ let register g ~tid =
     port = Softsignal.register g.hub ~tid;
     lo_cell = row.(lo_slot);
     hi_cell = row.(hi_slot);
-    fence = Fence.make_cell ();
     rl = Reclaimer.register g.eng ~tid ~scratch_slots:(g.cfg.max_threads * 2);
     cached_hi = -1;
     alloc_counter = 0;
@@ -63,7 +61,6 @@ let start_op ctx =
   let e = Atomic.get ctx.g.epoch in
   Atomic.set ctx.hi_cell e;
   Atomic.set ctx.lo_cell e;
-  Fence.execute ctx.fence (ctx.g.cfg.fence_cost - 1);
   ctx.cached_hi <- e
 
 (* [lo = max_int] denotes "no interval": the freeability test's first
@@ -80,7 +77,6 @@ let read ctx _slot addr _proj =
     (* The upper bound must be visible before the pointer is used: the
        fence IBR pays whenever the epoch advances under a traversal. *)
     Atomic.set ctx.hi_cell e;
-    Fence.execute ctx.fence (ctx.g.cfg.fence_cost - 1);
     ctx.cached_hi <- e
   end;
   Atomic.get addr

@@ -34,7 +34,6 @@ type 'a tctx = {
   mutable phase : phase;
   mutable neutralized : bool;
   mutable published_slots : int;
-  fence : Fence.cell;
 }
 
 let create cfg hub heap =
@@ -73,7 +72,6 @@ let register g ~tid =
       phase = Quiescent;
       neutralized = false;
       published_slots = 0;
-      fence = Fence.make_cell ();
     }
   in
   (* The "signal handler": neutralize read-phase threads, always ack.
@@ -127,8 +125,8 @@ let enter_write_phase ctx nodes =
   for slot = 0 to n - 1 do
     Reservations.set_shared ctx.g.res ~tid:ctx.tid ~slot nodes.(slot).Heap.id
   done;
-  (* One fence per write phase, not per read — NBR's fast read path. *)
-  Fence.execute ctx.fence (ctx.g.cfg.fence_cost - 1);
+  (* The [set_shared] stores above are the one fence per write phase, not
+     per read — NBR's fast read path. *)
   ctx.published_slots <- n;
   if Atomic.get ctx.pending = 1 then Softsignal.poll ctx.port;
   if ctx.neutralized then begin

@@ -25,7 +25,6 @@ type 'a tctx = {
   rows : int array; (* every private row (Reservations.local_block) *)
   base : int; (* index of this thread's slot 0 in [rows] *)
   my_epoch : int Atomic.t; (* cached reserved-epoch announcement slot *)
-  fence : Fence.cell;
   rl : 'a Reclaimer.local;
   counter_scratch : int array;
   timeout_scratch : bool array;
@@ -68,7 +67,6 @@ let register g ~tid =
       rows = Reservations.local_block g.res;
       base = Reservations.local_base g.res ~tid;
       my_epoch = Striped.cell g.reserved_epoch tid;
-      fence = Fence.make_cell ();
       (* 2x: room for the shared table plus racy local-row copies of
          quarantined (crashed) peers, whose epoch announcement must not
          be honoured as a floor — see [reclaim_pop]. *)
@@ -82,7 +80,6 @@ let register g ~tid =
   Softsignal.set_handler port (fun () ->
       Reservations.publish g.res ~tid;
       Reclaimer.invalidate g.eng;
-      Fence.execute ctx.fence g.cfg.fence_cost;
       Handshake.ack g.hs ~tid);
   ctx
 
@@ -96,8 +93,7 @@ let start_op ctx =
   end;
   (* The epoch announcement is the one fenced write per operation, just
      like EBR's. *)
-  Atomic.set ctx.my_epoch (Atomic.get ctx.g.epoch);
-  Fence.execute ctx.fence (ctx.g.cfg.fence_cost - 1)
+  Atomic.set ctx.my_epoch (Atomic.get ctx.g.epoch)
 
 (* Algorithm 3, ENDOP plus CLEAR of the private reservations. *)
 let end_op ctx =

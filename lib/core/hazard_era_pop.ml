@@ -23,7 +23,6 @@ type 'a tctx = {
   pending : int Atomic.t; (* the port's ping flag, tested inline by [read] *)
   rows : int array; (* every private era row (Reservations.local_block) *)
   base : int; (* index of this thread's slot 0 in [rows] *)
-  fence : Fence.cell;
   rl : 'a Reclaimer.local;
   counter_scratch : int array;
   timeout_scratch : bool array;
@@ -56,7 +55,6 @@ let register g ~tid =
       pending = Softsignal.pending_cell port;
       rows = Reservations.local_block g.res;
       base = Reservations.local_base g.res ~tid;
-      fence = Fence.make_cell ();
       (* 2x: room for the shared table plus racy local-row copies of
          timed-out peers (the bounded handshake's fallback). *)
       rl = Reclaimer.register g.eng ~tid ~scratch_slots:(2 * g.cfg.max_threads * g.cfg.max_hp);
@@ -67,7 +65,6 @@ let register g ~tid =
   Softsignal.set_handler port (fun () ->
       Reservations.publish g.res ~tid;
       Reclaimer.invalidate g.eng;
-      Fence.execute ctx.fence g.cfg.fence_cost;
       Handshake.ack g.hs ~tid);
   ctx
 

@@ -22,7 +22,6 @@ type 'a tctx = {
   pending : int Atomic.t; (* the port's ping flag, tested inline by [read] *)
   rows : int array; (* every private row (Reservations.local_block) *)
   base : int; (* index of this thread's slot 0 in [rows] *)
-  fence : Fence.cell;
   rl : 'a Reclaimer.local;
   counter_scratch : int array;
   timeout_scratch : bool array;
@@ -55,7 +54,6 @@ let register g ~tid =
       pending = Softsignal.pending_cell port;
       rows = Reservations.local_block g.res;
       base = Reservations.local_base g.res ~tid;
-      fence = Fence.make_cell ();
       (* 2x: room for the shared table plus racy local-row copies of
          timed-out peers (the bounded handshake's fallback). *)
       rl = Reclaimer.register g.eng ~tid ~scratch_slots:(2 * nres);
@@ -63,13 +61,12 @@ let register g ~tid =
       timeout_scratch = Array.make g.cfg.max_threads false;
     }
   in
-  (* The "signal handler": publish private reservations, execute the one
-     fence Algorithm 2 requires, then ack. The publish is new visible
+  (* The "signal handler": publish private reservations with [Atomic.set]
+     (the fence Algorithm 2 requires), then ack. The publish is new visible
      reservation state, so it stales cached snapshots. *)
   Softsignal.set_handler port (fun () ->
       Reservations.publish g.res ~tid;
       Reclaimer.invalidate g.eng;
-      Fence.execute ctx.fence g.cfg.fence_cost;
       Handshake.ack g.hs ~tid);
   ctx
 

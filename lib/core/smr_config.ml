@@ -4,7 +4,6 @@ type t = {
   reclaim_freq : int;
   epoch_freq : int;
   pop_mult : int;
-  fence_cost : int;
   ping_timeout_spins : int;
   reclaim_scale : int;
   segment_size : int;
@@ -21,7 +20,6 @@ let default ?(max_threads = 8) () =
     reclaim_freq = 512;
     epoch_freq = 32;
     pop_mult = 2;
-    fence_cost = 8;
     ping_timeout_spins = 64;
     reclaim_scale = 0;
     segment_size = 64;
@@ -37,7 +35,6 @@ let validate t =
   if t.reclaim_freq <= 0 then invalid_arg "Smr_config: reclaim_freq must be positive";
   if t.epoch_freq <= 0 then invalid_arg "Smr_config: epoch_freq must be positive";
   if t.pop_mult < 1 then invalid_arg "Smr_config: pop_mult must be at least 1";
-  if t.fence_cost < 0 then invalid_arg "Smr_config: fence_cost must be non-negative";
   if t.ping_timeout_spins <= 0 then
     invalid_arg "Smr_config: ping_timeout_spins must be positive";
   if t.reclaim_scale < 0 then invalid_arg "Smr_config: reclaim_scale must be non-negative";

@@ -13,10 +13,6 @@ type t = {
   pop_mult : int;
       (** [C] in Algorithm 3: EpochPOP falls back to publish-on-ping when
           the retire list reaches [pop_mult * reclaim_freq]. *)
-  fence_cost : int;
-      (** Calibrated cost (in seq_cst RMWs) of one modelled memory
-          fence; see {!Pop_runtime.Fence}. 0 disables the cost model
-          (every fence point then costs only its own atomic store). *)
   ping_timeout_spins : int;
       (** Backoff attempts {!Handshake.ping_and_wait} spends per
           non-responsive peer before giving up on its publish and
@@ -66,10 +62,12 @@ type t = {
 val default : ?max_threads:int -> unit -> t
 (** Paper-flavoured defaults scaled to this machine: [max_hp = 8],
     [reclaim_freq = 512], [epoch_freq = 32], [pop_mult = 2],
-    [fence_cost = 8], [ping_timeout_spins = 64], [reclaim_scale = 0]
-    (flat threshold), [segment_size = 64], [segment_rescan = 2],
-    [suspect_after = 3], [probe_backoff_cap = 64],
-    [spin_yield_after = 4096]. *)
+    [ping_timeout_spins = 64], [reclaim_scale = 0] (flat threshold),
+    [segment_size = 64], [segment_rescan = 2], [suspect_after = 3],
+    [probe_backoff_cap = 64], [spin_yield_after = 4096]. There is no
+    barrier cost knob: every fence a scheme pays is the one OCaml itself
+    executes ([Atomic.set] and read-modify-writes are [xchg]/[lock]-
+    prefixed on x86). *)
 
 val validate : t -> unit
 (** Raise [Invalid_argument] on nonsensical settings. *)

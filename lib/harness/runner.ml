@@ -28,7 +28,6 @@ type cfg = {
   reclaim_scale : int;
   epoch_freq : int;
   pop_mult : int;
-  fence_cost : int;
   max_hp : int;
   ht_load : int;
   ab_branch : int;
@@ -63,7 +62,6 @@ let default_cfg =
     reclaim_scale = 0;
     epoch_freq = 32;
     pop_mult = 2;
-    fence_cost = 8;
     max_hp = 8;
     ht_load = 4;
     ab_branch = 8;
@@ -139,7 +137,6 @@ let smr_config cfg ~max_threads =
     reclaim_scale = cfg.reclaim_scale;
     epoch_freq = cfg.epoch_freq;
     pop_mult = cfg.pop_mult;
-    fence_cost = cfg.fence_cost;
     ping_timeout_spins = cfg.ping_timeout_spins;
     segment_size = cfg.segment_size;
     segment_rescan = (Pop_core.Smr_config.default ()).segment_rescan;

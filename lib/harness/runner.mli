@@ -45,7 +45,6 @@ type cfg = {
           [reclaim_freq]. See {!Pop_core.Smr_config.t.reclaim_scale}. *)
   epoch_freq : int;
   pop_mult : int;
-  fence_cost : int;  (** Modelled fence cost; see {!Pop_runtime.Fence}. *)
   max_hp : int;
   ht_load : int;
   ab_branch : int;

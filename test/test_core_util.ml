@@ -361,7 +361,6 @@ let config_validation () =
       { ok with Smr_config.reclaim_scale = -1 };
       { ok with Smr_config.epoch_freq = 0 };
       { ok with Smr_config.pop_mult = 0 };
-      { ok with Smr_config.fence_cost = -1 };
       { ok with Smr_config.ping_timeout_spins = 0 };
     ]
   in

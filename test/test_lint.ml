@@ -214,7 +214,7 @@ let fence_free_read () =
   let nbr_read body =
     "let read ctx _slot addr _proj =\n  let v = Atomic.get addr in\n" ^ body
     ^ "  if Atomic.get ctx.pending = 1 then Softsignal.poll ctx.port;\n  v\n\n\
-       let enter_write_phase ctx nodes =\n  Fence.execute ctx.fence 7;\n\
+       let enter_write_phase ctx nodes =\n  Atomic.set ctx.slot 7;\n\
       \  if Atomic.get ctx.pending = 1 then Softsignal.poll ctx.port\n"
   in
   Alcotest.(check (list (pair string int)))

@@ -12,7 +12,6 @@ module Make_rig (Q : Queue_intf.QUEUE) = struct
       {
         (Pop_core.Smr_config.default ~max_threads:4 ()) with
         reclaim_freq;
-        fence_cost = 0;
       }
     in
     let hub = Pop_runtime.Softsignal.create ~max_threads:4 in
@@ -86,7 +85,6 @@ let concurrent_producers_consumers (module Q : Queue_intf.QUEUE) () =
     {
       (Pop_core.Smr_config.default ~max_threads:(producers + consumers) ()) with
       reclaim_freq = 32;
-      fence_cost = 0;
     }
   in
   let hub = Pop_runtime.Softsignal.create ~max_threads:(producers + consumers) in
@@ -151,7 +149,6 @@ let single_consumer_order (module Q : Queue_intf.QUEUE) () =
     {
       (Pop_core.Smr_config.default ~max_threads:(producers + 1) ()) with
       reclaim_freq = 32;
-      fence_cost = 0;
     }
   in
   let hub = Pop_runtime.Softsignal.create ~max_threads:(producers + 1) in

@@ -132,7 +132,6 @@ let runner_stall smr =
       duration = 1.0;
       key_range = 512;
       reclaim_freq = 64;
-      fence_cost = 1;
       stall =
         Some
           { Runner.stall_tid = 0; stall_after = 0.1; stall_for = 0.6; stall_polling = true };

@@ -399,17 +399,6 @@ let striped_parallel_incr () =
   Domain.join d2;
   Alcotest.(check int) "sum" (2 * iters) (Striped.sum s)
 
-(* --- Fence --- *)
-
-let fence_counts () =
-  let c = Fence.make_cell () in
-  Fence.execute c 5;
-  Fence.execute c 0;
-  Fence.execute c (-3);
-  (* The cell value equals the number of executed RMWs. *)
-  Fence.execute c 2;
-  Alcotest.(check pass) "no crash on zero/negative" () ()
-
 (* --- Clock --- *)
 
 let clock_monotonic_enough () =
@@ -451,6 +440,5 @@ let suite =
     case "spinlock: mutual exclusion" spinlock_mutual_exclusion;
     case "striped: basic" striped_basic;
     case "striped: parallel increments" striped_parallel_incr;
-    case "fence: robust to zero/negative" fence_counts;
     case "clock: elapsed" clock_monotonic_enough;
   ]

@@ -249,7 +249,6 @@ let sanitized_cfg ds smr =
     key_range = 192;
     reclaim_freq = 24;
     epoch_freq = 8;
-    fence_cost = 1;
     ab_branch = 4;
     ht_load = 2;
     sanitize = true;

@@ -17,7 +17,6 @@ let stress_cfg ds smr =
     key_range = 192;
     reclaim_freq = 24;
     epoch_freq = 8;
-    fence_cost = 1;
     ab_branch = 4;
     ht_load = 2;
   }
@@ -72,7 +71,6 @@ let disjoint_stripes ds smr () =
     {
       (Pop_core.Smr_config.default ~max_threads:threads ()) with
       reclaim_freq = 16;
-      fence_cost = 0;
       max_hp = 16 (* the skip list needs 2*levels+2 *);
     }
   in

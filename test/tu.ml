@@ -22,7 +22,6 @@ let make_rig ?(max_threads = 2) ?(reclaim_freq = 4) ?(epoch_freq = 2) () =
       reclaim_freq;
       epoch_freq;
       pop_mult = 2;
-      fence_cost = 1;
     }
   in
   {
@@ -55,7 +54,6 @@ module Set_rig (S : Pop_ds.Set_intf.SET) = struct
       {
         (Smr_config.default ~max_threads:2 ()) with
         reclaim_freq = 8;
-        fence_cost = 0;
         max_hp = 16 (* room for the skip list's 2*levels+2 *);
       }
     in
@@ -97,7 +95,6 @@ let check_against_model (module S : Pop_ds.Set_intf.SET) ops =
     {
       (Smr_config.default ~max_threads:2 ()) with
       reclaim_freq = 8;
-      fence_cost = 0;
       max_hp = 16;
     }
   in

@@ -395,7 +395,7 @@ let check_heap_free_loop lines =
    [fence_free] top-level functions — each POP scheme's [read]/
    [read_from], NBR's [read], and [Softsignal.poll] up to its pending
    check — no sequentially consistent store or read-modify-write may
-   appear: no [Atomic] write, no [Striped] write, no modelled fence.
+   appear: no [Atomic] write and no [Striped] write.
    Each [delivers] function (those reads, NBR's [enter_write_phase],
    and the signal-served reads of hp-asym and cadence) must contain the
    [Softsignal.poll] call, so that no protected read can stop testing
@@ -428,7 +428,7 @@ let read_guards =
 let fenced_writes =
   [
     "Atomic.set"; "Atomic.incr"; "Atomic.decr"; "Atomic.fetch_and_add"; "Atomic.exchange";
-    "Atomic.compare_and_set"; "Striped.set"; "Striped.incr"; "Striped.add"; "Fence.execute";
+    "Atomic.compare_and_set"; "Striped.set"; "Striped.incr"; "Striped.add";
   ]
 
 let defined_name line =

@@ -23,9 +23,9 @@
       block contents drained by the engine go back through
       [Heap.free_block] in one call, preserving the allocator's
       block-granularity hand-off;
-    - [fence-free-read] — no sequentially consistent store,
-      read-modify-write or modelled fence inside the protected read
-      path: the [read]/[read_from] bodies of [hazard_ptr_pop],
+    - [fence-free-read] — no sequentially consistent store or
+      read-modify-write inside the protected read path: the
+      [read]/[read_from] bodies of [hazard_ptr_pop],
       [hazard_era_pop] and [epoch_pop] in [lib/core], NBR's [read], and
       [Softsignal.poll] before its pending check; and every delivery
       point (those POP reads, NBR's [read] and [enter_write_phase],
