@@ -1,6 +1,6 @@
 (* popbench: run one benchmark cell (any data structure x any SMR) and
-   print its full result, or run the robustness tournament. Figure
-   sweeps run through bench/main.exe. *)
+   print its full result, or run one figure of the registry
+   ([--fig NAME]; Pop_bench.Figures). *)
 
 open Cmdliner
 open Pop_harness
@@ -157,18 +157,8 @@ let run_cell ds smr threads duration key_range ins del reclaim_freq reclaim_scal
   match json with
   | None -> ()
   | Some file ->
-      let label = Printf.sprintf "%s/%s/t%d" (Dispatch.ds_name ds) (Dispatch.smr_name smr) threads in
-      Json.to_file file (Runner.cells_json [ (label, r) ]);
+      Json.to_file file (Pop_bench.Figures.runner_cells [ r ]);
       Printf.printf "wrote %s\n" file
-
-let run_tournament smrs scenarios fullscale json =
-  let sc = if fullscale then Experiments.full else Experiments.quick in
-  let cells = Experiments.fig_tournament ?smrs ?scenarios sc in
-  match json with
-  | None -> ()
-  | Some file ->
-      Json.to_file file (Runner.cells_json cells);
-      Printf.printf "wrote %s (%d cells)\n" file (List.length cells)
 
 let cmd =
   let ds = Arg.(value & opt ds_conv Dispatch.HML & info [ "ds" ] ~doc:"Data structure.") in
@@ -297,21 +287,34 @@ let cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE" ~doc:"Also write the cell result as JSON to $(docv).")
   in
-  let tournament =
+  let fig =
     Arg.(
-      value & flag
-      & info [ "tournament" ]
+      value
+      & opt (some (enum (List.map (fun n -> (n, n)) Pop_bench.Figures.names))) None
+      & info [ "fig" ] ~docv:"NAME"
           ~doc:
-            "Run the adversarial robustness tournament (scenario matrix x scheme roster, \
-             all cells sanitized) instead of a single cell; combine with --smrs, \
-             --scenarios, --full and --json.")
+            (Printf.sprintf
+               "Run a figure of the paper's evaluation instead of a single cell: %s. 'all' \
+                runs every figure but the tournament; the cell options do not apply."
+               (String.concat ", " Pop_bench.Figures.names)))
+  in
+  let out =
+    Arg.(
+      value
+      & opt (some dir) None
+      & info [ "out" ] ~docv:"DIR"
+          ~doc:
+            "With --fig, write each figure that has a committed baseline to \
+             $(docv)/BENCH_<name>.json.")
   in
   let tournament_smrs =
     Arg.(
       value
       & opt (some (list smr_conv)) None
       & info [ "smrs" ] ~docv:"SMR,..."
-          ~doc:"Restrict the tournament roster to these schemes (default: full roster).")
+          ~doc:
+            "With --fig tournament, restrict the roster to these schemes (default: full \
+             roster).")
   in
   let tournament_scenarios =
     Arg.(
@@ -319,19 +322,24 @@ let cmd =
       & opt (some (list string)) None
       & info [ "scenarios" ] ~docv:"NAME,..."
           ~doc:
-            "Restrict the tournament to these scenarios \
+            "With --fig tournament, restrict the matrix to these scenarios \
              (stall-poll|stall-deaf|crash|churn|oversub|kv-skew; default: all six).")
   in
-  let fullscale = Arg.(value & flag & info [ "full" ] ~doc:"Full-scale tournament.") in
+  let fullscale =
+    Arg.(value & flag & info [ "full" ] ~doc:"With --fig, longer runs on larger structures.")
+  in
   let main ds smr threads duration key_range ins del reclaim reclaim_scale epochf popm lrr kv
       zipf rate stall_for stall_polling churn_counts churn_start churn_period ping_timeout
-      suspect_after probe_cap segment_size drop_ping delay_poll seed sanitize csv json
-      tournament smrs scenarios fullscale =
-    if tournament then run_tournament smrs scenarios fullscale json
-    else
-      run_cell ds smr threads duration key_range ins del reclaim reclaim_scale epochf popm lrr
-        kv zipf rate stall_for stall_polling churn_counts churn_start churn_period ping_timeout
-        suspect_after probe_cap segment_size drop_ping delay_poll seed sanitize csv json
+      suspect_after probe_cap segment_size drop_ping delay_poll seed sanitize csv json fig
+      out smrs scenarios fullscale =
+    match fig with
+    | Some name ->
+        let scale = if fullscale then Experiments.full else Experiments.quick in
+        Pop_bench.Figures.run ?out { scale; smrs; scenarios } name
+    | None ->
+        run_cell ds smr threads duration key_range ins del reclaim reclaim_scale epochf popm lrr
+          kv zipf rate stall_for stall_polling churn_counts churn_start churn_period ping_timeout
+          suspect_after probe_cap segment_size drop_ping delay_poll seed sanitize csv json
   in
   Cmd.v
     (Cmd.info "popbench" ~doc:"Publish-on-ping reclamation benchmark")
@@ -339,7 +347,7 @@ let cmd =
       const main $ ds $ smr $ threads $ duration $ key_range $ ins $ del $ reclaim
       $ reclaim_scale $ epochf $ popm $ lrr $ kv $ zipf $ rate $ stall_for $ stall_polling
       $ churn_counts $ churn_start $ churn_period $ ping_timeout $ suspect_after $ probe_cap
-      $ segment_size $ drop_ping $ delay_poll $ seed $ sanitize $ csv $ json $ tournament
+      $ segment_size $ drop_ping $ delay_poll $ seed $ sanitize $ csv $ json $ fig $ out
       $ tournament_smrs $ tournament_scenarios $ fullscale)
 
 let () = exit (Cmd.eval cmd)

@@ -10,7 +10,6 @@ type t = {
   segment_rescan : int;
   suspect_after : int;
   probe_backoff_cap : int;
-  spin_yield_after : int;
 }
 
 let default ?(max_threads = 8) () =
@@ -26,7 +25,6 @@ let default ?(max_threads = 8) () =
     segment_rescan = 2;
     suspect_after = 3;
     probe_backoff_cap = 64;
-    spin_yield_after = 4096;
   }
 
 let validate t =
@@ -43,6 +41,4 @@ let validate t =
     invalid_arg "Smr_config: segment_rescan must be non-negative";
   if t.suspect_after <= 0 then invalid_arg "Smr_config: suspect_after must be positive";
   if t.probe_backoff_cap <= 0 then
-    invalid_arg "Smr_config: probe_backoff_cap must be positive";
-  if t.spin_yield_after <= 0 then
-    invalid_arg "Smr_config: spin_yield_after must be positive"
+    invalid_arg "Smr_config: probe_backoff_cap must be positive"

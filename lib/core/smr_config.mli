@@ -49,14 +49,6 @@ type t = {
           re-probes of a quarantined peer. Lower values re-admit a
           recovered peer sooner at the price of more pings wasted on a
           genuinely dead one. *)
-  spin_yield_after : int;
-      (** Spin budget for harness-side busy waits (start barriers,
-          open-loop idling) before they escalate from
-          [Domain.cpu_relax] to timed sleeps. On an oversubscribed
-          scheduler (domains > cores) a bare relax loop burns whole
-          quanta and starves the very ping polling the POP schemes
-          depend on; bounding it keeps oversubscription cells a
-          measurement of the scheme, not the scheduler. *)
 }
 
 val default : ?max_threads:int -> unit -> t
@@ -64,10 +56,11 @@ val default : ?max_threads:int -> unit -> t
     [reclaim_freq = 512], [epoch_freq = 32], [pop_mult = 2],
     [ping_timeout_spins = 64], [reclaim_scale = 0] (flat threshold),
     [segment_size = 64], [segment_rescan = 2], [suspect_after = 3],
-    [probe_backoff_cap = 64], [spin_yield_after = 4096]. There is no
-    barrier cost knob: every fence a scheme pays is the one OCaml itself
-    executes ([Atomic.set] and read-modify-writes are [xchg]/[lock]-
-    prefixed on x86). *)
+    [probe_backoff_cap = 64]. There is no barrier cost knob: every
+    fence a scheme pays is the one OCaml itself executes ([Atomic.set]
+    and read-modify-writes are [xchg]/[lock]-prefixed on x86). A knob
+    no scheme reads, such as the harness's busy-wait budget, is not
+    here but with its reader. *)
 
 val validate : t -> unit
 (** Raise [Invalid_argument] on nonsensical settings. *)

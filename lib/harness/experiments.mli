@@ -23,7 +23,7 @@ type scale = {
 }
 
 val quick : scale
-(** A few minutes total; the default for [bench/main.exe]. *)
+(** A few minutes total; the default scale of [popbench --fig]. *)
 
 val full : scale
 (** Longer runs, more threads, larger structures. *)

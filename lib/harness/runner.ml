@@ -72,7 +72,7 @@ let default_cfg =
     ping_timeout_spins = 64;
     suspect_after = 3;
     probe_backoff_cap = 64;
-    spin_yield_after = (Pop_core.Smr_config.default ()).spin_yield_after;
+    spin_yield_after = 4096;
     segment_size = 64;
     drop_ping = 0.0;
     delay_poll = 0.0;
@@ -125,10 +125,20 @@ type tally = {
   lat : Histogram.t;
 }
 
+let ds_config cfg =
+  {
+    Pop_ds.Ds_config.key_range = cfg.key_range;
+    ht_load = cfg.ht_load;
+    ab_branch = cfg.ab_branch;
+    skip_levels = 8;
+  }
+
 let smr_config cfg ~max_threads =
   (* The skip list holds a pred+succ reservation per level. *)
   let needed_hp =
-    match cfg.ds with Dispatch.SL -> (2 * 8 (* skip_levels *)) + 2 | _ -> 0
+    match cfg.ds with
+    | Dispatch.SL -> (2 * (ds_config cfg).Pop_ds.Ds_config.skip_levels) + 2
+    | _ -> 0
   in
   {
     Pop_core.Smr_config.max_threads;
@@ -142,7 +152,6 @@ let smr_config cfg ~max_threads =
     segment_rescan = (Pop_core.Smr_config.default ()).segment_rescan;
     suspect_after = cfg.suspect_after;
     probe_backoff_cap = cfg.probe_backoff_cap;
-    spin_yield_after = cfg.spin_yield_after;
   }
 
 (* Bounded spin-wait for the harness's own busy loops (start barrier,
@@ -163,14 +172,6 @@ let spin_wait ~budget ?(poll = fun () -> ()) cond =
     end
     else Unix.sleepf 5e-5
   done
-
-let ds_config cfg =
-  {
-    Pop_ds.Ds_config.key_range = cfg.key_range;
-    ht_load = cfg.ht_load;
-    ab_branch = cfg.ab_branch;
-    skip_levels = 8;
-  }
 
 let run cfg =
   Workload.validate cfg.mix;

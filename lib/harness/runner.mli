@@ -68,9 +68,12 @@ type cfg = {
   spin_yield_after : int;
       (** Spin budget for the harness's own busy waits (start/ready
           barriers, open-loop idling) before they escalate from
-          [Domain.cpu_relax] to timed sleeps; see
-          {!Pop_core.Smr_config.t.spin_yield_after}. Keeps
-          oversubscription cells from starving ping polling. *)
+          [Domain.cpu_relax] to timed sleeps (default 4096; no scheme
+          reads it). On an oversubscribed scheduler (domains > cores) a
+          bare relax loop burns whole quanta and starves the very ping
+          polling the POP schemes depend on; bounding it keeps
+          oversubscription cells a measurement of the scheme, not the
+          scheduler. *)
   segment_size : int;
       (** Retire-buffer segment-block capacity; see
           {!Pop_core.Smr_config.t.segment_size}. *)

@@ -416,6 +416,35 @@ let experiments_sizes () =
         (Experiments.size_of sc ds > 0))
     Dispatch.all_ds
 
+(* The figure registry behind [popbench --fig]. *)
+module Figures = Pop_bench.Figures
+
+let registry_names_unique () =
+  let names = Figures.names in
+  Alcotest.(check int) "no figure name listed twice" (List.length names)
+    (List.length (List.sort_uniq String.compare names))
+
+let registry_resolves_every_name () =
+  List.iter
+    (fun name ->
+      if Figures.select name = [] then Alcotest.failf "--fig %s runs nothing" name)
+    [ "micro"; "1"; "2"; "3"; "4"; "5"; "9"; "10"; "11"; "over"; "latency"; "seg"; "alloc";
+      "kv"; "ablation"; "all"; "tournament" ];
+  Alcotest.(check bool) "all leaves the tournament out" false
+    (List.exists (fun f -> List.mem "tournament" f.Figures.names) (Figures.select "all"));
+  Alcotest.(check int) "an unknown name runs nothing" 0 (List.length (Figures.select "bogus"))
+
+(* Every figure that writes a baseline writes a committed one, and every
+   committed baseline has a figure that rewrites it. *)
+let registry_baselines_committed () =
+  let written =
+    List.filter_map Figures.baseline Figures.registry
+    |> List.map (Printf.sprintf "BENCH_%s.json")
+    |> List.sort String.compare
+  in
+  Alcotest.(check (list string))
+    "baselines written = baselines committed" (committed_baselines ()) written
+
 let suite =
   [
     case "dispatch: name round trips" dispatch_round_trip;
@@ -439,4 +468,8 @@ let suite =
     case "runner: kv records reclamation pauses" runner_kv_records_pause;
     case "experiments: micro sweep end-to-end" experiments_micro_sweep;
     case "experiments: scales define sizes" experiments_sizes;
+    case "figures: registry names are unique" registry_names_unique;
+    case "figures: every former --fig name and the tournament resolve"
+      registry_resolves_every_name;
+    case "figures: each baseline a figure writes is committed" registry_baselines_committed;
   ]

@@ -159,11 +159,7 @@ let accessors () =
    shapes (bechamel rows, keyed cell arrays, Runner cells with and
    without a scenario descriptor); the reader must take every one. *)
 let committed_baselines_parse () =
-  let files =
-    Sys.readdir ".."
-    |> Array.to_list
-    |> List.filter (fun f -> String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
-  in
+  let files = committed_baselines () in
   List.iter
     (fun f ->
       if not (List.mem f files) then Alcotest.failf "%s not visible to the test (dune deps?)" f)

@@ -123,7 +123,7 @@ let heap_free_loop () =
   Alcotest.(check bool) "tests are exempt (they exercise the per-node API)" false
     (flags "heap-free-loop" "test/a.ml" for_loop);
   Alcotest.(check bool) "benches are exempt" false
-    (flags "heap-free-loop" "bench/main.ml" for_loop)
+    (flags "heap-free-loop" "bench/replay.ml" for_loop)
 
 let raw_smr () =
   let sig_use = "module Make (R : Smr.S) : Set_intf.SET = struct" in

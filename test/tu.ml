@@ -6,6 +6,14 @@ module Heap = Pop_sim.Heap
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* The committed repo-root BENCH_*.json files, which test/dune declares
+   as deps of the test run (the suite runs from _build/default/test). *)
+let committed_baselines () =
+  Sys.readdir ".."
+  |> Array.to_list
+  |> List.filter (fun f -> String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
+  |> List.sort String.compare
+
 (* A small SMR test rig: a two-slot hub with only thread 0 registered by
    default (ping rounds then complete immediately), a unit-payload heap,
    and aggressive reclamation so tests trigger passes with few retires. *)

@@ -9,8 +9,8 @@
 #   5. six fixed-seed smoke runs, each checked by `benchcheck CONTRACT
 #      FILE` against its named JSON contract (json, churn, seg, kv, alloc,
 #      tournament; tools/benchcheck/contracts.ml says what each requires).
-#      Bench figures run from _build so the committed repo-root baselines
-#      are not overwritten.
+#      Figures write to _build/smoke (`popbench --fig NAME --out DIR`), so
+#      the committed repo-root baselines are not overwritten.
 # Run from the repository root: sh tools/tier1.sh
 set -e
 cd "$(dirname "$0")/.."
@@ -23,7 +23,6 @@ rm -rf "$out"
 mkdir -p "$out"
 trap 'rm -rf "$out"' EXIT
 popbench=./_build/default/bin/popbench.exe
-bench="$(pwd)/_build/default/bench/main.exe"
 check=./_build/default/tools/benchcheck/benchcheck.exe
 $popbench --ds hml --smr epoch-pop -t 2 -d 0.2 --json "$out/json.json" > /dev/null
 $check json "$out/json.json"
@@ -32,10 +31,10 @@ $popbench --ds hml --smr hp-pop -t 4 -d 0.5 \
   --json "$out/churn.json" > /dev/null
 $check churn "$out/churn.json"
 for fig in seg kv alloc; do
-  (cd "$out" && "$bench" --fig $fig --json > /dev/null)
+  $popbench --fig $fig --out "$out" > /dev/null
   $check $fig "$out/BENCH_$fig.json"
 done
-$popbench --tournament --smrs ebr,hyaline-1s \
-  --scenarios stall-poll,crash,kv-skew --json "$out/tournament.json" > /dev/null
-$check tournament "$out/tournament.json"
+$popbench --fig tournament --smrs ebr,hyaline-1s \
+  --scenarios stall-poll,crash,kv-skew --out "$out" > /dev/null
+$check tournament "$out/BENCH_tournament.json"
 echo "tier-1: ok"
