@@ -12,6 +12,21 @@ module Rng = Pop_runtime.Rng
    the set operation, not the generator. *)
 let key_cycle = 4096
 
+let items ~update =
+  let rng = Rng.make (if update then 9 else 7) in
+  Array.init key_cycle (fun _ ->
+      let k = Rng.int rng 256 in
+      if update then (k lsl 1) lor Bool.to_int (Rng.bool rng) else k)
+
+(* Nodes a staged contains visits, averaged over the key cycle: a search
+   for k walks every prefilled key below k, then stops on the first node
+   at or above it (a key or the tail). *)
+let contains_hops =
+  let keys = Workload.prefill_keys ~key_range:256 in
+  let visits k = 1 + List.length (List.filter (fun x -> x < k) keys) in
+  let total = Array.fold_left (fun acc k -> acc + visits k) 0 (items ~update:false) in
+  float_of_int total /. float_of_int key_cycle
+
 (* A single-threaded list prefilled to half of 256 keys. [~update:false]
    stages one contains over the full key range (the pure read path, with
    reclamation effectively off); [~update:true] stages an insert or a
@@ -25,12 +40,7 @@ let hml_test ~update smr =
   let s = S.create scfg dcfg ~hub in
   let ctx = S.register s ~tid:0 in
   List.iter (fun k -> ignore (S.insert ctx k)) (Workload.prefill_keys ~key_range:256);
-  let rng = Rng.make (if update then 9 else 7) in
-  let items =
-    Array.init key_cycle (fun _ ->
-        let k = Rng.int rng 256 in
-        if update then (k lsl 1) lor Bool.to_int (Rng.bool rng) else k)
-  and i = ref 0 in
+  let items = items ~update and i = ref 0 in
   (* Each closure indexes [items] itself: without flambda a shared
      helper would be one more call inside the timed region. *)
   Test.make ~name:(Dispatch.smr_name smr)
@@ -117,12 +127,34 @@ let run_bechamel ~name tests =
   (* Bechamel's grouped labels already carry the group name. *)
   rows
 
+(* The cost of one protected hop (the paper's section 2.1.2 argument):
+   each contains row, fit and interval included, divided by
+   {!contains_hops}. *)
+let contains_group = "hml contains, size 256 (paper sec. 2.1.2)"
+
+let per_hop_rows contains_rows =
+  let group = Printf.sprintf "hml contains per hop (%.1f hops), size 256" contains_hops
+  and h = contains_hops
+  and skip = String.length contains_group in
+  List.map
+    (fun ((label, ns, r2, lo, hi), tries) ->
+      let smr = String.sub label skip (String.length label - skip) in
+      ((group ^ smr, ns /. h, r2, lo /. h, hi /. h), tries))
+    contains_rows
+
 (* BENCH_micro.json: one label/ns/interval/fit row per test. *)
 let fig () =
+  let primitives = run_bechamel ~name:"reservation primitives" primitive_tests in
+  let contains =
+    run_bechamel ~name:contains_group
+      (List.map (hml_test ~update:false) Dispatch.paper_smrs)
+  in
+  let per_hop = per_hop_rows contains in
+  Report.table ~header:[ "case"; "ns/hop" ]
+    ~rows:
+      (List.map (fun ((label, ns, _, _, _), _) -> [ label; Printf.sprintf "%.2f" ns ]) per_hop);
   let rows =
-    run_bechamel ~name:"reservation primitives" primitive_tests
-    @ run_bechamel ~name:"hml contains, size 256 (paper sec. 2.1.2)"
-        (List.map (hml_test ~update:false) Dispatch.paper_smrs)
+    primitives @ contains @ per_hop
     @ run_bechamel ~name:"hml 50i/50d, size 256"
         (List.map (hml_test ~update:true) Dispatch.paper_smrs)
   in

@@ -317,13 +317,16 @@ let cmd =
              roster).")
   in
   let tournament_scenarios =
+    let names = Experiments.tournament_scenario_names in
     Arg.(
       value
-      & opt (some (list string)) None
+      & opt (some (list (enum (List.map (fun n -> (n, n)) names)))) None
       & info [ "scenarios" ] ~docv:"NAME,..."
           ~doc:
-            "With --fig tournament, restrict the matrix to these scenarios \
-             (stall-poll|stall-deaf|crash|churn|oversub|kv-skew; default: all six).")
+            (Printf.sprintf
+               "With --fig tournament, restrict the matrix to these scenarios (%s; default: \
+                all of them)."
+               (String.concat "|" names)))
   in
   let fullscale =
     Arg.(value & flag & info [ "full" ] ~doc:"With --fig, longer runs on larger structures.")

@@ -29,6 +29,7 @@ type 'a tctx = {
   counter_scratch : int array;
   timeout_scratch : bool array;
   mutable stuck_epoch : int; (* floor captured by the last pop collect *)
+  mutable epoch_floor : int; (* floor the last epoch pass kept above *)
   mutable op_counter : int;
 }
 
@@ -74,6 +75,7 @@ let register g ~tid =
       counter_scratch = Array.make g.cfg.max_threads 0;
       timeout_scratch = Array.make g.cfg.max_threads false;
       stuck_epoch = max_int;
+      epoch_floor = min_int;
       op_counter = 0;
     }
   in
@@ -115,15 +117,20 @@ let check ctx n = if n.Heap.seq land 1 = 1 then Heap.check_access ctx.g.heap n
 
 let alloc ctx = Heap.alloc ctx.g.heap ~tid:ctx.tid ~birth_era:(Atomic.get ctx.g.epoch)
 
-(* Algorithm 3, RECLAIMEPOCHFREEABLE: plain EBR reclamation. *)
-let reclaim_epoch ctx =
-  let g = ctx.g in
+(* The lowest announced epoch: every node retired before it is free of
+   epoch-protected readers. *)
+let floor g =
   let min_epoch = ref max_int in
   for tid = 0 to g.cfg.max_threads - 1 do
     let e = Striped.get g.reserved_epoch tid in
     if e < !min_epoch then min_epoch := e
   done;
-  let min_epoch = !min_epoch in
+  !min_epoch
+
+(* Algorithm 3, RECLAIMEPOCHFREEABLE: plain EBR reclamation. *)
+let reclaim_epoch ctx =
+  let min_epoch = floor ctx.g in
+  ctx.epoch_floor <- min_epoch;
   ignore
     (Reclaimer.scan_plain ~kind:Reclaimer.Plain
        ~keep:(fun n -> n.Heap.retire_era >= min_epoch)
@@ -179,16 +186,23 @@ let reclaim_pop ?force ctx =
        ctx.rl)
 
 let retire ctx n =
-  n.Heap.retire_era <- Atomic.get ctx.g.epoch;
+  let g = ctx.g in
+  n.Heap.retire_era <- Atomic.get g.epoch;
   Reclaimer.retire ctx.rl n;
   let len = Reclaimer.pending ctx.rl in
-  let freq = Reclaimer.threshold ctx.g.eng in
+  let freq = Reclaimer.threshold g.eng in
   if len mod freq = 0 then begin
     reclaim_epoch ctx;
     (* Still too much garbage after an epoch pass: suspect a delayed
        thread and fall back to publish-on-ping. *)
-    if Reclaimer.pending ctx.rl >= ctx.g.cfg.pop_mult * freq then reclaim_pop ctx
+    if Reclaimer.pending ctx.rl >= g.cfg.pop_mult * freq then reclaim_pop ctx
   end
+  else if len > freq && len mod g.cfg.segment_size = 0 && floor g > ctx.epoch_floor then
+    (* A pass that a lagging announcement blocked is retried once per
+       segment block as soon as the floor moves, not a whole threshold
+       later: the peer usually catches up within a few hundred
+       retires. *)
+    reclaim_epoch ctx
 
 let free_unpublished ctx n = Reclaimer.free_unpublished ctx.rl n
 

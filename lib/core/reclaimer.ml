@@ -119,7 +119,6 @@ type 'a local = {
   mutable free_len : int;
   reserved : Id_set.t;
   scratch : int array;
-  mutable scratch_len : int;
   doomed : 'a Heap.node array;
       (* Per-pass partition scratch: [Scan_block] filtering collects the
          non-kept nodes of one block here and frees them with a single
@@ -151,7 +150,6 @@ let register r ~tid ~scratch_slots =
     free_len = 0;
     reserved = Id_set.create ~capacity:scratch_slots;
     scratch = Array.make (max 1 scratch_slots) 0;
-    scratch_len = 0;
     doomed = Array.make (max 1 r.seg_size) (Heap.sentinel r.heap);
     snap_gen = -1;
     moves = 0;
@@ -391,8 +389,6 @@ let snapshot l = l.reserved
 
 let raw l = l.scratch
 
-let raw_len l = l.scratch_len
-
 (* Donate into the donor's own stripe: the only thread that can hold
    this lock against us is an adopter momentarily claiming the stripe,
    so a failed [try_lock] is genuine cross-thread contention (counted)
@@ -577,7 +573,6 @@ let scan ?(force = false) ?(fill = true) ?block_keep ~kind ~collect ~except ~kee
        pause figure the latency report surfaces. *)
     let t0 = Clock.now () in
     let k = collect l.scratch in
-    l.scratch_len <- k;
     if fill then begin
       Id_set.fill l.reserved ~except l.scratch k;
       Id_set.seal l.reserved
@@ -595,10 +590,15 @@ let scan ?(force = false) ?(fill = true) ?block_keep ~kind ~collect ~except ~kee
     else begin
       touched := l.open_seg.blocks;
       freed := filter_blist ?block_keep l l.open_seg keep;
-      let old_covered = l.covered.blocks in
+      let old_covered = l.covered.blocks and spliced = l.open_seg.blocks in
       splice_blist l.covered l.open_seg;
-      rescan_covered ?block_keep l ~quota:(min l.r.rescan_blocks old_covered) ~keep ~freed
-        ~touched
+      (* Re-vet at least as many covered blocks as this pass adds: a
+         scheme whose own reservation pins most of the open segment
+         (he-pop's era) would otherwise grow the covered list by
+         [spliced - rescan_blocks] blocks per pass and never drain it. *)
+      rescan_covered ?block_keep l
+        ~quota:(min (l.r.rescan_blocks + spliced) old_covered)
+        ~keep ~freed ~touched
     end;
     (* Capture the generation only now: everything published before the
        collect read the table is in this snapshot, so handler bumps

@@ -39,10 +39,10 @@
     a per-reclaimer freelist (bounding allocation churn the way
     {!Pop_sim.Heap}'s node freelists already do), promotes the open
     list's survivors to covered with one splice, and re-vets at most
-    {!Smr_config.t.segment_rescan} previously covered blocks — so fresh
-    work is O(uncovered blocks + rescan quota), never O(total retired),
-    matching BW21's constant-time block operations (see DESIGN.md
-    §4.2).
+    {!Smr_config.t.segment_rescan} previously covered blocks more than
+    it spliced in — so fresh work is O(uncovered blocks + rescan
+    quota), never O(total retired), matching BW21's constant-time block
+    operations (see DESIGN.md §4.2).
 
     {b Adaptive threshold.} With {!Smr_config.t.reclaim_scale} set, the
     trigger threshold scales with [threads × max_hp] (Michael-style
@@ -168,8 +168,6 @@ val raw : 'a local -> int array
 (** The raw collect scratch (for IBR's positional interval pairs, which
     a sorted set cannot represent). *)
 
-val raw_len : 'a local -> int
-
 val take_all : 'a local -> 'a Heap.node array
 (** Adopt any pending orphans, then drain the buffer without freeing
     (Hyaline hands the batch over to its reference-counted lists). *)
@@ -211,10 +209,10 @@ val scan :
     element count; the scratch is sealed into the snapshot (skipped
     with [~fill:false], for IBR); the open list is filtered block by
     block, its survivors are spliced onto the covered list, and up to
-    {!Smr_config.t.segment_rescan} previously covered blocks are
-    re-vetted against the new snapshot. [~force:true] (flush, explicit
-    drains) filters {e everything}, covered included — seed-engine
-    semantics. [keep] must be monotone in the snapshot: it may consult
+    {!Smr_config.t.segment_rescan} plus as many previously covered
+    blocks as were spliced in are re-vetted against the new snapshot.
+    [~force:true] (flush, explicit drains) filters {e everything},
+    covered included — seed-engine semantics. [keep] must be monotone in the snapshot: it may consult
     {!snapshot} / {!raw} and per-scheme floors captured by the
     [collect] closure. [?block_keep] is the block-level fast path:
     given a non-empty block's era stamps it may settle the whole block

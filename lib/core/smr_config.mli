@@ -34,10 +34,13 @@ type t = {
           ones recycle (and hence bound fragmentation) sooner. *)
   segment_rescan : int;
       (** How many covered segment blocks a fresh (non-forced) pass
-          re-vets against the new snapshot, in addition to the open
-          segment. 0 leaves covered garbage to forced passes only; the
-          default 2 bounds covered-prefix staleness without giving up
-          the pass's O(uncovered blocks) cost. *)
+          re-vets against the new snapshot beyond the blocks it splices
+          onto the covered list: a pass that splices in [b] blocks
+          re-vets up to [segment_rescan + b] older ones, so the covered
+          list drains even when a scheme's own reservation pins most of
+          every open segment (he-pop's era; see EXPERIMENTS.md "What
+          sets he-pop's peak garbage"). The default 2 is the drain rate
+          once the splices stop; the pass stays O(uncovered blocks). *)
   suspect_after : int;
       (** Consecutive stale-heartbeat handshake timeouts before the
           {!Handshake} failure detector quarantines a peer. Raise it on

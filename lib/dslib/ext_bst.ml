@@ -33,8 +33,8 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let inf2 = max_int
 
+  (* The key lives in the node header ([Heap.node.key]). *)
   type data = {
-    mutable key : int;
     mutable is_leaf : bool;
     mutable marked : bool;
     lock : Spinlock.t;
@@ -44,7 +44,6 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let payload _id =
     {
-      key = 0;
       is_leaf = true;
       marked = false;
       lock = Spinlock.create ();
@@ -62,7 +61,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let make_leaf_sentinel heap key =
     let n = Heap.sentinel heap in
-    (pl n).key <- key;
+    n.Heap.key <- key;
     (pl n).is_leaf <- true;
     n
 
@@ -70,12 +69,12 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
     let base = Common.make_base scfg dcfg hub payload in
     let heap = base.Common.heap in
     let s = Heap.sentinel heap in
-    (pl s).key <- inf1;
+    s.Heap.key <- inf1;
     (pl s).is_leaf <- false;
     Atomic.set (pl s).left (Some (make_leaf_sentinel heap inf0));
     Atomic.set (pl s).right (Some (make_leaf_sentinel heap inf1));
     let anchor = Heap.sentinel heap in
-    (pl anchor).key <- inf2;
+    anchor.Heap.key <- inf2;
     (pl anchor).is_leaf <- false;
     Atomic.set (pl anchor).left (Some s);
     Atomic.set (pl anchor).right (Some (make_leaf_sentinel heap inf2));
@@ -84,7 +83,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
   let register s ~tid =
     { s; h = T.register s.base.smr ~tid; sl = T.slots s.base.smr; tid }
 
-  let child_cell n key = if key < (pl n).key then (pl n).left else (pl n).right
+  let child_cell n key = if key < n.Heap.key then (pl n).left else (pl n).right
 
   type path = {
     gp : data Heap.node;
@@ -139,13 +138,13 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
   let points_to cell n = match Atomic.get cell with Some x -> x == n | None -> false
 
   let contains ctx key =
-    Common.with_op ctx.h (fun a -> (pl (search ctx a key).l).key = key)
+    Common.with_op ctx.h (fun a -> (search ctx a key).l.Heap.key = key)
 
   let insert ctx key =
     Common.with_op ctx.h (fun a ->
         let rec attempt a =
           let path = search ctx a key in
-          let lkey = (pl path.l).key in
+          let lkey = path.l.Heap.key in
           if lkey = key then false
           else begin
             let w = T.enter_write_phase a [| path.p; path.l |] in
@@ -156,19 +155,19 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
             end
             else begin
               let leaf = T.alloc w in
-              (pl leaf).key <- key;
+              leaf.Heap.key <- key;
               (pl leaf).is_leaf <- true;
               (pl leaf).marked <- false;
               let internal = T.alloc w in
               (pl internal).is_leaf <- false;
               (pl internal).marked <- false;
               if key < lkey then begin
-                (pl internal).key <- lkey;
+                internal.Heap.key <- lkey;
                 Atomic.set (pl internal).left (Some leaf);
                 Atomic.set (pl internal).right (Some path.l)
               end
               else begin
-                (pl internal).key <- key;
+                internal.Heap.key <- key;
                 Atomic.set (pl internal).left (Some path.l);
                 Atomic.set (pl internal).right (Some leaf)
               end;
@@ -184,7 +183,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
     Common.with_op ctx.h (fun a ->
         let rec attempt a =
           let path = search ctx a key in
-          if (pl path.l).key <> key then false
+          if path.l.Heap.key <> key then false
           else begin
             let w = T.enter_write_phase a [| path.gp; path.p; path.l |] in
             Common.lock_serving w (pl path.gp).lock;
@@ -240,7 +239,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
     let rec go n =
       let p = pl n in
       if p.is_leaf then begin
-        if p.key < inf0 then f p.key
+        if n.Heap.key < inf0 then f n.Heap.key
       end
       else begin
         go (proj (Atomic.get p.left));
@@ -262,17 +261,17 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
   let check_invariants s =
     (* Inclusive bounds: keys under [n] lie in [lo, hi]. *)
     let rec go n lo hi =
-      let p = pl n in
+      let p = pl n and k = n.Heap.key in
       if not (Heap.is_live n) then failwith "ext_bst: freed node still linked";
       if p.marked then failwith "ext_bst: marked node still linked";
       if Spinlock.is_locked p.lock then failwith "ext_bst: node left locked";
       if p.is_leaf then begin
-        if not (lo <= p.key && p.key <= hi) then failwith "ext_bst: leaf key out of range"
+        if not (lo <= k && k <= hi) then failwith "ext_bst: leaf key out of range"
       end
       else begin
-        if not (lo < p.key && p.key <= hi) then failwith "ext_bst: internal key out of range";
-        go (proj (Atomic.get p.left)) lo (p.key - 1);
-        go (proj (Atomic.get p.right)) p.key hi
+        if not (lo < k && k <= hi) then failwith "ext_bst: internal key out of range";
+        go (proj (Atomic.get p.left)) lo (k - 1);
+        go (proj (Atomic.get p.right)) k hi
       end
     in
     go s.anchor min_int max_int

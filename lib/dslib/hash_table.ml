@@ -13,11 +13,11 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let smr_name = T.name
 
-  type t = { base : Core.data Common.base; buckets : Core.bucket array }
+  type t = { base : Core.cell Common.base; buckets : Core.bucket array }
 
   type ctx = {
     s : t;
-    h : (Core.data, Smr_typed.idle) T.handle;
+    h : (Core.cell, Smr_typed.idle) T.handle;
     sl : T.slot array;
     tid : int;
   }

@@ -21,39 +21,41 @@ open Pop_core
 module Heap = Pop_sim.Heap
 
 module Make (T : Smr_typed.S) = struct
-  type data = { mutable key : int; next : link Atomic.t }
-
-  (* The target sits in the [Link] block itself: one load per hop, one
+  (* The node's [next] cell is its whole payload and its key sits in
+     the node header: a hop is node -> cell -> [Link] -> node, and a key
+     read is one load. The target sits in the [Link] block itself, one
      allocation per store. [Nil] is only the placeholder in fresh
      payloads; no linked node ever carries it. *)
-  and link = Nil | Link of { tgt : data Heap.node; marked : bool }
+  type cell = link Atomic.t
 
-  type bucket = { head : data Heap.node }
+  and link = Nil | Link of { tgt : cell Heap.node; marked : bool }
+
+  type bucket = { head : cell Heap.node }
 
   exception Retry_find
 
-  let payload _id = { key = 0; next = Atomic.make Nil }
+  let payload _id = Atomic.make Nil
 
   let proj = function Link l -> l.tgt | Nil -> failwith "hm_core: read the Nil placeholder"
 
-  let node_key (n : data Heap.node) = n.Heap.payload.key
+  let node_key (n : cell Heap.node) = n.Heap.key
 
-  let next_cell (n : data Heap.node) = n.Heap.payload.next
+  let next_cell (n : cell Heap.node) = n.Heap.payload
 
   let make_tail heap =
     let tail = Heap.sentinel heap in
-    tail.Heap.payload.key <- max_int;
+    tail.Heap.key <- max_int;
     tail
 
   let make_bucket heap ~tail =
     let head = Heap.sentinel heap in
-    head.Heap.payload.key <- min_int;
-    Atomic.set head.Heap.payload.next (Link { tgt = tail; marked = false });
+    head.Heap.key <- min_int;
+    Atomic.set (next_cell head) (Link { tgt = tail; marked = false });
     { head }
 
   type find_res = {
     found : bool;
-    fprev : data Heap.node;
+    fprev : cell Heap.node;
     fprev_cell : link Atomic.t;
     fcurr_link : link T.reserved;  (* witness read at [fprev_cell]; target is curr *)
     fnext_link : link T.reserved;  (* witness of curr.next (meaningful when curr < tail) *)
@@ -113,8 +115,8 @@ module Make (T : Smr_typed.S) = struct
     if r.found then false
     else begin
       let n = T.alloc a in
-      n.Heap.payload.key <- key;
-      Atomic.set n.Heap.payload.next
+      n.Heap.key <- key;
+      Atomic.set (next_cell n)
         (Link { tgt = proj (T.value r.fcurr_link); marked = false });
       let w = T.enter_write_phase a [| r.fprev |] in
       if

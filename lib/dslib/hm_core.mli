@@ -1,13 +1,16 @@
 (** Harris-Michael lock-free linked list machinery (Michael 2002), the
     engine behind both the HML list and the HMHT hash table.
 
-    Deletion marks live in the deleted node's own [next] link. A link
-    is an immutable [Link] block that holds the target node itself (no
-    [option] box, so a hop is one dependent load). Every store
-    allocates a fresh block, so a CAS compares its expected value by
-    block identity: a link that was read, swapped away and then
-    replaced by one with the same target and mark is still a different
-    block, so the CAS fails instead of suffering ABA.
+    A node is flat: its key is the {!Pop_sim.Heap.node} header's [key]
+    and its payload is its [next] cell itself, so a hop is three
+    dependent loads (node → cell → [Link] → next node) and a key read
+    is one. Deletion marks live in the deleted node's own [next] link.
+    A link is an immutable [Link] block that holds the target node
+    itself (no [option] box in between). Every store allocates a fresh
+    block, so a CAS compares its expected value by block identity: a
+    link that was read, swapped away and then replaced by one with the
+    same target and mark is still a different block, so the CAS fails
+    instead of suffering ABA.
 
     [find] unlinks marked nodes as it goes — restarting the traversal
     as a fresh operation after each unlink, which keeps the write (the
@@ -22,38 +25,40 @@
     every dereference is forced through [T.deref]. *)
 
 module Make (T : Pop_core.Smr_typed.S) : sig
-  type data = { mutable key : int; next : link Atomic.t }
+  type cell = link Atomic.t
+  (** A node's payload: its [next] cell. The key is the node's
+      {!Pop_sim.Heap.node.key}. *)
 
   and link =
     | Nil  (** Placeholder in fresh payloads; never read by a traversal. *)
-    | Link of { tgt : data Pop_sim.Heap.node; marked : bool }
+    | Link of { tgt : cell Pop_sim.Heap.node; marked : bool }
 
-  type bucket = { head : data Pop_sim.Heap.node }
+  type bucket = { head : cell Pop_sim.Heap.node }
 
   exception Retry_find
 
-  val payload : int -> data
+  val payload : int -> cell
   (** Fresh-node payload builder, for {!Ds_common.Make.make_base}. *)
 
-  val proj : link -> data Pop_sim.Heap.node
+  val proj : link -> cell Pop_sim.Heap.node
   (** The link's target; the projection passed to [T.read]. Raises
       [Failure] on [Nil]. *)
 
-  val node_key : data Pop_sim.Heap.node -> int
+  val node_key : cell Pop_sim.Heap.node -> int
 
-  val next_cell : data Pop_sim.Heap.node -> link Atomic.t
+  val next_cell : cell Pop_sim.Heap.node -> cell
 
-  val make_tail : data Pop_sim.Heap.t -> data Pop_sim.Heap.node
+  val make_tail : cell Pop_sim.Heap.t -> cell Pop_sim.Heap.node
   (** The shared [max_int] sentinel every bucket's chain ends with. *)
 
-  val make_bucket : data Pop_sim.Heap.t -> tail:data Pop_sim.Heap.node -> bucket
+  val make_bucket : cell Pop_sim.Heap.t -> tail:cell Pop_sim.Heap.node -> bucket
   (** A [min_int] head sentinel linked straight to [tail]. *)
 
   (** Result of a completed traversal, positioned at the first node with
       key >= the search key. *)
   type find_res = {
     found : bool;
-    fprev : data Pop_sim.Heap.node;
+    fprev : cell Pop_sim.Heap.node;
     fprev_cell : link Atomic.t;
     fcurr_link : link T.reserved;
         (** witness read at [fprev_cell]; its target is curr *)
@@ -62,20 +67,20 @@ module Make (T : Pop_core.Smr_typed.S) : sig
   }
 
   val find :
-    (data, Pop_core.Smr_typed.active) T.handle -> T.slot array -> bucket -> int -> find_res
+    (cell, Pop_core.Smr_typed.active) T.handle -> T.slot array -> bucket -> int -> find_res
   (** Traverse, unlinking marked nodes along the way; retries
       internally, so it never raises {!Retry_find}. The slot array is
       the instance's {!Pop_core.Smr_typed.S.slots} (the first three are
       used, rotating). *)
 
   val contains_in_op :
-    (data, Pop_core.Smr_typed.active) T.handle -> T.slot array -> bucket -> int -> bool
+    (cell, Pop_core.Smr_typed.active) T.handle -> T.slot array -> bucket -> int -> bool
 
   val insert_in_op :
-    (data, Pop_core.Smr_typed.active) T.handle -> T.slot array -> bucket -> int -> bool
+    (cell, Pop_core.Smr_typed.active) T.handle -> T.slot array -> bucket -> int -> bool
 
   val delete_in_op :
-    (data, Pop_core.Smr_typed.active) T.handle -> T.slot array -> bucket -> int -> bool
+    (cell, Pop_core.Smr_typed.active) T.handle -> T.slot array -> bucket -> int -> bool
   (** The [_in_op] bodies assume the caller bracketed them with
       [start_op]/[end_op] (see {!Ds_common.Make.with_op}). *)
 
@@ -84,7 +89,7 @@ module Make (T : Pop_core.Smr_typed.S) : sig
 
   val size_seq : bucket -> int
 
-  val check_seq : data Pop_sim.Heap.t -> bucket -> unit
+  val check_seq : cell Pop_sim.Heap.t -> bucket -> unit
   (** Structural invariants: strictly ascending keys from head to tail,
       every linked node live, and no chain reaching [Nil]. Raises
       [Failure] on violation. *)

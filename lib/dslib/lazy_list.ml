@@ -17,19 +17,19 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let smr_name = T.name
 
+  (* The key lives in the node header ([Heap.node.key]). *)
   type data = {
-    mutable key : int;
     mutable marked : bool;
     lock : Spinlock.t;
     next : data Heap.node option Atomic.t;
   }
 
   let payload _id =
-    { key = 0; marked = false; lock = Spinlock.create (); next = Atomic.make None }
+    { marked = false; lock = Spinlock.create (); next = Atomic.make None }
 
   let proj = function Some n -> n | None -> assert false
 
-  let node_key (n : data Heap.node) = n.Heap.payload.key
+  let node_key (n : data Heap.node) = n.Heap.key
 
   let next_cell (n : data Heap.node) = n.Heap.payload.next
 
@@ -40,9 +40,9 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
   let create scfg dcfg ~hub =
     let base = Common.make_base scfg dcfg hub payload in
     let tail = Heap.sentinel base.heap in
-    tail.Heap.payload.key <- max_int;
+    tail.Heap.key <- max_int;
     let head = Heap.sentinel base.heap in
-    head.Heap.payload.key <- min_int;
+    head.Heap.key <- min_int;
     Atomic.set head.Heap.payload.next (Some tail);
     { base; head }
 
@@ -103,7 +103,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
           end
           else begin
             let n = T.alloc w in
-            n.Heap.payload.key <- key;
+            n.Heap.key <- key;
             n.Heap.payload.marked <- false;
             Atomic.set n.Heap.payload.next (Some curr);
             Atomic.set (next_cell pred) (Some n);

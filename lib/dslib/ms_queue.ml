@@ -23,9 +23,11 @@ module Make (T : Smr_typed.S) : Queue_intf.QUEUE = struct
 
   let smr_name = T.name
 
-  type data = { mutable value : int; next : data Heap.node option Atomic.t }
+  (* A node's value is its header [key]; the payload is the [next] cell
+     alone, unboxed, so reaching it is one load from the node. *)
+  type data = { next : data Heap.node option Atomic.t } [@@unboxed]
 
-  let payload _id = { value = 0; next = Atomic.make None }
+  let payload _id = { next = Atomic.make None }
 
   let pl (n : data Heap.node) = n.Heap.payload
 
@@ -54,7 +56,7 @@ module Make (T : Smr_typed.S) : Queue_intf.QUEUE = struct
   let enqueue ctx v =
     Common.with_op ctx.h (fun a ->
         let n = T.alloc a in
-        (pl n).value <- v;
+        n.Heap.key <- v;
         Atomic.set (pl n).next None;
         let rec attempt a =
           let last_r = T.read a ctx.sl.(0) ctx.s.tail proj_node in
@@ -101,7 +103,7 @@ module Make (T : Smr_typed.S) : Queue_intf.QUEUE = struct
                   let nx_w = T.project next_r (proj_opt_of first) in
                   T.check a nx_w;
                   let nx = T.value nx_w in
-                  let v = (pl nx).value in
+                  let v = nx.Heap.key in
                   let w = T.enter_write_phase a [| first; nx |] in
                   if Atomic.compare_and_set ctx.s.head first nx then begin
                     T.retire w first;
@@ -124,7 +126,7 @@ module Make (T : Smr_typed.S) : Queue_intf.QUEUE = struct
     let rec go acc cell =
       match Atomic.get cell with
       | None -> List.rev acc
-      | Some n -> go ((pl n).value :: acc) (pl n).next
+      | Some n -> go (n.Heap.key :: acc) (pl n).next
     in
     go [] (pl (Atomic.get s.head)).next
 

@@ -26,8 +26,8 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let smr_name = T.name
 
+  (* The key lives in the node header ([Heap.node.key]). *)
   type data = {
-    mutable key : int;
     mutable top : int; (* highest level of this tower, 0-based *)
     mutable marked : bool;
     mutable fully_linked : bool;
@@ -37,7 +37,6 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let payload_for levels _id =
     {
-      key = 0;
       top = 0;
       marked = false;
       fully_linked = false;
@@ -72,11 +71,11 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
     let base = Common.make_base scfg dcfg hub (payload_for levels) in
     let heap = base.Common.heap in
     let tail = Heap.sentinel heap in
-    (pl tail).key <- max_int;
+    tail.Heap.key <- max_int;
     (pl tail).top <- levels - 1;
     (pl tail).fully_linked <- true;
     let head = Heap.sentinel heap in
-    (pl head).key <- min_int;
+    head.Heap.key <- min_int;
     (pl head).top <- levels - 1;
     (pl head).fully_linked <- true;
     for l = 0 to levels - 1 do
@@ -114,12 +113,12 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
         let curr_w = T.project curr_r proj in
         T.check a curr_w;
         let curr = T.value curr_w in
-        if (pl curr).key < key then walk curr (not slot_parity) else (pred, curr)
+        if curr.Heap.key < key then walk curr (not slot_parity) else (pred, curr)
       in
       let p, c = walk !pred true in
       ctx.preds.(level) <- p;
       ctx.succs.(level) <- c;
-      if !lfound = -1 && (pl c).key = key then lfound := level;
+      if !lfound = -1 && c.Heap.key = key then lfound := level;
       pred := p
     done;
     !lfound
@@ -202,7 +201,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
             else begin
               let n = T.alloc w in
               let p = pl n in
-              p.key <- key;
+              n.Heap.key <- key;
               p.top <- top;
               p.marked <- false;
               p.fully_linked <- false;
@@ -234,7 +233,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   and unlink_attempt ctx a victim =
     let v = pl victim in
-    let key = v.key in
+    let key = victim.Heap.key in
     ignore (find ctx a key);
     (* The preds computed for the victim's key are exactly its
        predecessors while it remains linked. *)
@@ -340,8 +339,8 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
   let iter_seq s f =
     let rec go n =
       let p = pl n in
-      if p.key <> max_int then begin
-        if (not p.marked) && p.key <> min_int then f p.key;
+      if n.Heap.key <> max_int then begin
+        if (not p.marked) && n.Heap.key <> min_int then f n.Heap.key;
         go (proj (Atomic.get p.nexts.(0)))
       end
     in
@@ -368,10 +367,10 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
         if not p.fully_linked then failwith "skip_list: partially linked node at rest";
         if Spinlock.is_locked p.lock then failwith "skip_list: node left locked"
       end;
-      if p.key <= prev_key && p.key <> min_int then
-        failwith "skip_list: keys not ascending";
+      let k = n.Heap.key in
+      if k <= prev_key && k <> min_int then failwith "skip_list: keys not ascending";
       if p.top < l then failwith "skip_list: node linked above its top level";
-      if p.key <> max_int then check_level l (proj (Atomic.get p.nexts.(l))) p.key
+      if k <> max_int then check_level l (proj (Atomic.get p.nexts.(l))) k
     in
     for l = 0 to s.levels - 1 do
       check_level l s.head min_int
@@ -382,9 +381,9 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
     let mem k = Hashtbl.mem bottom k in
     for l = 1 to s.levels - 1 do
       let rec walk n =
-        let p = pl n in
-        if p.key <> max_int then begin
-          if p.key <> min_int && (not p.marked) && not (mem p.key) then
+        let p = pl n and k = n.Heap.key in
+        if k <> max_int then begin
+          if k <> min_int && (not p.marked) && not (mem k) then
             failwith "skip_list: upper-level key missing from bottom level";
           walk (proj (Atomic.get p.nexts.(l)))
         end

@@ -99,13 +99,11 @@ let smr_module ?(sanitize = false) kind : (module Pop_core.Smr.S) =
   let ((module S : Pop_core.Smr.S) as base) = base_smr_module kind in
   if sanitize then (module Pop_check.Smr_check.Make (S)) else base
 
-let typed_smr_module ?(sanitize = false) kind : (module Pop_core.Smr_typed.S) =
-  let (module S : Pop_core.Smr.S) = base_smr_module kind in
-  if sanitize then (module Pop_check.Smr_check.Typed (S))
-  else (module Pop_core.Smr_typed.Of (S))
-
 let set_module ?(sanitize = false) ds smr : (module Set_intf.SET) =
-  let (module T : Pop_core.Smr_typed.S) = typed_smr_module ~sanitize smr in
+  let (module S : Pop_core.Smr.S) = base_smr_module smr in
+  let (module T : Pop_core.Smr_typed.S) =
+    if sanitize then (module Pop_check.Smr_check.Typed (S)) else (module Pop_core.Smr_typed.Of (S))
+  in
   match ds with
   | HML -> (module Hm_list.Make (T))
   | LL -> (module Lazy_list.Make (T))

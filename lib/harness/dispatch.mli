@@ -44,16 +44,12 @@ val smr_module : ?sanitize:bool -> smr_kind -> (module Pop_core.Smr.S)
     the scheme is wrapped in the {!Pop_check.Smr_check} typestate
     sanitizer in counting mode; its violation total surfaces through
     [Smr_stats.violations]. Scheme-internal tests and the sanitizer's
-    own rigs use this; data structures should go through
-    {!typed_smr_module} (the compile-time typestate facade). *)
-
-val typed_smr_module : ?sanitize:bool -> smr_kind -> (module Pop_core.Smr_typed.S)
-(** The scheme behind the {!Pop_core.Smr_typed} compile-time typestate
-    facade — what every data-structure functor in [Pop_ds] consumes.
-    With [~sanitize:true], the sanitizer sits between the facade and
-    the scheme ({!Pop_check.Smr_check.Typed}), so the residual
-    dynamic checks still run and per-category tallies surface through
-    [Smr_typed.S.violation_breakdown]. *)
+    own rigs use this; data structures get the scheme through the
+    {!Pop_core.Smr_typed} compile-time typestate facade instead. *)
 
 val set_module : ?sanitize:bool -> ds_kind -> smr_kind -> (module Pop_ds.Set_intf.SET)
-(** [sanitize] is passed through to {!typed_smr_module}. *)
+(** The structure over the scheme behind the {!Pop_core.Smr_typed}
+    facade. With [~sanitize:true], the sanitizer sits between the facade
+    and the scheme ({!Pop_check.Smr_check.Typed}), so the residual
+    dynamic checks still run and per-category tallies surface through
+    [Smr_typed.S.violation_breakdown]. *)

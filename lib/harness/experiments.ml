@@ -341,12 +341,23 @@ let tournament_scenarios sc =
         } );
   ]
 
+let tournament_scenario_names =
+  List.map (fun (n, _, _) -> n) (tournament_scenarios quick)
+
 let fig_tournament ?(smrs = tournament_smrs) ?scenarios sc =
   let matrix = tournament_scenarios sc in
   let matrix =
     match scenarios with
     | None -> matrix
-    | Some names -> List.filter (fun (n, _, _) -> List.mem n names) matrix
+    | Some names ->
+        List.iter
+          (fun n ->
+            if not (List.mem n tournament_scenario_names) then
+              invalid_arg
+                (Printf.sprintf "fig_tournament: unknown scenario %S (%s)" n
+                   (String.concat "|" tournament_scenario_names)))
+          names;
+        List.filter (fun (n, _, _) -> List.mem n names) matrix
   in
   let acc = ref [] in
   List.iter

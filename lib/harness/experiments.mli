@@ -72,6 +72,10 @@ val tournament_smrs : Dispatch.smr_kind list
 (** The default tournament entrants: the paper's ping-based algorithms,
     the classic baselines, Hyaline-1 and Hyaline-1S. *)
 
+val tournament_scenario_names : string list
+(** The names {!fig_tournament}'s [scenarios] filter accepts, in matrix
+    order. *)
+
 val fig_tournament :
   ?smrs:Dispatch.smr_kind list ->
   ?scenarios:string list ->
@@ -88,5 +92,6 @@ val fig_tournament :
     Returns [("scenario/scheme", result)] pairs ready for
     {!Runner.cells_json}, whose per-cell ["scenario"] descriptor makes
     the emitted file self-describing. [scenarios] filters the matrix by
-    name (unknown names are ignored) — the tier-1 smoke runs a 2-scheme
-    x 3-scenario slice this way. *)
+    name — the tier-1 smoke runs a 2-scheme x 3-scenario slice this
+    way. Raises [Invalid_argument] on a name not in
+    {!tournament_scenario_names}, before any cell runs. *)

@@ -64,11 +64,6 @@ val keygen : key_range:int -> theta:float -> keygen
 (** [Zipfian] with the given [theta] when [theta > 0.], else
     [Uniform]. *)
 
-val draw_key : keygen -> Pop_runtime.Rng.t -> key_range:int -> int
-(** Draw a key in [0, key_range). Zipfian ranks are scattered through
-    the stateless hash so hot keys spread across the key space instead
-    of clustering at small integers. *)
-
 val gen_kv : Pop_runtime.Rng.t -> kv_mix -> keygen -> key_range:int -> kv_op
 (** Draw one KV operation. *)
 

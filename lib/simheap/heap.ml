@@ -1,18 +1,22 @@
 open Pop_runtime
 
+(* The fields a hop reads ([seq], [key], [payload]) sit right after the
+   header, so a hop touches only the node's first words. *)
 type 'a node = {
   id : int;
   mutable seq : int;
+  mutable key : int;
+  payload : 'a;
   mutable birth_era : int;
   mutable retire_era : int;
-  mutable free_next : 'a node option;
-  payload : 'a;
+  mutable free_next : 'a node;
 }
 
 (* A pool block: an intrusive chain of exactly [bh_count] free nodes
    linked through [free_next], handed between threads whole. The handle
    is immutable; ownership transfers with the handle, so a block is
-   never mutated while shared. *)
+   never mutated while shared. Chains are counted, never walked to
+   their end, so the link past a chain's last node is never read. *)
 type 'a hblock = { bh_head : 'a node; bh_count : int }
 
 (* Per-thread allocation pool (Blelloch–Wei): at most two blocks of
@@ -23,9 +27,9 @@ type 'a hblock = { bh_head : 'a node; bh_count : int }
    are written only by the owning thread; the sampler reads the
    counters racily, which is fine for monitoring. *)
 type 'a pool = {
-  mutable a_head : 'a node option;  (* active chain *)
+  mutable a_head : 'a node;  (* active chain; read only while [a_count > 0] *)
   mutable a_count : int;
-  mutable s_head : 'a node option;  (* spare chain *)
+  mutable s_head : 'a node;  (* spare chain; read only while [s_count > 0] *)
   mutable s_count : int;
   mutable allocs : int;
   mutable frees : int;
@@ -46,6 +50,7 @@ type 'a pool = {
 type 'a t = {
   pools : 'a pool array;
   payload : int -> 'a;
+  nil : 'a node;  (* empty chains' head and fresh nodes' link; never live *)
   max_threads : int;
   block_size : int;
   (* Shared block pool: a Treiber stack of block handles. Every push
@@ -65,14 +70,26 @@ type 'a t = {
 
 let default_block_size = 64
 
+(* [free_next] needs no [option], so a free allocates nothing: a fresh
+   node links to [nil] until a free chains it. *)
+let make_node ~id ~seq ~nil payload =
+  { id; seq; key = 0; payload; birth_era = 0; retire_era = max_int; free_next = nil }
+
 let create ?(block_size = default_block_size) ~max_threads ~payload () =
   if block_size <= 0 then invalid_arg "Heap.create: block_size must be positive";
+  (* Self-linked, and built once per heap: a recursive record costs a C
+     call, so fresh nodes link here rather than to themselves. Odd
+     [seq], so a stray dereference counts as a use-after-free. *)
+  let rec nil =
+    { id = min_int; seq = 1; key = 0; payload = payload min_int; birth_era = 0;
+      retire_era = max_int; free_next = nil }
+  in
   let pools =
     Array.init max_threads (fun tid ->
         {
-          a_head = None;
+          a_head = nil;
           a_count = 0;
-          s_head = None;
+          s_head = nil;
           s_count = 0;
           allocs = 0;
           frees = 0;
@@ -92,6 +109,7 @@ let create ?(block_size = default_block_size) ~max_threads ~payload () =
   {
     pools;
     payload;
+    nil;
     max_threads;
     block_size;
     shared = Atomic.make [];
@@ -106,7 +124,7 @@ let block_size t = t.block_size
 let fresh t pool =
   let id = pool.next_id in
   pool.next_id <- id + t.max_threads;
-  { id; seq = 0; birth_era = 0; retire_era = max_int; free_next = None; payload = t.payload id }
+  make_node ~id ~seq:0 ~nil:t.nil (t.payload id)
 
 let rec push_shared t hb =
   let old = Atomic.get t.shared in
@@ -131,14 +149,13 @@ let refill t pool =
   if pool.s_count > 0 then begin
     pool.a_head <- pool.s_head;
     pool.a_count <- pool.s_count;
-    pool.s_head <- None;
     pool.s_count <- 0
   end
   else
     match pop_shared t with
     | None -> ()
     | Some hb ->
-        pool.a_head <- Some hb.bh_head;
+        pool.a_head <- hb.bh_head;
         pool.a_count <- hb.bh_count;
         pool.grabs <- pool.grabs + 1
 
@@ -148,16 +165,15 @@ let alloc t ~tid ~birth_era =
   if pool.a_count = 0 then refill t pool;
   let n =
     if pool.a_count = 0 then fresh t pool
-    else
-      match pool.a_head with
-      | None -> assert false
-      | Some n ->
-          pool.a_head <- n.free_next;
-          pool.a_count <- pool.a_count - 1;
-          n.free_next <- None;
-          assert (n.seq land 1 = 1);
-          n.seq <- n.seq + 1;
-          n
+    else begin
+      (* [n.free_next] is left stale: nothing reads a live node's link. *)
+      let n = pool.a_head in
+      pool.a_head <- n.free_next;
+      pool.a_count <- pool.a_count - 1;
+      assert (n.seq land 1 = 1);
+      n.seq <- n.seq + 1;
+      n
+    end
   in
   n.birth_era <- birth_era;
   n.retire_era <- max_int;
@@ -170,21 +186,18 @@ let alloc t ~tid ~birth_era =
 let push_free t pool n =
   if pool.a_count < t.block_size then begin
     n.free_next <- pool.a_head;
-    pool.a_head <- Some n;
+    pool.a_head <- n;
     pool.a_count <- pool.a_count + 1
   end
   else if pool.s_count < t.block_size then begin
     n.free_next <- pool.s_head;
-    pool.s_head <- Some n;
+    pool.s_head <- n;
     pool.s_count <- pool.s_count + 1
   end
   else begin
-    (match pool.s_head with
-    | Some h -> push_shared t { bh_head = h; bh_count = pool.s_count }
-    | None -> assert false);
+    push_shared t { bh_head = pool.s_head; bh_count = pool.s_count };
     pool.returns <- pool.returns + 1;
-    n.free_next <- None;
-    pool.s_head <- Some n;
+    pool.s_head <- n;
     pool.s_count <- 1
   end
 
@@ -222,7 +235,7 @@ let free_block t ~tid ?len nodes =
    permanently live and cannot collide with allocated nodes. *)
 let sentinel t =
   let id = Atomic.fetch_and_add (Striped.cell t.sentinel_id 0) (-1) in
-  { id; seq = 0; birth_era = 0; retire_era = max_int; free_next = None; payload = t.payload id }
+  make_node ~id ~seq:0 ~nil:t.nil (t.payload id)
 
 let is_live n = n.seq land 1 = 0
 

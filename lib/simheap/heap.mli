@@ -31,14 +31,28 @@
     plot: total allocations, frees, and the number of live (not yet
     freed) nodes, which includes retired-but-unreclaimed garbage. *)
 
+(** A node is one flat block: the heap's header plus the one [int]
+    key and the one payload value that every ordered structure needs.
+    A structure with an int key keeps it in [key], not in its payload,
+    so a key comparison is one load from the node; the Harris-Michael
+    lists make their [next] cell the whole payload, so a hop is node →
+    cell → link → node. Structures that need more (locks, towers, a
+    second child, an a,b-tree's arrays) put it in a payload record. *)
 type 'a node = {
   id : int;  (** Stable identity, unique across the heap's lifetime. *)
   mutable seq : int;  (** Incarnation: even = live, odd = free. *)
-  mutable birth_era : int;  (** Epoch at allocation (hazard eras / IBR). *)
-  mutable retire_era : int;  (** Epoch at retirement (eras / EBR / IBR). *)
-  mutable free_next : 'a node option;  (** Intrusive freelist link. *)
+  mutable key : int;
+      (** The structure's search key; [0] in a fresh node, and kept
+          across incarnations like any recycled memory. *)
   payload : 'a;  (** The data structure's node contents, reused across
                      incarnations exactly like recycled memory. *)
+  mutable birth_era : int;  (** Epoch at allocation (hazard eras / IBR). *)
+  mutable retire_era : int;  (** Epoch at retirement (eras / EBR / IBR). *)
+  mutable free_next : 'a node;
+      (** Intrusive freelist link. A chain is counted, never walked to
+          its end, so a fresh node's link (the heap's self-linked,
+          never-live [nil] node) and a live node's stale link are never
+          read. No [option]: a free allocates nothing. *)
 }
 
 type 'a t

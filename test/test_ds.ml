@@ -154,7 +154,7 @@ let hm_core_nil_fails_check () =
   let bucket = Core.make_bucket heap ~tail in
   Core.check_seq heap bucket;
   let n = Heap.alloc heap ~tid:0 ~birth_era:0 in
-  n.Heap.payload.Core.key <- 5;
+  n.Heap.key <- 5;
   Atomic.set (Core.next_cell bucket.Core.head) (Core.Link { tgt = n; marked = false });
   Alcotest.check_raises "chain reaching Nil rejected"
     (Failure "hm_core: chain reaches the Nil placeholder") (fun () ->

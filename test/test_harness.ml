@@ -434,6 +434,21 @@ let registry_resolves_every_name () =
     (List.exists (fun f -> List.mem "tournament" f.Figures.names) (Figures.select "all"));
   Alcotest.(check int) "an unknown name runs nothing" 0 (List.length (Figures.select "bogus"))
 
+(* A misspelt tournament scenario is an error before any cell runs, not
+   an empty matrix that exits 0 and writes []. *)
+let tournament_rejects_unknown_scenario () =
+  Alcotest.(check (list string))
+    "the six scenarios" [ "stall-poll"; "stall-deaf"; "crash"; "churn"; "oversub"; "kv-skew" ]
+    Experiments.tournament_scenario_names;
+  Alcotest.check_raises "unknown name rejected"
+    (Invalid_argument
+       "fig_tournament: unknown scenario \"stal-poll\" \
+        (stall-poll|stall-deaf|crash|churn|oversub|kv-skew)")
+    (fun () ->
+      ignore
+        (Experiments.fig_tournament ~smrs:[] ~scenarios:[ "crash"; "stal-poll" ]
+           Experiments.quick))
+
 (* Every figure that writes a baseline writes a committed one, and every
    committed baseline has a figure that rewrites it. *)
 let registry_baselines_committed () =
@@ -472,4 +487,6 @@ let suite =
     case "figures: every former --fig name and the tournament resolve"
       registry_resolves_every_name;
     case "figures: each baseline a figure writes is committed" registry_baselines_committed;
+    case "experiments: tournament rejects an unknown scenario"
+      tournament_rejects_unknown_scenario;
   ]

@@ -613,6 +613,54 @@ let engine_frees_whole_blocks () =
   Alcotest.(check int) "no double free" 0 (Heap.double_free_count heap);
   Alcotest.(check int) "no uaf" 0 (Heap.uaf_count heap)
 
+(* --- covered-list drain --- *)
+
+(* A fresh pass re-vets at least as many covered blocks as it splices
+   in. Phase one pins every retired node, so the covered list piles up
+   [3 * blocks] fully pinned blocks. Phase two releases them, while each
+   pass pins one node per open block until the next pass (a scheme's
+   own reservation of its latest retires), so every pass splices
+   [blocks] partly pinned blocks in. With a quota of [segment_rescan]
+   alone the covered list would grow by [blocks - segment_rescan]
+   blocks a pass and never drain. *)
+let covered_blocks_drain () =
+  let seg = 4 and blocks = 4 in
+  let heap, _, _, rl =
+    make ~reclaim_freq:(seg * blocks) ~segment_size:seg ~segment_rescan:1 ()
+  in
+  let table = Hashtbl.create 64 and called = ref false in
+  let pass () =
+    ignore
+      (Reclaimer.scan ~kind:Reclaimer.Plain ~collect:(table_collect table called)
+         ~except:(-1) ~keep:(keep_reserved rl) rl)
+  in
+  let retire_batch ~pin =
+    Array.init (seg * blocks) (fun i ->
+        let n = Heap.alloc heap ~tid:0 ~birth_era:0 in
+        if pin i then Hashtbl.replace table n.Heap.id ();
+        Reclaimer.retire rl n;
+        n)
+  in
+  (* Each node with the incarnation it was retired in: recycling makes
+     a freed node live again, but never with the same [seq]. *)
+  let pinned =
+    List.init 3 (fun _ ->
+        let nodes = retire_batch ~pin:(fun _ -> true) in
+        pass ();
+        Array.map (fun n -> (n, n.Heap.seq)) nodes)
+  in
+  Alcotest.(check int) "pinned blocks stay covered" (3 * seg * blocks) (Reclaimer.pending rl);
+  for _ = 1 to 30 do
+    Hashtbl.reset table;
+    ignore (retire_batch ~pin:(fun i -> i mod seg = 0));
+    pass ()
+  done;
+  Alcotest.(check bool) "released blocks drained" true
+    (List.for_all (Array.for_all (fun (n, seq) -> n.Heap.seq <> seq)) pinned);
+  Alcotest.(check int) "only the last pass's pinned nodes remain" blocks (Reclaimer.pending rl);
+  Alcotest.(check int) "no uaf" 0 (Heap.uaf_count heap);
+  Alcotest.(check int) "no double free" 0 (Heap.double_free_count heap)
+
 (* --- sharded orphanage --- *)
 
 (* Distinct donors park in distinct stripes and one adopter still
@@ -675,4 +723,5 @@ let suite =
     case "reclaimer: mixed block falls back to per-node era probes" era_mixed_block_fallback;
     case "reclaimer: engine frees at block granularity only" engine_frees_whole_blocks;
     case "reclaimer: sharded orphanage drains exactly once" sharded_orphanage_drains;
+    case "reclaimer: released covered blocks drain" covered_blocks_drain;
   ]

@@ -450,6 +450,21 @@ let epoch_pop_birth_eras_advance () =
       let b1 = (Epoch_pop.alloc ctx).Heap.birth_era in
       Alcotest.(check bool) "birth era advanced" true (b1 > b0))
 
+(* An epoch pass blocked by a lagging announcement is retried within
+   one segment block of the floor moving, not a whole threshold later:
+   tid 1 pins the epoch while tid 0 retires a threshold's worth, then
+   leaves its operation. *)
+let epoch_pop_retries_blocked_pass () =
+  Epop_rig.run ~reclaim_freq:512 (fun rig g ctx0 ->
+      let ctx1 = Epoch_pop.register g ~tid:1 in
+      Epoch_pop.start_op ctx1;
+      Epop_rig.retire_n ctx0 512;
+      Alcotest.(check int) "the pass at the threshold is blocked" 512 (Epoch_pop.unreclaimed g);
+      Epoch_pop.end_op ctx1;
+      Epop_rig.retire_n ctx0 rig.cfg.Smr_config.segment_size;
+      Alcotest.(check bool) "retried once the floor moved" true (Epoch_pop.unreclaimed g < 512);
+      Epoch_pop.deregister ctx1)
+
 (* Delivery-bound guard (Assumption 1: a pending ping is handled within
    one protected read). A fixed-seed, single-thread replay of 1,000 hml
    [contains] through a wrapper that self-pings before every [period]-th
@@ -582,6 +597,8 @@ let suite =
         he_old_nodes_freeable_despite_reservation;
       case "ibr: overlapping interval protects" ibr_interval_protects;
       case "epoch-pop: birth eras advance" epoch_pop_birth_eras_advance;
+      case "epoch-pop: a blocked epoch pass is retried when the floor moves"
+        epoch_pop_retries_blocked_pass;
       case "hp-pop: every protected read delivers a pending ping"
         (every_read_delivers (module Hazard_ptr_pop) ~period:1 ~delivers:true);
       case "he-pop: every protected read delivers a pending ping"
