@@ -178,7 +178,12 @@ let cmd =
              (0 keeps the flat threshold).")
   in
   let epochf = Arg.(value & opt int 32 & info [ "epoch-freq" ] ~doc:"Epoch frequency.") in
-  let popm = Arg.(value & opt int 2 & info [ "pop-mult" ] ~doc:"EpochPOP C multiplier.") in
+  let popm =
+    Arg.(
+      value
+      & opt int Runner.default_cfg.pop_mult
+      & info [ "pop-mult" ] ~doc:"EpochPOP C multiplier.")
+  in
   let lrr =
     Arg.(value & flag & info [ "long-running-reads" ] ~doc:"Figure-4 reader/updater split.")
   in

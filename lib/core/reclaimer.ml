@@ -5,8 +5,8 @@ type pass = Plain | Pop
 
 (* Retire buffers are Blelloch–Wei segmented lists: fixed-size blocks of
    [Smr_config.segment_size] slots, singly linked head→tail. Slots at or
-   beyond [len] always hold the heap sentinel, so a block's backing array
-   never pins a freed or drained node (the same scrub discipline
+   beyond [len] always hold the engine's sentinel [dummy], so a block's
+   backing array never pins a freed or drained node (the same scrub discipline
    [Vec.filter_sub] documents). Every buffer operation the hot paths
    need — push, whole-list hand-off, prefix advance — is O(1) in nodes;
    only filtering touches node contents, and only for the blocks it must
@@ -57,6 +57,9 @@ type 'a stripe = {
 
 type 'a t = {
   heap : 'a Heap.t;
+  dummy : 'a Heap.node;
+      (* The one heap sentinel every scrubbed slot holds: permanently
+         live, so an unused slot never pins a reclaimable node. *)
   c : Counters.t;
   gen : int Atomic.t;
   threshold : int;
@@ -82,6 +85,7 @@ let create ?reclaim_scale (cfg : Smr_config.t) ~heap ~counters =
   in
   {
     heap;
+    dummy = Heap.sentinel heap;
     c = counters;
     gen = Atomic.make 0;
     threshold;
@@ -150,7 +154,7 @@ let register r ~tid ~scratch_slots =
     free_len = 0;
     reserved = Id_set.create ~capacity:scratch_slots;
     scratch = Array.make (max 1 scratch_slots) 0;
-    doomed = Array.make (max 1 r.seg_size) (Heap.sentinel r.heap);
+    doomed = Array.make (max 1 r.seg_size) r.dummy;
     snap_gen = -1;
     moves = 0;
     adopt_cursor = tid mod Array.length r.orphans;
@@ -182,8 +186,7 @@ let check_stamp l b (n : 'a Heap.node) =
   if n.Heap.birth_era < b.min_birth || n.Heap.retire_era > b.max_retire then
     Counters.stale_stamp l.r.c ~tid:l.tid
 
-(* Pop the freelist or allocate; the sentinel dummy is permanently live,
-   so unused slots never pin a reclaimable node. *)
+(* Pop the freelist or allocate; unused slots hold the engine's dummy. *)
 let new_block l =
   let b =
     match l.free_head with
@@ -194,7 +197,7 @@ let new_block l =
         b
     | None ->
         {
-          slots = Array.make l.r.seg_size (Heap.sentinel l.r.heap);
+          slots = Array.make l.r.seg_size l.r.dummy;
           len = 0;
           next = None;
           min_birth = max_int;
@@ -206,13 +209,10 @@ let new_block l =
   Counters.seg_slots_add l.r.c ~tid:l.tid l.r.seg_size;
   b
 
-(* Scrub the occupied prefix (slots past [len] are sentinel already, by
+(* Scrub the occupied prefix (slots past [len] are the dummy already, by
    the block invariant) and park the block on the freelist. *)
 let recycle_block l b =
-  let dummy = Heap.sentinel l.r.heap in
-  for i = 0 to b.len - 1 do
-    b.slots.(i) <- dummy
-  done;
+  Array.fill b.slots 0 b.len l.r.dummy;
   b.len <- 0;
   reset_stamps b;
   b.next <- l.free_head;
@@ -226,12 +226,10 @@ let recycle_block l b =
    way engine filtering returns nodes to the heap: block-granularity
    hand-off even on the per-node [Scan_block] fallback (the smrlint
    [heap-free-loop] rule pins the absence of per-node free loops). *)
-let flush_doomed l ~dummy d =
+let flush_doomed l d =
   if d > 0 then begin
     Heap.free_block l.r.heap ~tid:l.tid ~len:d l.doomed;
-    for i = 0 to d - 1 do
-      l.doomed.(i) <- dummy
-    done
+    Array.fill l.doomed 0 d l.r.dummy
   end
 
 let append_block bl b =
@@ -283,7 +281,6 @@ let splice_blist dst src =
    counts but leaves the global seg-node counter to the caller (one
    batched add per pass). *)
 let filter_blist ?block_keep l bl keep =
-  let dummy = Heap.sentinel l.r.heap in
   let freed = ref 0 in
   let verdict b =
     match block_keep with
@@ -339,11 +336,9 @@ let filter_blist ?block_keep l bl keep =
                 incr d
               end
             done;
-            flush_doomed l ~dummy !d;
+            flush_doomed l !d;
             freed := !freed + !d;
-            for i = !j to b.len - 1 do
-              b.slots.(i) <- dummy
-            done;
+            Array.fill b.slots !j (b.len - !j) l.r.dummy;
             b.len <- !j;
             let next = b.next in
             if !j = 0 then begin
@@ -454,7 +449,7 @@ let take_all l =
   ignore (adopt l);
   Counters.note_unreclaimed l.r.c ~tid:l.tid;
   let total = pending l in
-  let out = Array.make total (Heap.sentinel l.r.heap) in
+  let out = Array.make total l.r.dummy in
   let k = ref 0 in
   let drain bl =
     let cur = ref bl.head in
@@ -540,7 +535,7 @@ let rescan_covered ?block_keep l ~quota ~keep ~freed ~touched =
                 incr d
               end
             done;
-            flush_doomed l ~dummy:(Heap.sentinel l.r.heap) !d;
+            flush_doomed l !d;
             freed := !freed + !d;
             recycle_block l b)
   done

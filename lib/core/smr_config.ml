@@ -18,7 +18,7 @@ let default ?(max_threads = 8) () =
     max_hp = 8;
     reclaim_freq = 512;
     epoch_freq = 32;
-    pop_mult = 2;
+    pop_mult = 1;
     ping_timeout_spins = 64;
     reclaim_scale = 0;
     segment_size = 64;

@@ -12,7 +12,11 @@ type t = {
           epoch advances ([epochFreq]). *)
   pop_mult : int;
       (** [C] in Algorithm 3: EpochPOP falls back to publish-on-ping when
-          the retire list reaches [pop_mult * reclaim_freq]. *)
+          the retire list reaches [pop_mult * reclaim_freq]. The default
+          1 pings at the first epoch pass a lagging peer blocked: a peer
+          descheduled inside an operation pins the epoch floor for many
+          epochs, so a larger C lets garbage pile up to C thresholds
+          while buying only ~1/C fewer pings under a stall. *)
   ping_timeout_spins : int;
       (** Backoff attempts {!Handshake.ping_and_wait} spends per
           non-responsive peer before giving up on its publish and
@@ -56,7 +60,7 @@ type t = {
 
 val default : ?max_threads:int -> unit -> t
 (** Paper-flavoured defaults scaled to this machine: [max_hp = 8],
-    [reclaim_freq = 512], [epoch_freq = 32], [pop_mult = 2],
+    [reclaim_freq = 512], [epoch_freq = 32], [pop_mult = 1],
     [ping_timeout_spins = 64], [reclaim_scale = 0] (flat threshold),
     [segment_size = 64], [segment_rescan = 2], [suspect_after = 3],
     [probe_backoff_cap = 64]. There is no barrier cost knob: every

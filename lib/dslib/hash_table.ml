@@ -1,9 +1,20 @@
 (** HMHT: a fixed-size hash table with one Harris-Michael list per
     bucket, the paper's fifth benchmark structure. Bucket count is
-    [key_range / ht_load] (the paper's "load factor"). *)
+    [key_range / ht_load] (the paper's "load factor"). A bucket is a
+    bare head cell, as in Michael's array of head pointers; the table's
+    one anchor sentinel stands as the [prev] node of every bucket's
+    first node. *)
 
 open Pop_core
 module Heap = Pop_sim.Heap
+
+(* Multiplicative hashing modulo a power of two keeps only the key's low
+   bits: [key * 0x9E3779B1] alone maps keys that differ by a multiple of
+   [nbuckets] to one bucket and keeps the parity of the key in the
+   bucket's, so the even keys would fill the even buckets only. Folding
+   the quotient [key / nbuckets] in first spreads every run of
+   [nbuckets] consecutive keys over all buckets. *)
+let hash nbuckets key = (((key + (key / nbuckets)) * 0x9E3779B1) land max_int) mod nbuckets
 
 module Make (T : Smr_typed.S) : Set_intf.SET = struct
   module Core = Hm_core.Make (T)
@@ -13,7 +24,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let smr_name = T.name
 
-  type t = { base : Core.cell Common.base; buckets : Core.bucket array }
+  type t = { base : Core.cell Common.base; anchor : Core.cell Heap.node; heads : Core.cell array }
 
   type ctx = {
     s : t;
@@ -22,29 +33,27 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
     tid : int;
   }
 
-  (* Fibonacci hashing spreads consecutive keys across buckets. *)
-  let hash nbuckets key = ((key * 0x9E3779B1) land max_int) mod nbuckets
-
   let create scfg dcfg ~hub =
     let base = Common.make_base scfg dcfg hub Core.payload in
     let nbuckets = max 1 (dcfg.Ds_config.key_range / dcfg.Ds_config.ht_load) in
     let tail = Core.make_tail base.heap in
-    let buckets = Array.init nbuckets (fun _ -> Core.make_bucket base.heap ~tail) in
-    { base; buckets }
+    let anchor = Core.make_head base.heap ~tail in
+    { base; anchor; heads = Array.init nbuckets (fun _ -> Core.head_cell ~tail) }
 
   let register s ~tid =
     { s; h = T.register s.base.smr ~tid; sl = T.slots s.base.smr; tid }
 
-  let bucket_of ctx key = ctx.s.buckets.(hash (Array.length ctx.s.buckets) key)
+  let head_of ctx key = ctx.s.heads.(hash (Array.length ctx.s.heads) key)
 
   let insert ctx key =
-    Common.with_op ctx.h (fun a -> Core.insert_in_op a ctx.sl (bucket_of ctx key) key)
+    Common.with_op ctx.h (fun a -> Core.insert_in_op a ctx.sl ctx.s.anchor (head_of ctx key) key)
 
   let delete ctx key =
-    Common.with_op ctx.h (fun a -> Core.delete_in_op a ctx.sl (bucket_of ctx key) key)
+    Common.with_op ctx.h (fun a -> Core.delete_in_op a ctx.sl ctx.s.anchor (head_of ctx key) key)
 
   let contains ctx key =
-    Common.with_op ctx.h (fun a -> Core.contains_in_op a ctx.sl (bucket_of ctx key) key)
+    Common.with_op ctx.h (fun a ->
+        Core.contains_in_op a ctx.sl ctx.s.anchor (head_of ctx key) key)
 
   let poll ctx = T.poll ctx.h
 
@@ -52,7 +61,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
      the structure's first pointer, never written back, so the set's
      contents are unaffected however long it stays pinned. *)
   let stall_pin ctx =
-    let cell = Core.next_cell ctx.s.buckets.(0).head in
+    let cell = ctx.s.heads.(0) in
     fun a -> ignore (T.read a ctx.sl.(0) cell Core.proj)
 
   let stall ?wake ctx ~seconds ~polling =
@@ -64,14 +73,14 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let deregister ctx = T.deregister ctx.h
 
-  let size_seq s = Array.fold_left (fun acc b -> acc + Core.size_seq b) 0 s.buckets
+  let size_seq s = Array.fold_left (fun acc h -> acc + Core.size_seq h) 0 s.heads
 
   let keys_seq s =
     let acc = ref [] in
-    Array.iter (fun b -> Core.iter_seq b (fun k -> acc := k :: !acc)) s.buckets;
+    Array.iter (fun h -> Core.iter_seq h (fun k -> acc := k :: !acc)) s.heads;
     List.sort Int.compare !acc
 
-  let check_invariants s = Array.iter (Core.check_seq s.base.heap) s.buckets
+  let check_invariants s = Array.iter (Core.check_seq s.base.heap) s.heads
 
   let heap_live s = Heap.live_nodes s.base.heap
 

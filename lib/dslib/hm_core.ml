@@ -30,8 +30,6 @@ module Make (T : Smr_typed.S) = struct
 
   and link = Nil | Link of { tgt : cell Heap.node; marked : bool }
 
-  type bucket = { head : cell Heap.node }
-
   exception Retry_find
 
   let payload _id = Atomic.make Nil
@@ -47,11 +45,18 @@ module Make (T : Smr_typed.S) = struct
     tail.Heap.key <- max_int;
     tail
 
-  let make_bucket heap ~tail =
+  (* A chain starts at a head cell: a bucket's own cell, or a head
+     sentinel's [next] cell. The entry points take it with an anchor, the
+     sentinel that stands as the [prev] node of the chain's first node;
+     only [T.enter_write_phase] (NBR's write-phase reservation) sees the
+     anchor, and like every sentinel it is never retired. *)
+  let make_head heap ~tail =
     let head = Heap.sentinel heap in
     head.Heap.key <- min_int;
     Atomic.set (next_cell head) (Link { tgt = tail; marked = false });
-    { head }
+    head
+
+  let head_cell ~tail = Atomic.make (Link { tgt = tail; marked = false })
 
   type find_res = {
     found : bool;
@@ -63,11 +68,11 @@ module Make (T : Smr_typed.S) = struct
 
   (* One traversal attempt; raises [Retry_find] when the list moved under
      us or after unlinking a marked node. Slots rotate prev<-curr<-next. *)
-  let find_attempt a sl bucket key =
+  let find_attempt a sl anchor head key =
     let rec step prev_node prev_cell curr_link sprev scurr snext =
       (* First dereference of curr: it was reserved by the read that
          produced [curr_link] and validated reachable by the previous
-         iteration's prev re-check (or read from the head sentinel). *)
+         iteration's prev re-check (or read from the head cell). *)
       let curr_w = T.project curr_link proj in
       T.check a curr_w;
       let curr = T.value curr_w in
@@ -97,21 +102,20 @@ module Make (T : Smr_typed.S) = struct
             else step curr (next_cell curr) nl scurr snext sprev
       end
     in
-    let cell = next_cell bucket.head in
-    step bucket.head cell (T.read a sl.(0) cell proj) sl.(2) sl.(0) sl.(1)
+    step anchor head (T.read a sl.(0) head proj) sl.(2) sl.(0) sl.(1)
 
-  let rec find a sl bucket key =
-    match find_attempt a sl bucket key with
+  let rec find a sl anchor head key =
+    match find_attempt a sl anchor head key with
     | r -> r
-    | exception Retry_find -> find a sl bucket key
+    | exception Retry_find -> find a sl anchor head key
 
   (* The in-op bodies below assume the caller bracketed them with
      start_op/end_op (see Ds_common.with_op). *)
 
-  let contains_in_op a sl bucket key = (find a sl bucket key).found
+  let contains_in_op a sl anchor head key = (find a sl anchor head key).found
 
-  let rec insert_in_op a sl bucket key =
-    let r = find a sl bucket key in
+  let rec insert_in_op a sl anchor head key =
+    let r = find a sl anchor head key in
     if r.found then false
     else begin
       let n = T.alloc a in
@@ -127,12 +131,12 @@ module Make (T : Smr_typed.S) = struct
         (* Never published: hand the node straight back to the heap. *)
         T.free_unpublished w n;
         let a = T.reopen_op w in
-        insert_in_op a sl bucket key
+        insert_in_op a sl anchor head key
       end
     end
 
-  let rec delete_in_op a sl bucket key =
-    let r = find a sl bucket key in
+  let rec delete_in_op a sl anchor head key =
+    let r = find a sl anchor head key in
     if not r.found then false
     else begin
       let curr = proj (T.value r.fcurr_link) in
@@ -144,7 +148,7 @@ module Make (T : Smr_typed.S) = struct
              (Link { tgt = proj (T.value r.fnext_link); marked = true }))
       then begin
         let a = T.reopen_op w in
-        delete_in_op a sl bucket key
+        delete_in_op a sl anchor head key
       end
       else begin
         (* The mark is the linearization point; nothing after it may
@@ -158,39 +162,37 @@ module Make (T : Smr_typed.S) = struct
       end
     end
 
-  (* Sequential (quiescent) helpers. *)
+  (* Sequential (quiescent) helpers, from a head cell to the tail. *)
 
-  let iter_seq bucket f =
+  let iter_seq head f =
     let rec go n =
       if node_key n <> max_int then begin
         let l = Atomic.get (next_cell n) in
-        (match l with
-        | Link { marked = false; _ } when node_key n <> min_int -> f (node_key n)
-        | Link _ | Nil -> ());
+        (match l with Link { marked = false; _ } -> f (node_key n) | Link _ | Nil -> ());
         go (proj l)
       end
     in
-    go bucket.head
+    go (proj (Atomic.get head))
 
-  let size_seq bucket =
+  let size_seq head =
     let c = ref 0 in
-    iter_seq bucket (fun _ -> incr c);
+    iter_seq head (fun _ -> incr c);
     !c
 
-  (* Structural invariants: strictly ascending keys from head to tail,
-     every linked node is live (anything freed-but-linked would be a
-     reclamation bug), and the chain never reaches the [Nil] placeholder
-     (a node linked before its [next] was set). *)
-  let check_seq heap bucket =
-    let rec go n last =
-      let k = node_key n in
-      if k <> min_int && not (Heap.is_live n) then failwith "hm_core: freed node still linked";
-      if k <= last && k <> min_int then failwith "hm_core: keys not strictly ascending";
-      if k <> max_int then
-        match Atomic.get (next_cell n) with
-        | Nil -> failwith "hm_core: chain reaches the Nil placeholder"
-        | Link l -> go l.tgt (max k last)
+  (* Structural invariants: strictly ascending keys from the head cell
+     to the tail, every linked node is live (anything freed-but-linked
+     would be a reclamation bug), and the chain never reaches the [Nil]
+     placeholder (a node linked before its [next] was set). *)
+  let check_seq heap head =
+    let rec go l last =
+      match l with
+      | Nil -> failwith "hm_core: chain reaches the Nil placeholder"
+      | Link { tgt = n; _ } ->
+          let k = node_key n in
+          if not (Heap.is_live n) then failwith "hm_core: freed node still linked";
+          if k <= last then failwith "hm_core: keys not strictly ascending";
+          if k <> max_int then go (Atomic.get (next_cell n)) k
     in
     ignore heap;
-    go bucket.head min_int
+    go (Atomic.get head) min_int
 end

@@ -33,8 +33,6 @@ module Make (T : Pop_core.Smr_typed.S) : sig
     | Nil  (** Placeholder in fresh payloads; never read by a traversal. *)
     | Link of { tgt : cell Pop_sim.Heap.node; marked : bool }
 
-  type bucket = { head : cell Pop_sim.Heap.node }
-
   exception Retry_find
 
   val payload : int -> cell
@@ -49,10 +47,14 @@ module Make (T : Pop_core.Smr_typed.S) : sig
   val next_cell : cell Pop_sim.Heap.node -> cell
 
   val make_tail : cell Pop_sim.Heap.t -> cell Pop_sim.Heap.node
-  (** The shared [max_int] sentinel every bucket's chain ends with. *)
+  (** The shared [max_int] sentinel every chain ends with. *)
 
-  val make_bucket : cell Pop_sim.Heap.t -> tail:cell Pop_sim.Heap.node -> bucket
-  (** A [min_int] head sentinel linked straight to [tail]. *)
+  val make_head : cell Pop_sim.Heap.t -> tail:cell Pop_sim.Heap.node -> cell Pop_sim.Heap.node
+  (** A [min_int] head sentinel linked straight to [tail]: a list's
+      anchor, whose {!next_cell} is its head cell. *)
+
+  val head_cell : tail:cell Pop_sim.Heap.node -> cell
+  (** A bare head cell linked straight to [tail]: a hash bucket. *)
 
   (** Result of a completed traversal, positioned at the first node with
       key >= the search key. *)
@@ -67,30 +69,54 @@ module Make (T : Pop_core.Smr_typed.S) : sig
   }
 
   val find :
-    (cell, Pop_core.Smr_typed.active) T.handle -> T.slot array -> bucket -> int -> find_res
-  (** Traverse, unlinking marked nodes along the way; retries
-      internally, so it never raises {!Retry_find}. The slot array is
-      the instance's {!Pop_core.Smr_typed.S.slots} (the first three are
+    (cell, Pop_core.Smr_typed.active) T.handle ->
+    T.slot array ->
+    cell Pop_sim.Heap.node ->
+    cell ->
+    int ->
+    find_res
+  (** [find a sl anchor head key] traverses the chain at the head cell
+      [head], unlinking marked nodes along the way; retries internally,
+      so it never raises {!Retry_find}. [anchor] is a never-retired
+      sentinel that stands as the [prev] node of the chain's first node
+      (only {!T.enter_write_phase} sees it). The slot array is the
+      instance's {!Pop_core.Smr_typed.S.slots} (the first three are
       used, rotating). *)
 
   val contains_in_op :
-    (cell, Pop_core.Smr_typed.active) T.handle -> T.slot array -> bucket -> int -> bool
+    (cell, Pop_core.Smr_typed.active) T.handle ->
+    T.slot array ->
+    cell Pop_sim.Heap.node ->
+    cell ->
+    int ->
+    bool
 
   val insert_in_op :
-    (cell, Pop_core.Smr_typed.active) T.handle -> T.slot array -> bucket -> int -> bool
+    (cell, Pop_core.Smr_typed.active) T.handle ->
+    T.slot array ->
+    cell Pop_sim.Heap.node ->
+    cell ->
+    int ->
+    bool
 
   val delete_in_op :
-    (cell, Pop_core.Smr_typed.active) T.handle -> T.slot array -> bucket -> int -> bool
+    (cell, Pop_core.Smr_typed.active) T.handle ->
+    T.slot array ->
+    cell Pop_sim.Heap.node ->
+    cell ->
+    int ->
+    bool
   (** The [_in_op] bodies assume the caller bracketed them with
       [start_op]/[end_op] (see {!Ds_common.Make.with_op}). *)
 
-  val iter_seq : bucket -> (int -> unit) -> unit
-  (** Quiescent in-order iteration over unmarked keys. *)
+  val iter_seq : cell -> (int -> unit) -> unit
+  (** Quiescent in-order iteration over the unmarked keys of the chain
+      at a head cell. *)
 
-  val size_seq : bucket -> int
+  val size_seq : cell -> int
 
-  val check_seq : cell Pop_sim.Heap.t -> bucket -> unit
-  (** Structural invariants: strictly ascending keys from head to tail,
-      every linked node live, and no chain reaching [Nil]. Raises
-      [Failure] on violation. *)
+  val check_seq : cell Pop_sim.Heap.t -> cell -> unit
+  (** Structural invariants: strictly ascending keys from the head cell
+      to the tail, every linked node live, and no chain reaching [Nil].
+      Raises [Failure] on violation. *)
 end

@@ -1,5 +1,6 @@
 (** The Harris-Michael sorted linked list (HML in the paper's plots):
-    a single Hm_core bucket behind the SET interface. *)
+    one Hm_core chain behind the SET interface. Its head sentinel is
+    the chain's anchor and the sentinel's [next] cell its head cell. *)
 
 open Pop_core
 module Heap = Pop_sim.Heap
@@ -12,7 +13,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let smr_name = T.name
 
-  type t = { base : Core.cell Common.base; bucket : Core.bucket }
+  type t = { base : Core.cell Common.base; anchor : Core.cell Heap.node; head : Core.cell }
 
   type ctx = {
     s : t;
@@ -24,19 +25,20 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
   let create scfg dcfg ~hub =
     let base = Common.make_base scfg dcfg hub Core.payload in
     let tail = Core.make_tail base.heap in
-    { base; bucket = Core.make_bucket base.heap ~tail }
+    let anchor = Core.make_head base.heap ~tail in
+    { base; anchor; head = Core.next_cell anchor }
 
   let register s ~tid =
     { s; h = T.register s.base.smr ~tid; sl = T.slots s.base.smr; tid }
 
   let insert ctx key =
-    Common.with_op ctx.h (fun a -> Core.insert_in_op a ctx.sl ctx.s.bucket key)
+    Common.with_op ctx.h (fun a -> Core.insert_in_op a ctx.sl ctx.s.anchor ctx.s.head key)
 
   let delete ctx key =
-    Common.with_op ctx.h (fun a -> Core.delete_in_op a ctx.sl ctx.s.bucket key)
+    Common.with_op ctx.h (fun a -> Core.delete_in_op a ctx.sl ctx.s.anchor ctx.s.head key)
 
   let contains ctx key =
-    Common.with_op ctx.h (fun a -> Core.contains_in_op a ctx.sl ctx.s.bucket key)
+    Common.with_op ctx.h (fun a -> Core.contains_in_op a ctx.sl ctx.s.anchor ctx.s.head key)
 
   let poll ctx = T.poll ctx.h
 
@@ -44,7 +46,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
      the structure's first pointer, never written back, so the set's
      contents are unaffected however long it stays pinned. *)
   let stall_pin ctx =
-    let cell = Core.next_cell ctx.s.bucket.head in
+    let cell = ctx.s.head in
     fun a -> ignore (T.read a ctx.sl.(0) cell Core.proj)
 
   let stall ?wake ctx ~seconds ~polling =
@@ -56,14 +58,14 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let deregister ctx = T.deregister ctx.h
 
-  let size_seq s = Core.size_seq s.bucket
+  let size_seq s = Core.size_seq s.head
 
   let keys_seq s =
     let acc = ref [] in
-    Core.iter_seq s.bucket (fun k -> acc := k :: !acc);
+    Core.iter_seq s.head (fun k -> acc := k :: !acc);
     List.rev !acc
 
-  let check_invariants s = Core.check_seq s.base.heap s.bucket
+  let check_invariants s = Core.check_seq s.base.heap s.head
 
   let heap_live s = Heap.live_nodes s.base.heap
 

@@ -61,7 +61,7 @@ let default_cfg =
     reclaim_freq = 512;
     reclaim_scale = 0;
     epoch_freq = 32;
-    pop_mult = 2;
+    pop_mult = (Pop_core.Smr_config.default ()).pop_mult;
     max_hp = 8;
     ht_load = 4;
     ab_branch = 8;

@@ -67,6 +67,10 @@ let table =
         ("mops null", set [ I 0; K "mops" ] Null, "mops");
         ("mops missing", at [ I 0 ] (drop "mops"), "mops");
         ("snapshot_reuses missing", at [ I 0; K "smr" ] (drop "snapshot_reuses"), "snapshot_reuses");
+        ("inconsistent", set [ I 0; K "consistent" ] (Bool false), "consistent");
+        ("sanitizer violations", set [ I 0; K "smr"; K "violations" ] (Int 1), "violations");
+        ("uaf", set [ I 0; K "uaf" ] (Int 1), "uaf");
+        ("double free", set [ I 0; K "double_free" ] (Int 1), "double_free");
       ] );
     ( "churn",
       runner_doc [ "hml/hp-pop/t4" ],

@@ -143,26 +143,47 @@ let per_ds ds =
     QCheck_alcotest.to_alcotest (model_prop ~count:20 ds Dispatch.CADENCE);
   ]
 
-(* Hm_core's structural check on hand-built chains: a node linked while
-   its [next] is still the fresh-payload [Nil] must fail [check_seq],
-   and the same chain finished with a link to the tail must pass. *)
+(* Hm_core's structural check on hand-built chains from a bare head
+   cell: a node linked while its [next] is still the fresh-payload [Nil]
+   must fail [check_seq], and the same chain finished with a link to the
+   tail must pass. *)
 let hm_core_nil_fails_check () =
   let module Core = Pop_ds.Hm_core.Make (Pop_core.Smr_typed.Of (Pop_baselines.Nr)) in
   let module Heap = Pop_sim.Heap in
   let heap = Heap.create ~max_threads:1 ~payload:Core.payload () in
   let tail = Core.make_tail heap in
-  let bucket = Core.make_bucket heap ~tail in
-  Core.check_seq heap bucket;
+  let head = Core.head_cell ~tail in
+  Core.check_seq heap head;
   let n = Heap.alloc heap ~tid:0 ~birth_era:0 in
   n.Heap.key <- 5;
-  Atomic.set (Core.next_cell bucket.Core.head) (Core.Link { tgt = n; marked = false });
+  Atomic.set head (Core.Link { tgt = n; marked = false });
   Alcotest.check_raises "chain reaching Nil rejected"
     (Failure "hm_core: chain reaches the Nil placeholder") (fun () ->
-      Core.check_seq heap bucket);
+      Core.check_seq heap head);
   Atomic.set (Core.next_cell n) (Core.Link { tgt = tail; marked = false });
-  Core.check_seq heap bucket;
-  Alcotest.(check int) "one key" 1 (Core.size_seq bucket)
+  Core.check_seq heap head;
+  Alcotest.(check int) "one key" 1 (Core.size_seq head)
+
+(* The update-heavy shape: 65,536 keys over 16,384 buckets must load
+   every bucket with exactly 4 keys, 2 of them even, so a prefill of the
+   even keys leaves no bucket empty. *)
+let hmht_hash_spreads_keys () =
+  let nbuckets = 16_384 in
+  let keys = Array.make nbuckets 0 and evens = Array.make nbuckets 0 in
+  for k = 0 to 65_535 do
+    let b = Pop_ds.Hash_table.hash nbuckets k in
+    keys.(b) <- keys.(b) + 1;
+    if k mod 2 = 0 then evens.(b) <- evens.(b) + 1
+  done;
+  Array.iteri
+    (fun b n ->
+      if n <> 4 || evens.(b) <> 2 then
+        Alcotest.failf "bucket %d holds %d keys, %d even; expected 4 and 2" b n evens.(b))
+    keys
 
 let suite =
   List.concat_map per_ds Dispatch.all_ds_ext
-  @ [ case "hml: check_seq rejects a chain reaching Nil" hm_core_nil_fails_check ]
+  @ [
+      case "hml: check_seq rejects a chain reaching Nil" hm_core_nil_fails_check;
+      case "hmht: the hash spreads every key range over every bucket" hmht_hash_spreads_keys;
+    ]

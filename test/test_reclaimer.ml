@@ -613,6 +613,26 @@ let engine_frees_whole_blocks () =
   Alcotest.(check int) "no double free" 0 (Heap.double_free_count heap);
   Alcotest.(check int) "no uaf" 0 (Heap.uaf_count heap)
 
+(* Every scrubbed slot holds the engine's one dummy: registering,
+   filtering, recycling blocks and draining mint no further sentinel. *)
+let one_dummy_per_engine () =
+  let heap, _c, eng, rl = make ~reclaim_freq:1_000_000 ~segment_size:4 () in
+  let before = (Heap.sentinel heap).Heap.id in
+  ignore (Reclaimer.register eng ~tid:1 ~scratch_slots:4);
+  for _ = 1 to 3 do
+    for _ = 1 to 10 do
+      Reclaimer.retire rl (Heap.alloc heap ~tid:0 ~birth_era:0)
+    done;
+    ignore (Reclaimer.scan_plain ~kind:Reclaimer.Plain ~keep:(fun _ -> false) rl)
+  done;
+  for _ = 1 to 6 do
+    Reclaimer.retire rl (Heap.alloc heap ~tid:0 ~birth_era:0)
+  done;
+  Reclaimer.free_array rl (Reclaimer.take_all rl);
+  Alcotest.(check bool) "blocks recycled" true (Reclaimer.free_blocks rl >= 2);
+  Alcotest.(check int) "no sentinel minted in between" 1
+    (before - (Heap.sentinel heap).Heap.id)
+
 (* --- covered-list drain --- *)
 
 (* A fresh pass re-vets at least as many covered blocks as it splices
@@ -724,4 +744,5 @@ let suite =
     case "reclaimer: engine frees at block granularity only" engine_frees_whole_blocks;
     case "reclaimer: sharded orphanage drains exactly once" sharded_orphanage_drains;
     case "reclaimer: released covered blocks drain" covered_blocks_drain;
+    case "reclaimer: one scrub dummy per engine" one_dummy_per_engine;
   ]

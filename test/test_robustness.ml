@@ -51,6 +51,45 @@ let epoch_pop_reclaims_past_delayed_thread () =
       Atomic.set stop true;
       Domain.join d)
 
+(* Algorithm 3's C at its default: the first epoch pass a pinned peer
+   blocks already falls back to pings, so the retiring thread's list
+   never holds more than one threshold (with C = 2 it climbs to two). *)
+let epoch_pop_default_c_bounds_pending () =
+  let freq = 8 in
+  let cfg = { (Smr_config.default ~max_threads:2 ()) with reclaim_freq = freq; epoch_freq = 2 } in
+  let heap = Pop_sim.Heap.create ~max_threads:2 ~payload:(fun _ -> ()) () in
+  let g = Epoch_pop.create cfg (Pop_runtime.Softsignal.create ~max_threads:2) heap in
+  let ctx0 = Epoch_pop.register g ~tid:0 in
+  let stop = Atomic.make false and pinned = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        let ctx1 = Epoch_pop.register g ~tid:1 in
+        Epoch_pop.start_op ctx1;
+        ignore (Epoch_pop.read ctx1 0 (Atomic.make (Epoch_pop.alloc ctx1)) Fun.id);
+        Atomic.set pinned true;
+        while not (Atomic.get stop) do
+          Epoch_pop.poll ctx1;
+          Domain.cpu_relax ()
+        done;
+        Epoch_pop.end_op ctx1;
+        Epoch_pop.deregister ctx1)
+  in
+  while not (Atomic.get pinned) do
+    Domain.cpu_relax ()
+  done;
+  let worst = ref 0 in
+  for _ = 1 to 200 do
+    Epoch_pop.retire ctx0 (Epoch_pop.alloc ctx0);
+    worst := max !worst (Epoch_pop.unreclaimed g)
+  done;
+  Atomic.set stop true;
+  Domain.join d;
+  Alcotest.(check bool)
+    (Printf.sprintf "pending peaked at %d <= reclaim_freq %d" !worst freq)
+    true (!worst <= freq);
+  Alcotest.(check bool) "pop passes ran" true ((Epoch_pop.stats g).Smr_stats.pop_passes >= 1);
+  Alcotest.(check int) "no UAF" 0 (Pop_sim.Heap.uaf_count heap)
+
 let ebr_blocked_by_delayed_thread () =
   (let module Rig__ = Smr_rig (Pop_baselines.Ebr) in
    Rig__.run)
@@ -222,6 +261,8 @@ let deaf_to_the_end smr =
 let suite =
   [
     case "epoch-pop reclaims past a delayed thread" epoch_pop_reclaims_past_delayed_thread;
+    case "epoch-pop default C: pending stays within one threshold"
+      epoch_pop_default_c_bounds_pending;
     case "ebr blocked by a delayed thread" ebr_blocked_by_delayed_thread;
     case "hp-pop garbage bounded by N*H (Property 3)" hp_pop_bound_is_reservation_count;
     case "runner stall: ebr unbounded vs epoch-pop bounded" stalled_ebr_vs_epoch_pop;

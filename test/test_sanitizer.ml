@@ -263,6 +263,51 @@ let sanitized_cell ds smr () =
   let v = r.Runner.smr.Smr_stats.violations in
   if v <> 0 then Alcotest.failf "%d protocol violations under %s" v (Dispatch.smr_name smr)
 
+(* HMHT with 16 keys has 4 buckets, so most deletes unlink a bucket's
+   first node and hand the table's shared anchor to
+   [enter_write_phase]. Two workers hammer it under the sanitizer; each
+   key's final presence must equal its prefill plus the workers' net
+   successful inserts of it. *)
+let contended_heads smr () =
+  let key_range = 16 and workers = 2 in
+  let (module S) = Dispatch.set_module ~sanitize:true Dispatch.HMHT smr in
+  let scfg =
+    { (Smr_config.default ~max_threads:(workers + 1) ()) with reclaim_freq = 8; epoch_freq = 4 }
+  in
+  let s =
+    S.create scfg (Pop_ds.Ds_config.default ~key_range)
+      ~hub:(Pop_runtime.Softsignal.create ~max_threads:(workers + 1))
+  in
+  let pctx = S.register s ~tid:workers in
+  let prefill = Array.init key_range (fun k -> k mod 2 = 0 && S.insert pctx k) in
+  S.flush pctx;
+  S.deregister pctx;
+  let worker tid () =
+    let ctx = S.register s ~tid in
+    let rng = Pop_runtime.Rng.make (31 * (tid + 1)) in
+    let net = Array.make key_range 0 in
+    for _ = 1 to 3000 do
+      let k = Pop_runtime.Rng.int rng key_range in
+      match Pop_runtime.Rng.int rng 3 with
+      | 0 -> if S.insert ctx k then net.(k) <- net.(k) + 1
+      | 1 -> if S.delete ctx k then net.(k) <- net.(k) - 1
+      | _ -> ignore (S.contains ctx k)
+    done;
+    S.flush ctx;
+    S.deregister ctx;
+    net
+  in
+  let nets = List.map Domain.join (List.init workers (fun tid -> Domain.spawn (worker tid))) in
+  S.check_invariants s;
+  let present = S.keys_seq s in
+  for k = 0 to key_range - 1 do
+    let tally = List.fold_left (fun acc net -> acc + net.(k)) (Bool.to_int prefill.(k)) nets in
+    Alcotest.(check int) (Printf.sprintf "key %d tally" k) tally (Bool.to_int (List.mem k present))
+  done;
+  Alcotest.(check int) "uaf" 0 (S.heap_uaf s);
+  Alcotest.(check int) "double free" 0 (S.heap_double_free s);
+  Alcotest.(check int) "violations" 0 (S.smr_stats s).Smr_stats.violations
+
 (* The unsafe scheme frees retired nodes immediately, so a reserved
    incarnation dies under a live reservation and the next check misses
    its (id, seq) pair — the sanitizer flags runs the heap's racy UAF
@@ -311,5 +356,12 @@ let suite =
                  (Dispatch.smr_name smr))
               (sanitized_cell ds smr))
           Dispatch.all_ds)
+      Dispatch.paper_smrs
+  @ List.map
+      (fun smr ->
+        case
+          (Printf.sprintf "sanitized hmht/%s: contended bucket heads keep every key's tally"
+             (Dispatch.smr_name smr))
+          (contended_heads smr))
       Dispatch.paper_smrs
   @ [ case "unsafe-free is flagged by the sanitizer" unsafe_sanitized ]

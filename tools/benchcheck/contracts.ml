@@ -60,10 +60,19 @@ let chain rel negated at keys =
 let ordered = chain ( <= ) ">"
 let equal = chain Float.equal "<>"
 
-(* [popbench --json]: a finite throughput and the scheme's stats. *)
+(* [popbench --json]: a finite throughput, the scheme's stats, and a
+   safe, consistent run. *)
 let json doc =
   let cs = cells (root doc) in
-  List.iter (fun c -> present num c [ "mops" ]; present int (get c "smr") [ "snapshot_reuses" ]) cs;
+  List.iter
+    (fun c ->
+      present num c [ "mops" ];
+      holds c [ "consistent" ];
+      zero c [ "uaf"; "double_free" ];
+      let smr = get c "smr" in
+      present int smr [ "snapshot_reuses" ];
+      zero smr [ "violations" ])
+    cs;
   Printf.sprintf "%d cells" (List.length cs)
 
 (* A sanitized exit+crash+join cell: events fired, the failure-detector
