@@ -145,7 +145,7 @@ let fig_signal_latency () =
   let measure workers =
     let total = workers + 1 in
     let hub = Softsignal.create ~max_threads:total in
-    let hs = Handshake.create hub in
+    let hs = Handshake.create (Pop_core.Smr_config.default ~max_threads:total ()) hub in
     let stop = Atomic.make false in
     let ready = Atomic.make 0 in
     let worker tid () =
@@ -169,12 +169,10 @@ let fig_signal_latency () =
       Domain.cpu_relax ()
     done;
     let port = Softsignal.register hub ~tid:workers in
-    let scratch = Array.make total 0 in
-    let timed_out = Array.make total false in
     let lat = Array.make rounds 0.0 in
     for i = 0 to rounds - 1 do
       let t0 = Pop_runtime.Clock.now () in
-      ignore (Handshake.ping_and_wait hs ~port ~scratch ~timed_out);
+      ignore (Handshake.round hs ~port);
       lat.(i) <- Pop_runtime.Clock.elapsed t0
     done;
     Atomic.set stop true;

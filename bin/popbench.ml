@@ -94,10 +94,9 @@ let print_result (r : Runner.result) =
           (Pop_core.Smr_stats.to_alist r.smr));
   if not (Runner.consistent r) then prerr_endline "warning: cell inconsistent (see table)"
 
-let run_cell ds smr threads duration key_range ins del reclaim_freq reclaim_scale epoch_freq
-    pop_mult lrr kv zipf rate stall_for stall_polling churn_counts churn_start churn_period
-    ping_timeout suspect_after probe_cap segment_size drop_ping delay_poll seed sanitize csv
-    json =
+let run_cell ds smr threads duration key_range ins del reclaim_freq epoch_freq pop_mult lrr kv
+    zipf rate stall_for stall_polling churn_counts churn_start churn_period ping_timeout
+    suspect_after segment_size drop_ping delay_poll seed sanitize csv json =
   let mix = { Workload.ins_pct = ins; del_pct = del } in
   let stall =
     if stall_for > 0.0 then
@@ -133,7 +132,6 @@ let run_cell ds smr threads duration key_range ins del reclaim_freq reclaim_scal
       key_range;
       mix;
       reclaim_freq;
-      reclaim_scale;
       epoch_freq;
       pop_mult;
       long_running_reads = lrr;
@@ -144,7 +142,6 @@ let run_cell ds smr threads duration key_range ins del reclaim_freq reclaim_scal
       churn;
       ping_timeout_spins = ping_timeout;
       suspect_after;
-      probe_backoff_cap = probe_cap;
       segment_size;
       drop_ping;
       delay_poll;
@@ -161,6 +158,7 @@ let run_cell ds smr threads duration key_range ins del reclaim_freq reclaim_scal
       Printf.printf "wrote %s\n" file
 
 let cmd =
+  let d = Runner.default_cfg in
   let ds = Arg.(value & opt ds_conv Dispatch.HML & info [ "ds" ] ~doc:"Data structure.") in
   let smr = Arg.(value & opt smr_conv Dispatch.EPOCHPOP & info [ "smr" ] ~doc:"SMR algorithm.") in
   let threads = Arg.(value & opt int 2 & info [ "threads"; "t" ] ~doc:"Worker threads.") in
@@ -168,22 +166,11 @@ let cmd =
   let key_range = Arg.(value & opt int 2048 & info [ "size"; "s" ] ~doc:"Key range.") in
   let ins = Arg.(value & opt int 50 & info [ "inserts" ] ~doc:"Insert percentage.") in
   let del = Arg.(value & opt int 50 & info [ "deletes" ] ~doc:"Delete percentage.") in
-  let reclaim = Arg.(value & opt int 512 & info [ "reclaim-freq" ] ~doc:"Retire threshold.") in
-  let reclaim_scale =
-    Arg.(
-      value & opt int 0
-      & info [ "reclaim-scale" ]
-          ~doc:
-            "Adaptive retire threshold: scale x threads x max_hp, floored at --reclaim-freq \
-             (0 keeps the flat threshold).")
+  let reclaim =
+    Arg.(value & opt int d.reclaim_freq & info [ "reclaim-freq" ] ~doc:"Retire threshold.")
   in
-  let epochf = Arg.(value & opt int 32 & info [ "epoch-freq" ] ~doc:"Epoch frequency.") in
-  let popm =
-    Arg.(
-      value
-      & opt int Runner.default_cfg.pop_mult
-      & info [ "pop-mult" ] ~doc:"EpochPOP C multiplier.")
-  in
+  let epochf = Arg.(value & opt int d.epoch_freq & info [ "epoch-freq" ] ~doc:"Epoch frequency.") in
+  let popm = Arg.(value & opt int d.pop_mult & info [ "pop-mult" ] ~doc:"EpochPOP C multiplier.") in
   let lrr =
     Arg.(value & flag & info [ "long-running-reads" ] ~doc:"Figure-4 reader/updater split.")
   in
@@ -241,29 +228,21 @@ let cmd =
   in
   let ping_timeout =
     Arg.(
-      value & opt int 64
+      value & opt int d.ping_timeout_spins
       & info [ "ping-timeout" ]
           ~doc:"Handshake spin budget per non-responsive peer (backoff attempts).")
   in
   let suspect_after =
     Arg.(
-      value & opt int 3
+      value & opt int d.suspect_after
       & info [ "suspect-after" ]
           ~doc:
             "Consecutive stale-heartbeat handshake timeouts before the failure detector \
              quarantines a peer (raise on oversubscribed schedulers).")
   in
-  let probe_cap =
-    Arg.(
-      value & opt int 64
-      & info [ "probe-cap" ]
-          ~doc:
-            "Cap, in handshake rounds, on the exponential backoff between re-probes of a \
-             quarantined peer.")
-  in
   let segment_size =
     Arg.(
-      value & opt int 64
+      value & opt int d.segment_size
       & info [ "segment-size" ] ~doc:"Retire-buffer segment-block capacity (nodes per block).")
   in
   let drop_ping =
@@ -336,26 +315,26 @@ let cmd =
   let fullscale =
     Arg.(value & flag & info [ "full" ] ~doc:"With --fig, longer runs on larger structures.")
   in
-  let main ds smr threads duration key_range ins del reclaim reclaim_scale epochf popm lrr kv
-      zipf rate stall_for stall_polling churn_counts churn_start churn_period ping_timeout
-      suspect_after probe_cap segment_size drop_ping delay_poll seed sanitize csv json fig
-      out smrs scenarios fullscale =
+  let main ds smr threads duration key_range ins del reclaim epochf popm lrr kv zipf rate
+      stall_for stall_polling churn_counts churn_start churn_period ping_timeout suspect_after
+      segment_size drop_ping delay_poll seed sanitize csv json fig out smrs scenarios fullscale
+      =
     match fig with
     | Some name ->
         let scale = if fullscale then Experiments.full else Experiments.quick in
         Pop_bench.Figures.run ?out { scale; smrs; scenarios } name
     | None ->
-        run_cell ds smr threads duration key_range ins del reclaim reclaim_scale epochf popm lrr
-          kv zipf rate stall_for stall_polling churn_counts churn_start churn_period ping_timeout
-          suspect_after probe_cap segment_size drop_ping delay_poll seed sanitize csv json
+        run_cell ds smr threads duration key_range ins del reclaim epochf popm lrr kv zipf rate
+          stall_for stall_polling churn_counts churn_start churn_period ping_timeout
+          suspect_after segment_size drop_ping delay_poll seed sanitize csv json
   in
   Cmd.v
     (Cmd.info "popbench" ~doc:"Publish-on-ping reclamation benchmark")
     Term.(
-      const main $ ds $ smr $ threads $ duration $ key_range $ ins $ del $ reclaim
-      $ reclaim_scale $ epochf $ popm $ lrr $ kv $ zipf $ rate $ stall_for $ stall_polling
-      $ churn_counts $ churn_start $ churn_period $ ping_timeout $ suspect_after $ probe_cap
-      $ segment_size $ drop_ping $ delay_poll $ seed $ sanitize $ csv $ json $ fig $ out
-      $ tournament_smrs $ tournament_scenarios $ fullscale)
+      const main $ ds $ smr $ threads $ duration $ key_range $ ins $ del $ reclaim $ epochf
+      $ popm $ lrr $ kv $ zipf $ rate $ stall_for $ stall_polling $ churn_counts $ churn_start
+      $ churn_period $ ping_timeout $ suspect_after $ segment_size $ drop_ping $ delay_poll
+      $ seed $ sanitize $ csv $ json $ fig $ out $ tournament_smrs $ tournament_scenarios
+      $ fullscale)
 
 let () = exit (Cmd.eval cmd)

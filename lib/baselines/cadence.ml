@@ -6,7 +6,7 @@ let name = "cadence"
 
 let no_id = min_int
 
-let tick_interval = ref 0.002
+let tick_interval = 0.002
 
 type 'a t = {
   cfg : Smr_config.t;
@@ -19,7 +19,6 @@ type 'a t = {
   tick : int Atomic.t;
   tick_lock : bool Atomic.t;
   mutable last_tick_time : float; (* racy; only gates the tick attempt *)
-  interval : float;
 }
 
 type 'a tctx = {
@@ -30,8 +29,6 @@ type 'a tctx = {
   rows : int array;
   base : int; (* index of this thread's slot 0 in [rows] *)
   rl : 'a Reclaimer.local;
-  counter_scratch : int array;
-  timeout_scratch : bool array;
   mutable op_counter : int;
 }
 
@@ -43,16 +40,12 @@ let create cfg hub heap =
     hub;
     heap;
     res = Reservations.create ~max_threads:cfg.max_threads ~slots:cfg.max_hp ~none:no_id;
-    hs = Handshake.create ~timeout_spins:cfg.ping_timeout_spins ~suspect_after:cfg.suspect_after
-        ~backoff_cap:cfg.probe_backoff_cap hub;
+    hs = Handshake.create cfg hub;
     c;
-    (* 2x scale: passes here pay a ping/neutralization round, so amortize
-       over twice the adaptive threshold (see EXPERIMENTS.md sweep). *)
-    eng = Reclaimer.create ~reclaim_scale:(2 * cfg.reclaim_scale) cfg ~heap ~counters:c;
+    eng = Reclaimer.create cfg ~heap ~counters:c;
     tick = Atomic.make 2;
     tick_lock = Atomic.make false;
     last_tick_time = Clock.now ();
-    interval = !tick_interval;
   }
 
 let register g ~tid =
@@ -67,8 +60,6 @@ let register g ~tid =
       rows = Reservations.local_block g.res;
       base = Reservations.local_base g.res ~tid;
       rl = Reclaimer.register g.eng ~tid ~scratch_slots:nres;
-      counter_scratch = Array.make g.cfg.max_threads 0;
-      timeout_scratch = Array.make g.cfg.max_threads false;
       op_counter = 0;
     }
   in
@@ -83,19 +74,14 @@ let register g ~tid =
    in workloads that never reclaim. *)
 let maybe_tick ctx =
   let g = ctx.g in
-  if Clock.elapsed g.last_tick_time >= g.interval then
+  if Clock.elapsed g.last_tick_time >= tick_interval then
     if Atomic.compare_and_set g.tick_lock false true then begin
-      if Clock.elapsed g.last_tick_time >= g.interval then begin
-        let timeouts =
-          Handshake.ping_and_wait g.hs ~port:ctx.port ~scratch:ctx.counter_scratch
-            ~timed_out:ctx.timeout_scratch
-        in
-        Counters.handshake_timeout g.c ~tid:ctx.tid timeouts;
+      if Clock.elapsed g.last_tick_time >= tick_interval then begin
         (* Only a clean round is a real barrier: a timed-out peer never
            acknowledged, so its reservation stores may be unordered and the
            tick must not advance. The clock still resets, so a deaf peer
            costs one failed round per interval, not a ping storm. *)
-        if timeouts = 0 then begin
+        if Handshake.round g.hs ~port:ctx.port = 0 then begin
           Atomic.incr g.tick;
           Reclaimer.invalidate g.eng
         end;
@@ -145,12 +131,7 @@ let reclaim ctx ~force =
   if force then begin
     (* End-of-run drain: run a round now instead of waiting a tick (two
        tick bumps, but only when the round was clean — see maybe_tick). *)
-    let timeouts =
-      Handshake.ping_and_wait g.hs ~port:ctx.port ~scratch:ctx.counter_scratch
-        ~timed_out:ctx.timeout_scratch
-    in
-    Counters.handshake_timeout g.c ~tid:ctx.tid timeouts;
-    if timeouts = 0 then begin
+    if Handshake.round g.hs ~port:ctx.port = 0 then begin
       Atomic.incr g.tick;
       Atomic.incr g.tick;
       Reclaimer.invalidate g.eng

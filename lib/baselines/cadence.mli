@@ -19,6 +19,5 @@
 
 include Pop_core.Smr.S
 
-val tick_interval : float ref
-(** Seconds between global barrier rounds (default 2 ms). Mutable so
-    experiments can sweep it; set before creating instances. *)
+val tick_interval : float
+(** Seconds between global barrier rounds: 2 ms. *)

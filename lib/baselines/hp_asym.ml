@@ -24,8 +24,6 @@ type 'a tctx = {
   rows : int array; (* plain SWMR reservation rows (no fence) *)
   base : int; (* index of this thread's slot 0 in [rows] *)
   rl : 'a Reclaimer.local;
-  counter_scratch : int array;
-  timeout_scratch : bool array;
 }
 
 let create cfg hub heap =
@@ -36,12 +34,9 @@ let create cfg hub heap =
     hub;
     heap;
     res = Reservations.create ~max_threads:cfg.max_threads ~slots:cfg.max_hp ~none:no_id;
-    hs = Handshake.create ~timeout_spins:cfg.ping_timeout_spins ~suspect_after:cfg.suspect_after
-        ~backoff_cap:cfg.probe_backoff_cap hub;
+    hs = Handshake.create cfg hub;
     c;
-    (* 2x scale: passes here pay a ping/neutralization round, so amortize
-       over twice the adaptive threshold (see EXPERIMENTS.md sweep). *)
-    eng = Reclaimer.create ~reclaim_scale:(2 * cfg.reclaim_scale) cfg ~heap ~counters:c;
+    eng = Reclaimer.create cfg ~heap ~counters:c;
   }
 
 let register g ~tid =
@@ -56,8 +51,6 @@ let register g ~tid =
       rows = Reservations.local_block g.res;
       base = Reservations.local_base g.res ~tid;
       rl = Reclaimer.register g.eng ~tid ~scratch_slots:nres;
-      counter_scratch = Array.make g.cfg.max_threads 0;
-      timeout_scratch = Array.make g.cfg.max_threads false;
     }
   in
   (* The "membarrier": the handler only acknowledges; the ack's seq_cst
@@ -90,17 +83,13 @@ let alloc ctx = Heap.alloc ctx.g.heap ~tid:ctx.tid ~birth_era:0
 let reclaim ?force ctx =
   let g = ctx.g in
   let collect scratch =
-    let timeouts =
-      Handshake.ping_and_wait g.hs ~port:ctx.port ~scratch:ctx.counter_scratch
-        ~timed_out:ctx.timeout_scratch
-    in
-    (* Only the count is needed here: the scan below already reads every
+    (* Timeouts need no fallback here: the scan below already reads every
        peer's local row racily, including a timed-out peer's. A peer deaf
        for the whole spin budget has not executed READ since long before
        the ping (every READ tests the flag), so its last reservation
        stores are visible; an in-flight unvalidated reservation is safe
        to honour because the validating re-read retries on conflict. *)
-    Counters.handshake_timeout g.c ~tid:ctx.tid timeouts;
+    ignore (Handshake.round g.hs ~port:ctx.port);
     Reservations.collect_local g.res scratch
   in
   ignore

@@ -28,8 +28,6 @@ type 'a tctx = {
   port : Softsignal.port;
   pending : int Atomic.t; (* the port's ping flag, tested inline by [read] *)
   rl : 'a Reclaimer.local;
-  counter_scratch : int array;
-  timeout_scratch : bool array;
   mutable round_stamp : int; (* clean stamp captured by the last collect *)
   mutable phase : phase;
   mutable neutralized : bool;
@@ -44,12 +42,9 @@ let create cfg hub heap =
     hub;
     heap;
     res = Reservations.create ~max_threads:cfg.max_threads ~slots:cfg.max_hp ~none:no_id;
-    hs = Handshake.create ~timeout_spins:cfg.ping_timeout_spins ~suspect_after:cfg.suspect_after
-        ~backoff_cap:cfg.probe_backoff_cap hub;
+    hs = Handshake.create cfg hub;
     c;
-    (* 2x scale: passes here pay a ping/neutralization round, so amortize
-       over twice the adaptive threshold (see EXPERIMENTS.md sweep). *)
-    eng = Reclaimer.create ~reclaim_scale:(2 * cfg.reclaim_scale) cfg ~heap ~counters:c;
+    eng = Reclaimer.create cfg ~heap ~counters:c;
     rounds_started = Atomic.make 0;
     rounds_done = Atomic.make 0;
     clean_rounds_done = Atomic.make 0;
@@ -66,8 +61,6 @@ let register g ~tid =
       port;
       pending = Softsignal.pending_cell port;
       rl = Reclaimer.register g.eng ~tid ~scratch_slots:nres;
-      counter_scratch = Array.make g.cfg.max_threads 0;
-      timeout_scratch = Array.make g.cfg.max_threads false;
       round_stamp = 0;
       phase = Quiescent;
       neutralized = false;
@@ -147,12 +140,7 @@ let ensure_round ctx =
   let r0 = Atomic.get g.rounds_done in
   if Atomic.compare_and_set g.round_active false true then begin
     let s = Atomic.fetch_and_add g.rounds_started 1 + 1 in
-    let timeouts =
-      Handshake.ping_and_wait g.hs ~port:ctx.port ~scratch:ctx.counter_scratch
-        ~timed_out:ctx.timeout_scratch
-    in
-    Counters.handshake_timeout g.c ~tid:ctx.tid timeouts;
-    if timeouts = 0 then Atomic.set g.clean_rounds_done s;
+    if Handshake.round g.hs ~port:ctx.port = 0 then Atomic.set g.clean_rounds_done s;
     Atomic.set g.rounds_done s;
     Atomic.set g.round_active false;
     (* A completed round is new visibility: stale snapshot caches must

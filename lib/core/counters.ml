@@ -6,7 +6,6 @@ type t = {
   reclaim_passes : Striped.t;
   pop_passes : Striped.t;
   restarts : Striped.t;
-  hs_timeouts : Striped.t;
   scan_skips : Striped.t;
   snapshot_reuses : Striped.t;
   retire_segments : Striped.t;
@@ -31,7 +30,6 @@ let create n =
     reclaim_passes = Striped.create n;
     pop_passes = Striped.create n;
     restarts = Striped.create n;
-    hs_timeouts = Striped.create n;
     scan_skips = Striped.create n;
     snapshot_reuses = Striped.create n;
     retire_segments = Striped.create n;
@@ -58,8 +56,6 @@ let reclaim_pass t ~tid = Striped.incr t.reclaim_passes tid
 let pop_pass t ~tid = Striped.incr t.pop_passes tid
 
 let restart t ~tid = Striped.incr t.restarts tid
-
-let handshake_timeout t ~tid n = if n > 0 then Striped.add t.hs_timeouts tid n
 
 let scan_skip t ~tid = Striped.incr t.scan_skips tid
 
@@ -108,10 +104,13 @@ let note_unreclaimed t ~tid =
 
 let snapshot ?hs ?heap t ~hub ~epoch =
   let retired = Striped.sum t.retired and freed = Striped.sum t.freed in
-  let suspects, quarantine_rounds =
+  let handshake_timeouts, suspects, quarantine_rounds =
     match hs with
-    | None -> (0, 0)
-    | Some hs -> (Handshake.suspect_count hs, Handshake.quarantine_round_count hs)
+    | None -> (0, 0, 0)
+    | Some hs ->
+        ( Handshake.timeout_count hs,
+          Handshake.suspect_count hs,
+          Handshake.quarantine_round_count hs )
   in
   let block_grabs, block_returns, pool_blocks =
     match heap with
@@ -137,7 +136,7 @@ let snapshot ?hs ?heap t ~hub ~epoch =
       (if seg_slots <= 0 then 0 else 100 * max 0 seg_nodes / seg_slots);
     max_scan_blocks = max 0 (Striped.max_value t.scan_blocks);
     restarts = Striped.sum t.restarts;
-    handshake_timeouts = Striped.sum t.hs_timeouts;
+    handshake_timeouts;
     suspects;
     quarantine_rounds;
     block_skips = Striped.sum t.block_skips;

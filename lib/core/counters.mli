@@ -16,10 +16,6 @@ val pop_pass : t -> tid:int -> unit
 
 val restart : t -> tid:int -> unit
 
-val handshake_timeout : t -> tid:int -> int -> unit
-(** [handshake_timeout t ~tid n] records [n] peers timing out in one of
-    [tid]'s {!Handshake.ping_and_wait} rounds (no-op when [n = 0]). *)
-
 val scan_skip : t -> tid:int -> unit
 (** A triggered pass that skipped rescanning already-checked nodes. *)
 
@@ -96,9 +92,10 @@ val snapshot :
   hub:Pop_runtime.Softsignal.t ->
   epoch:int ->
   Smr_stats.t
-(** [?hs] supplies the handshake whose failure-detector counters
-    ([suspects]/[quarantine_rounds]) the snapshot should report; omit it
-    for schemes without a ping round (the fields read 0). [?heap]
+(** [?hs] supplies the handshake whose timeout and failure-detector
+    counters ([handshake_timeouts]/[suspects]/[quarantine_rounds]) the
+    snapshot should report; omit it for schemes without a ping round
+    (the fields read 0). [?heap]
     supplies the simulated heap whose allocator hand-off counters
     ([block_grabs]/[block_returns]/[pool_blocks]) the snapshot should
     report; every scheme passes its own heap here. *)

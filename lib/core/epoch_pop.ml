@@ -26,8 +26,6 @@ type 'a tctx = {
   base : int; (* index of this thread's slot 0 in [rows] *)
   my_epoch : int Atomic.t; (* cached reserved-epoch announcement slot *)
   rl : 'a Reclaimer.local;
-  counter_scratch : int array;
-  timeout_scratch : bool array;
   mutable stuck_epoch : int; (* floor captured by the last pop collect *)
   mutable epoch_floor : int; (* floor the last epoch pass kept above *)
   mutable op_counter : int;
@@ -46,13 +44,9 @@ let create cfg hub heap =
     heap;
     res = Reservations.create ~max_threads:cfg.max_threads ~slots:cfg.max_hp ~none:no_id;
     reserved_epoch;
-    hs = Handshake.create ~timeout_spins:cfg.ping_timeout_spins ~suspect_after:cfg.suspect_after
-        ~backoff_cap:cfg.probe_backoff_cap hub;
+    hs = Handshake.create cfg hub;
     c;
-    (* 2x scale on the POP side: a pop pass pays a full ping round, so
-       amortize it over twice the adaptive threshold (the epoch pass
-       trigger derives from the same threshold; see EXPERIMENTS.md). *)
-    eng = Reclaimer.create ~reclaim_scale:(2 * cfg.reclaim_scale) cfg ~heap ~counters:c;
+    eng = Reclaimer.create cfg ~heap ~counters:c;
     epoch = Atomic.make 1;
   }
 
@@ -72,17 +66,12 @@ let register g ~tid =
          quarantined (crashed) peers, whose epoch announcement must not
          be honoured as a floor — see [reclaim_pop]. *)
       rl = Reclaimer.register g.eng ~tid ~scratch_slots:(2 * nres);
-      counter_scratch = Array.make g.cfg.max_threads 0;
-      timeout_scratch = Array.make g.cfg.max_threads false;
       stuck_epoch = max_int;
       epoch_floor = min_int;
       op_counter = 0;
     }
   in
-  Softsignal.set_handler port (fun () ->
-      Reservations.publish g.res ~tid;
-      Reclaimer.invalidate g.eng;
-      Handshake.ack g.hs ~tid);
+  Pop_round.set_handler port g.res g.eng g.hs;
   ctx
 
 (* Algorithm 3, STARTOP: advance the global epoch every [epoch_freq]
@@ -140,11 +129,7 @@ let reclaim_epoch ctx =
 let reclaim_pop ?force ctx =
   let g = ctx.g in
   let collect scratch =
-    let timeouts =
-      Handshake.ping_and_wait g.hs ~port:ctx.port ~scratch:ctx.counter_scratch
-        ~timed_out:ctx.timeout_scratch
-    in
-    Counters.handshake_timeout g.c ~tid:ctx.tid timeouts;
+    let timeouts = Handshake.round g.hs ~port:ctx.port in
     Reservations.publish g.res ~tid:ctx.tid;
     let k = Reservations.collect_shared g.res scratch in
     (* A timed-out peer never published its reservations, but it announced
@@ -167,7 +152,7 @@ let reclaim_pop ?force ctx =
     let stuck_epoch = ref max_int in
     if timeouts > 0 then
       for tid = 0 to g.cfg.max_threads - 1 do
-        if ctx.timeout_scratch.(tid) then
+        if Handshake.timed_out g.hs ~port:ctx.port tid then
           if Handshake.suspected g.hs tid then
             k := Reservations.append_local_row g.res ~tid ~into:scratch ~pos:!k
           else begin

@@ -20,27 +20,25 @@ type t = {
   hub : Softsignal.t;
   timeout_spins : int;
   suspect_after : int;
-  backoff_cap : int; (* ceiling on the doubling re-probe interval *)
   peers : peer array;
+  snaps : int array array; (* per caller tid: counter snapshots of its round *)
+  timed_out : bool array array; (* per caller tid: peers its last round gave up on *)
+  timeouts : Striped.t; (* per caller tid: peer timeouts, cumulative *)
   rounds : int Atomic.t; (* global handshake-round clock *)
   suspects : int Atomic.t; (* quarantine transitions, cumulative *)
   quarantine_skips : int Atomic.t; (* probes skipped while quarantined *)
 }
 
-let create ?(timeout_spins = 64) ?(suspect_after = 3) ?(backoff_cap = 64) hub =
-  if timeout_spins <= 0 then
-    invalid_arg "Handshake.create: timeout_spins must be positive";
-  if suspect_after <= 0 then
-    invalid_arg "Handshake.create: suspect_after must be positive";
-  if backoff_cap <= 0 then
-    invalid_arg "Handshake.create: backoff_cap must be positive";
+(* Ceiling, in rounds, on the doubling re-probe interval of a suspect. *)
+let backoff_cap = 64
+
+let create (cfg : Smr_config.t) hub =
   let n = Softsignal.max_threads hub in
   {
     counters = Striped.create n;
     hub;
-    timeout_spins;
-    suspect_after;
-    backoff_cap;
+    timeout_spins = cfg.ping_timeout_spins;
+    suspect_after = cfg.suspect_after;
     peers =
       Array.init n (fun _ ->
           {
@@ -50,6 +48,9 @@ let create ?(timeout_spins = 64) ?(suspect_after = 3) ?(backoff_cap = 64) hub =
             backoff_rounds = 1;
             next_probe = 0;
           });
+    snaps = Array.init n (fun _ -> Array.make n 0);
+    timed_out = Array.init n (fun _ -> Array.make n false);
+    timeouts = Striped.create n;
     rounds = Atomic.make 0;
     suspects = Atomic.make 0;
     quarantine_skips = Atomic.make 0;
@@ -65,13 +66,18 @@ let suspect_count t = Atomic.get t.suspects
 
 let quarantine_round_count t = Atomic.get t.quarantine_skips
 
-(* [scratch.(tid)] holds the counter snapshot taken just before [tid]'s
-   ping, or [skip] for threads the ping did not reach (self, dead slots,
-   and threads that registered after the ping round — the latter cannot
-   hold references to nodes retired before they existed, exactly like a
-   thread created after a pthread_kill round, so they are excluded), or
-   [quarantined] for suspects whose re-probe is not yet due: those are
-   reported timed out immediately, without a ping or a wait. *)
+let timed_out t ~port tid = t.timed_out.(Softsignal.tid port).(tid)
+
+let timeout_count t = Striped.sum t.timeouts
+
+(* In a round, the caller's snapshot row [scratch.(tid)] holds the
+   counter snapshot taken just before [tid]'s ping, or [skip] for
+   threads the ping did not reach (self, dead slots, and threads that
+   registered after the ping round — the latter cannot hold references
+   to nodes retired before they existed, exactly like a thread created
+   after a pthread_kill round, so they are excluded), or [quarantined]
+   for suspects whose re-probe is not yet due: those are reported timed
+   out immediately, without a ping or a wait. *)
 let skip = -1
 
 let quarantined = -2
@@ -85,7 +91,7 @@ let note_timeout t ~round p ~hb =
   if p.quarantined then begin
     (* A due re-probe failed: back off exponentially before the next. *)
     p.hb_snap <- hb;
-    p.backoff_rounds <- min t.backoff_cap (p.backoff_rounds * 2);
+    p.backoff_rounds <- min backoff_cap (p.backoff_rounds * 2);
     p.next_probe <- round + p.backoff_rounds
   end
   else if p.strikes > 0 && hb = p.hb_snap then begin
@@ -104,8 +110,9 @@ let note_timeout t ~round p ~hb =
     p.hb_snap <- hb
   end
 
-let ping_and_wait t ~port ~scratch ~timed_out =
+let round t ~port =
   let self = Softsignal.tid port in
+  let scratch = t.snaps.(self) and timed_out = t.timed_out.(self) in
   let n = Softsignal.max_threads t.hub in
   let round = Atomic.fetch_and_add t.rounds 1 in
   for tid = 0 to n - 1 do
@@ -188,4 +195,5 @@ let ping_and_wait t ~port ~scratch ~timed_out =
       end
     end
   done;
+  if !timeouts > 0 then Striped.add t.timeouts self !timeouts;
   !timeouts

@@ -11,12 +11,17 @@
     The wait loop polls the waiter's own port (two reclaimers pinging
     each other must both publish) and skips peers that deregister.
 
+    This module is the only owner of a ping round: every ping-round
+    scheme (hp-pop, he-pop, epoch-pop, hp-asym, cadence, nbr) runs its
+    rounds through {!round}, whose per-caller rows and timeout tally
+    live here.
+
     {b Divergence from the paper:} a POSIX signal interrupts its target,
     so the paper's wait provably terminates; our polled substitution can
     meet a peer that never polls (a descheduled or "deaf" thread). The
     wait is therefore bounded by a per-peer attempt budget
-    ([timeout_spins], {!Smr_config.t.ping_timeout_spins}). On expiry the
-    peer is reported in [timed_out] and the caller must conservatively
+    ({!Smr_config.t.ping_timeout_spins}). On expiry the peer is
+    reported by {!timed_out} and the caller must conservatively
     treat everything that peer might hold as reserved — its racily
     readable reservation rows and/or its announced epoch — rather than
     waiting for a publish that may never come. See DESIGN.md "Bounded
@@ -36,23 +41,15 @@
 
 type t
 
-val create :
-  ?timeout_spins:int ->
-  ?suspect_after:int ->
-  ?backoff_cap:int ->
-  Pop_runtime.Softsignal.t ->
-  t
-(** [timeout_spins] (default 64) is the backoff-attempt budget per
-    non-responsive peer; [suspect_after] (default 3) is the number of
-    consecutive stale-heartbeat timeouts before a peer is quarantined;
-    [backoff_cap] (default 64) caps, in handshake rounds, the
-    exponential backoff between re-probes of a quarantined peer — lower
-    values re-admit a recovered peer sooner at the price of more pings
-    wasted on a dead one. All three are scheme-configurable via
-    {!Smr_config.t} ([ping_timeout_spins], [suspect_after],
-    [probe_backoff_cap]). Raises [Invalid_argument] if any is
-    non-positive. With the default backoff schedule 64 attempts is
-    roughly 100 ms. *)
+val create : Smr_config.t -> Pop_runtime.Softsignal.t -> t
+(** One handshake per scheme instance, with one counter-snapshot row and
+    one timed-out row per caller tid ([max_threads] of the hub), so
+    concurrent reclaimers never share a round's state. The spin budget
+    is {!Smr_config.t.ping_timeout_spins} and the quarantine threshold
+    {!Smr_config.t.suspect_after}; both are assumed validated
+    ({!Smr_config.validate}). The exponential backoff between re-probes
+    of a quarantined peer is capped at 64 rounds (EXPERIMENTS.md
+    "Failure-detector sweep" found caps of 8 and 64 indistinguishable). *)
 
 val ack : t -> tid:int -> unit
 (** Bump [tid]'s publish counter. Called from the signal handler after
@@ -60,26 +57,27 @@ val ack : t -> tid:int -> unit
 
 val get : t -> int -> int
 
-val ping_and_wait :
-  t ->
-  port:Pop_runtime.Softsignal.port ->
-  scratch:int array ->
-  timed_out:bool array ->
-  int
-(** Snapshot + ping + bounded wait, from the thread owning [port].
-    [scratch] and [timed_out] must hold [max_threads] entries. Waits
-    only for the threads the ping actually reached: threads that
-    register after the ping round are excluded (like a thread spawned
-    after a [pthread_kill] sweep, they cannot hold references to nodes
-    retired before they existed), and threads that deregister mid-wait
-    are skipped.
+val round : t -> port:Pop_runtime.Softsignal.port -> int
+(** One ping round (snapshot + ping + bounded wait) from the thread
+    owning [port]. Waits only for the threads the ping actually
+    reached: threads that register after the ping round are excluded
+    (like a thread spawned after a [pthread_kill] sweep, they cannot
+    hold references to nodes retired before they existed), and threads
+    that deregister mid-wait are skipped.
 
-    Every entry of [timed_out] is (re)written: [timed_out.(tid)] is
-    [true] iff [tid] was pinged, stayed active, and still had not
-    published when its spin budget ran out — or was a quarantined
-    suspect whose re-probe was not yet due (skipped without a ping).
-    Returns the number of such peers (0 = a clean round equivalent to
-    the unbounded handshake). *)
+    Returns the number of peers that timed out — pinged, still active,
+    and unpublished when their spin budget ran out, or quarantined
+    suspects whose re-probe was not yet due (skipped without a ping).
+    0 is a clean round, equivalent to the unbounded handshake. The count
+    is added to {!timeout_count}. *)
+
+val timed_out : t -> port:Pop_runtime.Softsignal.port -> int -> bool
+(** [timed_out t ~port tid]: whether [tid] timed out in the last
+    {!round} run from [port] (the caller's own row; every entry is
+    rewritten by each round). *)
+
+val timeout_count : t -> int
+(** Cumulative peer timeouts over every caller's rounds (for stats). *)
 
 val suspected : t -> int -> bool
 (** Racy check whether slot [tid] is currently quarantined. A suspect's

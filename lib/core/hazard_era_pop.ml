@@ -24,8 +24,6 @@ type 'a tctx = {
   rows : int array; (* every private era row (Reservations.local_block) *)
   base : int; (* index of this thread's slot 0 in [rows] *)
   rl : 'a Reclaimer.local;
-  counter_scratch : int array;
-  timeout_scratch : bool array;
 }
 
 let create cfg hub heap =
@@ -36,12 +34,9 @@ let create cfg hub heap =
     hub;
     heap;
     res = Reservations.create ~max_threads:cfg.max_threads ~slots:cfg.max_hp ~none:no_era;
-    hs = Handshake.create ~timeout_spins:cfg.ping_timeout_spins ~suspect_after:cfg.suspect_after
-        ~backoff_cap:cfg.probe_backoff_cap hub;
+    hs = Handshake.create cfg hub;
     c;
-    (* 2x scale: a pass here pays a full ping round, so amortize it over
-       twice the adaptive threshold (see EXPERIMENTS.md sweep). *)
-    eng = Reclaimer.create ~reclaim_scale:(2 * cfg.reclaim_scale) cfg ~heap ~counters:c;
+    eng = Reclaimer.create cfg ~heap ~counters:c;
     epoch = Atomic.make 1;
   }
 
@@ -58,14 +53,9 @@ let register g ~tid =
       (* 2x: room for the shared table plus racy local-row copies of
          timed-out peers (the bounded handshake's fallback). *)
       rl = Reclaimer.register g.eng ~tid ~scratch_slots:(2 * g.cfg.max_threads * g.cfg.max_hp);
-      counter_scratch = Array.make g.cfg.max_threads 0;
-      timeout_scratch = Array.make g.cfg.max_threads false;
     }
   in
-  Softsignal.set_handler port (fun () ->
-      Reservations.publish g.res ~tid;
-      Reclaimer.invalidate g.eng;
-      Handshake.ack g.hs ~tid);
+  Pop_round.set_handler port g.res g.eng g.hs;
   ctx
 
 let start_op _ctx = ()
@@ -104,24 +94,7 @@ let reclaim ?force ctx =
   let collect scratch =
     ignore (Atomic.fetch_and_add g.epoch 1);
     Reclaimer.invalidate g.eng;
-    let timeouts =
-      Handshake.ping_and_wait g.hs ~port:ctx.port ~scratch:ctx.counter_scratch
-        ~timed_out:ctx.timeout_scratch
-    in
-    Counters.handshake_timeout g.c ~tid:ctx.tid timeouts;
-    Reservations.publish g.res ~tid:ctx.tid;
-    let k = Reservations.collect_shared g.res scratch in
-    (* Timed-out peers never published: union in racy copies of their
-       private era rows (same fallback and visibility argument as
-       HazardPtrPOP — a deaf peer's last plain stores are long visible,
-       and an in-flight unvalidated era reservation is safe to honour). *)
-    let k = ref k in
-    if timeouts > 0 then
-      for tid = 0 to g.cfg.max_threads - 1 do
-        if ctx.timeout_scratch.(tid) then
-          k := Reservations.append_local_row g.res ~tid ~into:scratch ~pos:!k
-      done;
-    !k
+    Pop_round.collect g.res g.hs ~port:ctx.port scratch
   in
   ignore (Reclaimer.scan_eras ?force ~kind:Reclaimer.Pop ~collect ~except:no_era ctx.rl)
 

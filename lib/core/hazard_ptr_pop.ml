@@ -23,8 +23,6 @@ type 'a tctx = {
   rows : int array; (* every private row (Reservations.local_block) *)
   base : int; (* index of this thread's slot 0 in [rows] *)
   rl : 'a Reclaimer.local;
-  counter_scratch : int array;
-  timeout_scratch : bool array;
 }
 
 let create cfg hub heap =
@@ -35,12 +33,9 @@ let create cfg hub heap =
     hub;
     heap;
     res = Reservations.create ~max_threads:cfg.max_threads ~slots:cfg.max_hp ~none:no_id;
-    hs = Handshake.create ~timeout_spins:cfg.ping_timeout_spins ~suspect_after:cfg.suspect_after
-        ~backoff_cap:cfg.probe_backoff_cap hub;
+    hs = Handshake.create cfg hub;
     c;
-    (* 2x scale: a pass here pays a full ping round, so amortize it over
-       twice the adaptive threshold (see EXPERIMENTS.md sweep). *)
-    eng = Reclaimer.create ~reclaim_scale:(2 * cfg.reclaim_scale) cfg ~heap ~counters:c;
+    eng = Reclaimer.create cfg ~heap ~counters:c;
   }
 
 let register g ~tid =
@@ -57,17 +52,9 @@ let register g ~tid =
       (* 2x: room for the shared table plus racy local-row copies of
          timed-out peers (the bounded handshake's fallback). *)
       rl = Reclaimer.register g.eng ~tid ~scratch_slots:(2 * nres);
-      counter_scratch = Array.make g.cfg.max_threads 0;
-      timeout_scratch = Array.make g.cfg.max_threads false;
     }
   in
-  (* The "signal handler": publish private reservations with [Atomic.set]
-     (the fence Algorithm 2 requires), then ack. The publish is new visible
-     reservation state, so it stales cached snapshots. *)
-  Softsignal.set_handler port (fun () ->
-      Reservations.publish g.res ~tid;
-      Reclaimer.invalidate g.eng;
-      Handshake.ack g.hs ~tid);
+  Pop_round.set_handler port g.res g.eng g.hs;
   ctx
 
 let start_op _ctx = ()
@@ -91,37 +78,15 @@ let check ctx n = if n.Heap.seq land 1 = 1 then Heap.check_access ctx.g.heap n
 
 let alloc ctx = Heap.alloc ctx.g.heap ~tid:ctx.tid ~birth_era:0
 
-(* Algorithm 2, RECLAIMHPFREEABLE preceded by the handshake. The
-   reclaimer publishes its own row itself: PINGALLTOPUBLISH skips self,
-   but the scan must see the reclaimer's reservations too. The whole
+(* Algorithm 2, RECLAIMHPFREEABLE preceded by the handshake. The whole
    handshake lives in the collect closure, so a cache-served pass skips
    the ping round entirely. *)
 let reclaim ?force ctx =
   let g = ctx.g in
-  let collect scratch =
-    let timeouts =
-      Handshake.ping_and_wait g.hs ~port:ctx.port ~scratch:ctx.counter_scratch
-        ~timed_out:ctx.timeout_scratch
-    in
-    Counters.handshake_timeout g.c ~tid:ctx.tid timeouts;
-    Reservations.publish g.res ~tid:ctx.tid;
-    let k = Reservations.collect_shared g.res scratch in
-    (* A timed-out peer never ran its handler, so its shared row is stale.
-       Union in a racy copy of its private row: a peer deaf for the whole
-       spin budget has not executed READ since long before the ping (every
-       READ tests the flag), so its last reservation stores are visible;
-       and a reservation written but not yet validated is safe to honour —
-       the validating re-read either confirms it or the peer retries. *)
-    let k = ref k in
-    if timeouts > 0 then
-      for tid = 0 to g.cfg.max_threads - 1 do
-        if ctx.timeout_scratch.(tid) then
-          k := Reservations.append_local_row g.res ~tid ~into:scratch ~pos:!k
-      done;
-    !k
-  in
   ignore
-    (Reclaimer.scan ?force ~kind:Reclaimer.Pop ~collect ~except:no_id
+    (Reclaimer.scan ?force ~kind:Reclaimer.Pop
+       ~collect:(Pop_round.collect g.res g.hs ~port:ctx.port)
+       ~except:no_id
        ~keep:(fun n -> Id_set.mem (Reclaimer.snapshot ctx.rl) n.Heap.id)
        ctx.rl)
 

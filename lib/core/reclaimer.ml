@@ -76,19 +76,13 @@ type 'a t = {
   orphan_count : int Atomic.t;
 }
 
-let create ?reclaim_scale (cfg : Smr_config.t) ~heap ~counters =
-  let scale = Option.value reclaim_scale ~default:cfg.reclaim_scale in
-  if scale < 0 then invalid_arg "Reclaimer.create: reclaim_scale must be >= 0";
-  let threshold =
-    if scale = 0 then cfg.reclaim_freq
-    else max cfg.reclaim_freq (scale * cfg.max_threads * cfg.max_hp)
-  in
+let create (cfg : Smr_config.t) ~heap ~counters =
   {
     heap;
     dummy = Heap.sentinel heap;
     c = counters;
     gen = Atomic.make 0;
-    threshold;
+    threshold = cfg.reclaim_freq;
     seg_size = cfg.segment_size;
     rescan_blocks = cfg.segment_rescan;
     orphans =

@@ -44,13 +44,6 @@
     quota), never O(total retired), matching BW21's constant-time block
     operations (see DESIGN.md §4.2).
 
-    {b Adaptive threshold.} With {!Smr_config.t.reclaim_scale} set, the
-    trigger threshold scales with [threads × max_hp] (Michael-style
-    amortization); the flat [reclaim_freq] remains the fallback and the
-    floor. Schemes may override the scale per instance (see {!create}) —
-    ping-round schemes amortize an expensive round over more retires,
-    cheap-scan schemes keep the global knob.
-
     {b Era-stamped blocks.} Each block carries the exact min/max of its
     nodes' [birth_era]/[retire_era] (merged on retire, recomputed over
     filter survivors, travelling with the block across splices). A
@@ -93,17 +86,10 @@ type block_verdict =
 type 'a t
 (** Shared engine state for one scheme instance. *)
 
-val create :
-  ?reclaim_scale:int -> Smr_config.t -> heap:'a Heap.t -> counters:Counters.t -> 'a t
-(** [?reclaim_scale] overrides {!Smr_config.t.reclaim_scale} for this
-    instance (a per-scheme threshold tuning hook — see EXPERIMENTS.md
-    "Reclaim-scale sweep"); schemes that want the paper's default simply
-    omit it. Raises [Invalid_argument] if negative. *)
+val create : Smr_config.t -> heap:'a Heap.t -> counters:Counters.t -> 'a t
 
 val threshold : 'a t -> int
-(** The effective pass-trigger threshold: [reclaim_freq], or
-    [max reclaim_freq (reclaim_scale * max_threads * max_hp)] when the
-    adaptive knob is set. *)
+(** The pass-trigger threshold, {!Smr_config.t.reclaim_freq}. *)
 
 val counters : 'a t -> Counters.t
 

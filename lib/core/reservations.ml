@@ -18,6 +18,8 @@ let create ~max_threads ~slots ~none =
 
 let slots t = t.nslots
 
+let max_threads t = Array.length t.shared
+
 let none t = t.none
 
 let local_block t = Padded.block t.local

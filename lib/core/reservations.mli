@@ -25,6 +25,8 @@ val create : max_threads:int -> slots:int -> none:int -> t
 
 val slots : t -> int
 
+val max_threads : t -> int
+
 val none : t -> int
 
 val set_local : t -> tid:int -> slot:int -> int -> unit

@@ -5,11 +5,9 @@ type t = {
   epoch_freq : int;
   pop_mult : int;
   ping_timeout_spins : int;
-  reclaim_scale : int;
   segment_size : int;
   segment_rescan : int;
   suspect_after : int;
-  probe_backoff_cap : int;
 }
 
 let default ?(max_threads = 8) () =
@@ -20,11 +18,9 @@ let default ?(max_threads = 8) () =
     epoch_freq = 32;
     pop_mult = 1;
     ping_timeout_spins = 64;
-    reclaim_scale = 0;
     segment_size = 64;
     segment_rescan = 2;
     suspect_after = 3;
-    probe_backoff_cap = 64;
   }
 
 let validate t =
@@ -35,10 +31,7 @@ let validate t =
   if t.pop_mult < 1 then invalid_arg "Smr_config: pop_mult must be at least 1";
   if t.ping_timeout_spins <= 0 then
     invalid_arg "Smr_config: ping_timeout_spins must be positive";
-  if t.reclaim_scale < 0 then invalid_arg "Smr_config: reclaim_scale must be non-negative";
   if t.segment_size <= 0 then invalid_arg "Smr_config: segment_size must be positive";
   if t.segment_rescan < 0 then
     invalid_arg "Smr_config: segment_rescan must be non-negative";
-  if t.suspect_after <= 0 then invalid_arg "Smr_config: suspect_after must be positive";
-  if t.probe_backoff_cap <= 0 then
-    invalid_arg "Smr_config: probe_backoff_cap must be positive"
+  if t.suspect_after <= 0 then invalid_arg "Smr_config: suspect_after must be positive"

@@ -18,19 +18,12 @@ type t = {
           epochs, so a larger C lets garbage pile up to C thresholds
           while buying only ~1/C fewer pings under a stall. *)
   ping_timeout_spins : int;
-      (** Backoff attempts {!Handshake.ping_and_wait} spends per
+      (** Backoff attempts a {!Handshake.round} spends per
           non-responsive peer before giving up on its publish and
           falling back to the conservative timeout path (the paper's
           signals cannot be ignored, so it has no analogue; see
           DESIGN.md "Bounded handshake"). With the default backoff
           schedule 64 attempts is roughly 100 ms of wall time. *)
-  reclaim_scale : int;
-      (** Adaptive reclaim threshold: when positive, a pass is triggered
-          at [max reclaim_freq (reclaim_scale * max_threads * max_hp)]
-          pending retires — Michael-style amortization, which keeps the
-          per-retire scan cost O(1) amortized and the per-thread garbage
-          O(scale · T · H) regardless of the flat [reclaim_freq]. 0 (the
-          default) falls back to the flat [reclaim_freq] threshold. *)
   segment_size : int;
       (** Capacity of one retire-buffer segment block in the
           {!Reclaimer}'s Blelloch–Wei segmented lists (BW21). Larger
@@ -51,19 +44,13 @@ type t = {
           oversubscribed schedulers, where a descheduled-but-alive
           thread can freeze its heartbeat for a full scheduling
           quantum (see EXPERIMENTS.md "Failure-detector sweep"). *)
-  probe_backoff_cap : int;
-      (** Cap, in handshake rounds, on the exponential backoff between
-          re-probes of a quarantined peer. Lower values re-admit a
-          recovered peer sooner at the price of more pings wasted on a
-          genuinely dead one. *)
 }
 
 val default : ?max_threads:int -> unit -> t
 (** Paper-flavoured defaults scaled to this machine: [max_hp = 8],
     [reclaim_freq = 512], [epoch_freq = 32], [pop_mult = 1],
-    [ping_timeout_spins = 64], [reclaim_scale = 0] (flat threshold),
-    [segment_size = 64], [segment_rescan = 2], [suspect_after = 3],
-    [probe_backoff_cap = 64]. There is no barrier cost knob: every
+    [ping_timeout_spins = 64], [segment_size = 64], [segment_rescan = 2],
+    [suspect_after = 3]. There is no barrier cost knob: every
     fence a scheme pays is the one OCaml itself executes ([Atomic.set]
     and read-modify-writes are [xchg]/[lock]-prefixed on x86). A knob
     no scheme reads, such as the harness's busy-wait budget, is not

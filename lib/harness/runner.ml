@@ -25,7 +25,6 @@ type cfg = {
   key_range : int;
   mix : Workload.mix;
   reclaim_freq : int;
-  reclaim_scale : int;
   epoch_freq : int;
   pop_mult : int;
   max_hp : int;
@@ -37,8 +36,6 @@ type cfg = {
   churn : churn_spec option;
   ping_timeout_spins : int;
   suspect_after : int;
-  probe_backoff_cap : int;
-  spin_yield_after : int;
   segment_size : int;
   drop_ping : float;
   delay_poll : float;
@@ -51,6 +48,7 @@ type cfg = {
 }
 
 let default_cfg =
+  let smr = Pop_core.Smr_config.default () in
   {
     ds = Dispatch.HML;
     smr = Dispatch.EPOCHPOP;
@@ -58,22 +56,19 @@ let default_cfg =
     duration = 0.5;
     key_range = 2048;
     mix = Workload.update_heavy;
-    reclaim_freq = 512;
-    reclaim_scale = 0;
-    epoch_freq = 32;
-    pop_mult = (Pop_core.Smr_config.default ()).pop_mult;
-    max_hp = 8;
+    reclaim_freq = smr.reclaim_freq;
+    epoch_freq = smr.epoch_freq;
+    pop_mult = smr.pop_mult;
+    max_hp = smr.max_hp;
     ht_load = 4;
     ab_branch = 8;
     long_running_reads = false;
     near_head_span = 64;
     stall = None;
     churn = None;
-    ping_timeout_spins = 64;
-    suspect_after = 3;
-    probe_backoff_cap = 64;
-    spin_yield_after = 4096;
-    segment_size = 64;
+    ping_timeout_spins = smr.ping_timeout_spins;
+    suspect_after = smr.suspect_after;
+    segment_size = smr.segment_size;
     drop_ping = 0.0;
     delay_poll = 0.0;
     seed = 42;
@@ -144,29 +139,30 @@ let smr_config cfg ~max_threads =
     Pop_core.Smr_config.max_threads;
     max_hp = max cfg.max_hp needed_hp;
     reclaim_freq = cfg.reclaim_freq;
-    reclaim_scale = cfg.reclaim_scale;
     epoch_freq = cfg.epoch_freq;
     pop_mult = cfg.pop_mult;
     ping_timeout_spins = cfg.ping_timeout_spins;
     segment_size = cfg.segment_size;
     segment_rescan = (Pop_core.Smr_config.default ()).segment_rescan;
     suspect_after = cfg.suspect_after;
-    probe_backoff_cap = cfg.probe_backoff_cap;
   }
 
 (* Bounded spin-wait for the harness's own busy loops (start barrier,
    ready barrier, open-loop idling). A bare [Domain.cpu_relax] loop is
    fine when every domain has a core, but oversubscribed (domains >
    cores) it burns whole scheduling quanta and starves the very workers
-   — and ping handlers — it is waiting on. After [budget] relaxes the
-   wait escalates to short timed sleeps, which actually cede the core.
-   [poll] runs every iteration so a waiting worker keeps serving
-   soft-signal pings even while ahead of its open-loop schedule. *)
-let spin_wait ~budget ?(poll = fun () -> ()) cond =
+   — and ping handlers — it is waiting on. After [spin_yield_after]
+   relaxes the wait escalates to short timed sleeps, which actually cede
+   the core. [poll] runs every iteration so a waiting worker keeps
+   serving soft-signal pings even while ahead of its open-loop
+   schedule. *)
+let spin_yield_after = 4096
+
+let spin_wait ?(poll = fun () -> ()) cond =
   let spins = ref 0 in
   while not (cond ()) do
     poll ();
-    if !spins < budget then begin
+    if !spins < spin_yield_after then begin
       incr spins;
       Domain.cpu_relax ()
     end
@@ -246,7 +242,7 @@ let run cfg =
       | _ -> ()
     in
     Atomic.incr ready;
-    spin_wait ~budget:cfg.spin_yield_after (fun () -> Atomic.get start);
+    spin_wait (fun () -> Atomic.get start);
     t0 := Clock.now ();
     if cfg.kv then begin
       (* KV-service loop, latency-instrumented. Open loop when
@@ -266,7 +262,7 @@ let run cfg =
         if open_loop then begin
           next_arrival := !next_arrival +. Workload.exp_interval rng ~rate;
           (* Ahead of schedule: idle (still serving pings) until due. *)
-          spin_wait ~budget:cfg.spin_yield_after
+          spin_wait
             ~poll:(fun () -> S.poll ctx)
             (fun () -> Clock.elapsed !t0 >= !next_arrival || Atomic.get stop)
         end;
@@ -347,7 +343,7 @@ let run cfg =
     { ops = !ops; reads = !reads; updates = !updates; net_inserts = !net; fate; lat }
   in
   let domains = Array.init cfg.threads (fun tid -> Domain.spawn (worker tid)) in
-  spin_wait ~budget:cfg.spin_yield_after (fun () -> Atomic.get ready >= cfg.threads);
+  spin_wait (fun () -> Atomic.get ready >= cfg.threads);
   (* Churn scheduler state (all main-thread-only): a seeded shuffle of
      the configured events, fired one per [churn_period] from
      [churn_start]. An event with no eligible slot (a join before any
@@ -593,8 +589,7 @@ let scenario_json cfg =
                   ("start", Float c.churn_start); ("period", Float c.churn_period) ] );
       ("kv", Bool cfg.kv); ("zipf_theta", Float cfg.zipf_theta);
       ("arrival_rate", Float cfg.arrival_rate); ("duration", Float cfg.duration);
-      ("ping_timeout_spins", Int cfg.ping_timeout_spins);
-      ("spin_yield_after", Int cfg.spin_yield_after); ("sanitize", Bool cfg.sanitize);
+      ("ping_timeout_spins", Int cfg.ping_timeout_spins); ("sanitize", Bool cfg.sanitize);
     ]
 
 let cell_json label r =
@@ -614,7 +609,7 @@ let cell_json label r =
       ("label", String label); ("scenario", scenario_json cfg);
       ("ds", String (Dispatch.ds_name cfg.ds)); ("smr", String (Dispatch.smr_name cfg.smr));
       ("threads", Int cfg.threads); ("duration", Float cfg.duration);
-      ("reclaim_freq", Int cfg.reclaim_freq); ("reclaim_scale", Int cfg.reclaim_scale);
+      ("reclaim_freq", Int cfg.reclaim_freq);
       ("mops", Float r.mops); ("read_mops", Float r.read_mops); ("pre_mops", Float r.pre_mops);
       ("recovery_ns", Int r.recovery_ns); ("recovered", Bool r.recovered);
       ("kv", Bool cfg.kv); ("zipf_theta", Float cfg.zipf_theta); ("rate", Float cfg.arrival_rate);

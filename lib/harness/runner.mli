@@ -40,9 +40,6 @@ type cfg = {
   key_range : int;
   mix : Workload.mix;
   reclaim_freq : int;
-  reclaim_scale : int;
-      (** Adaptive reclaim-threshold multiplier; 0 keeps the flat
-          [reclaim_freq]. See {!Pop_core.Smr_config.t.reclaim_scale}. *)
   epoch_freq : int;
   pop_mult : int;
   max_hp : int;
@@ -62,18 +59,6 @@ type cfg = {
       (** Consecutive stale-heartbeat timeouts before the failure
           detector quarantines a peer; see
           {!Pop_core.Smr_config.t.suspect_after}. *)
-  probe_backoff_cap : int;
-      (** Cap on the exponential re-probe backoff of quarantined peers;
-          see {!Pop_core.Smr_config.t.probe_backoff_cap}. *)
-  spin_yield_after : int;
-      (** Spin budget for the harness's own busy waits (start/ready
-          barriers, open-loop idling) before they escalate from
-          [Domain.cpu_relax] to timed sleeps (default 4096; no scheme
-          reads it). On an oversubscribed scheduler (domains > cores) a
-          bare relax loop burns whole quanta and starves the very ping
-          polling the POP schemes depend on; bounding it keeps
-          oversubscription cells a measurement of the scheme, not the
-          scheduler. *)
   segment_size : int;
       (** Retire-buffer segment-block capacity; see
           {!Pop_core.Smr_config.t.segment_size}. *)

@@ -48,7 +48,7 @@ val deregister : port -> unit
     clears the pending flag afterwards so a ping racing with the
     shutdown cannot leave a dead slot permanently flagged (waiters must
     check {!is_active}, not just the counter — see
-    {!Handshake.ping_and_wait}). *)
+    {!Handshake.round}). *)
 
 val is_active : t -> int -> bool
 (** Whether slot [tid] currently has a live registrant. *)

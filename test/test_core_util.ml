@@ -170,21 +170,21 @@ let reservations_rows_are_views () =
 
 (* --- Handshake --- *)
 
+(* A handshake with the default config but a spin budget of [spins]. *)
+let handshake ?(spins = 64) hub =
+  Handshake.create { (Smr_config.default ()) with ping_timeout_spins = spins } hub
+
 let handshake_skips_inactive () =
   let hub = Softsignal.create ~max_threads:3 in
   let p0 = Softsignal.register hub ~tid:0 in
-  let hs = Handshake.create hub in
+  let hs = handshake hub in
   (* Only thread 0 is active: the wait returns immediately. *)
-  let t =
-    Handshake.ping_and_wait hs ~port:p0 ~scratch:(Array.make 3 0)
-      ~timed_out:(Array.make 3 false)
-  in
-  Alcotest.(check int) "no active peers, no timeouts" 0 t
+  Alcotest.(check int) "no active peers, no timeouts" 0 (Handshake.round hs ~port:p0)
 
 let handshake_cross_domain () =
   let hub = Softsignal.create ~max_threads:2 in
   let p0 = Softsignal.register hub ~tid:0 in
-  let hs = Handshake.create hub in
+  let hs = handshake hub in
   let stop = Atomic.make false in
   let d =
     Domain.spawn (fun () ->
@@ -199,12 +199,10 @@ let handshake_cross_domain () =
   while not (Softsignal.is_active hub 1) do
     Domain.cpu_relax ()
   done;
-  let timed_out = Array.make 2 false in
-  let t = Handshake.ping_and_wait hs ~port:p0 ~scratch:(Array.make 2 0) ~timed_out in
-  Alcotest.(check int) "responsive peer, no timeout" 0 t;
+  Alcotest.(check int) "responsive peer, no timeout" 0 (Handshake.round hs ~port:p0);
   Alcotest.(check bool) "peer acked" true (Handshake.get hs 1 >= 1);
   (* A second round requires a fresh ack, not the stale counter. *)
-  ignore (Handshake.ping_and_wait hs ~port:p0 ~scratch:(Array.make 2 0) ~timed_out);
+  ignore (Handshake.round hs ~port:p0);
   Alcotest.(check bool) "second ack" true (Handshake.get hs 1 >= 2);
   Atomic.set stop true;
   Domain.join d
@@ -214,19 +212,17 @@ let handshake_cross_domain () =
    deadlock (the coalescing property of Algorithms 1-2). *)
 let handshake_concurrent_reclaimers () =
   let hub = Softsignal.create ~max_threads:2 in
-  let hs = Handshake.create hub in
+  let hs = handshake hub in
   let rounds = 50 in
   let reclaimer tid () =
     let port = Softsignal.register hub ~tid in
     Softsignal.set_handler port (fun () -> Handshake.ack hs ~tid);
-    let scratch = Array.make 2 0 in
-    let timed_out = Array.make 2 false in
     (* Wait for the peer before the first round. *)
     while not (Softsignal.is_active hub (1 - tid)) do
       Domain.cpu_relax ()
     done;
     for _ = 1 to rounds do
-      ignore (Handshake.ping_and_wait hs ~port ~scratch ~timed_out)
+      ignore (Handshake.round hs ~port)
     done;
     Softsignal.deregister port
   in
@@ -239,7 +235,7 @@ let handshake_concurrent_reclaimers () =
 let handshake_peer_deregisters_mid_wait () =
   let hub = Softsignal.create ~max_threads:2 in
   let p0 = Softsignal.register hub ~tid:0 in
-  let hs = Handshake.create hub in
+  let hs = handshake hub in
   let d =
     Domain.spawn (fun () ->
         let p1 = Softsignal.register hub ~tid:1 in
@@ -251,20 +247,18 @@ let handshake_peer_deregisters_mid_wait () =
     Domain.cpu_relax ()
   done;
   (* Must not deadlock: the peer departs without acking. *)
-  ignore
-    (Handshake.ping_and_wait hs ~port:p0 ~scratch:(Array.make 2 0)
-       ~timed_out:(Array.make 2 false));
+  ignore (Handshake.round hs ~port:p0);
   Domain.join d;
   Alcotest.(check pass) "returned" () ()
 
 (* Regression: a thread that registers *while* a reclaimer's ping round
    is in flight must not be waited on (it was never pinged). Before the
-   fix, ping_and_wait pinged the threads active at ping time but waited
+   fix, the round pinged the threads active at ping time but waited
    on the threads active at wait time, so a registration in that window
    hung the reclaimer forever. *)
 let handshake_late_registration () =
   let hub = Softsignal.create ~max_threads:2 in
-  let hs = Handshake.create hub in
+  let hs = handshake hub in
   let stop = Atomic.make false in
   (* Peer churns registration without ever acking. *)
   let d =
@@ -276,10 +270,8 @@ let handshake_late_registration () =
         done)
   in
   let p0 = Softsignal.register hub ~tid:0 in
-  let scratch = Array.make 2 0 in
-  let timed_out = Array.make 2 false in
   for _ = 1 to 200 do
-    ignore (Handshake.ping_and_wait hs ~port:p0 ~scratch ~timed_out)
+    ignore (Handshake.round hs ~port:p0)
   done;
   Atomic.set stop true;
   Domain.join d;
@@ -287,11 +279,12 @@ let handshake_late_registration () =
 
 (* Tentpole regression: a registered peer that never polls ("deaf") must
    not wedge the reclaimer. The bounded wait expires after the configured
-   spin budget, marks the peer in [timed_out], and returns the count. *)
+   spin budget, marks the peer in the caller's timed-out row, and returns
+   the count. *)
 let handshake_deaf_peer_times_out () =
   let hub = Softsignal.create ~max_threads:2 in
   let p0 = Softsignal.register hub ~tid:0 in
-  let hs = Handshake.create ~timeout_spins:8 hub in
+  let hs = handshake ~spins:8 hub in
   let stop = Atomic.make false in
   let d =
     Domain.spawn (fun () ->
@@ -305,17 +298,15 @@ let handshake_deaf_peer_times_out () =
   while not (Softsignal.is_active hub 1) do
     Domain.cpu_relax ()
   done;
-  let timed_out = Array.make 2 false in
-  let t = Handshake.ping_and_wait hs ~port:p0 ~scratch:(Array.make 2 0) ~timed_out in
-  Alcotest.(check int) "one timeout" 1 t;
-  Alcotest.(check bool) "deaf peer flagged" true timed_out.(1);
-  Alcotest.(check bool) "self not flagged" false timed_out.(0);
+  Alcotest.(check int) "one timeout" 1 (Handshake.round hs ~port:p0);
+  Alcotest.(check bool) "deaf peer flagged" true (Handshake.timed_out hs ~port:p0 1);
+  Alcotest.(check bool) "self not flagged" false (Handshake.timed_out hs ~port:p0 0);
+  Alcotest.(check int) "tallied" 1 (Handshake.timeout_count hs);
   (* A later round against a now-responsive world must clear the flag. *)
   Atomic.set stop true;
   Domain.join d;
-  let t = Handshake.ping_and_wait hs ~port:p0 ~scratch:(Array.make 2 0) ~timed_out in
-  Alcotest.(check int) "peer gone, no timeout" 0 t;
-  Alcotest.(check bool) "flag cleared" false timed_out.(1)
+  Alcotest.(check int) "peer gone, no timeout" 0 (Handshake.round hs ~port:p0);
+  Alcotest.(check bool) "flag cleared" false (Handshake.timed_out hs ~port:p0 1)
 
 (* Fault injection end to end: with every ping dropped, a perfectly
    responsive peer still cannot ack, so the round must time out instead
@@ -324,7 +315,7 @@ let handshake_dropped_pings_time_out () =
   let hub = Softsignal.create ~max_threads:2 in
   Softsignal.inject_faults hub ~seed:7 ~drop_ping:1.0 ~delay_poll:0.0;
   let p0 = Softsignal.register hub ~tid:0 in
-  let hs = Handshake.create ~timeout_spins:8 hub in
+  let hs = handshake ~spins:8 hub in
   let stop = Atomic.make false in
   let d =
     Domain.spawn (fun () ->
@@ -339,14 +330,62 @@ let handshake_dropped_pings_time_out () =
   while not (Softsignal.is_active hub 1) do
     Domain.cpu_relax ()
   done;
-  let timed_out = Array.make 2 false in
-  let t = Handshake.ping_and_wait hs ~port:p0 ~scratch:(Array.make 2 0) ~timed_out in
+  let t = Handshake.round hs ~port:p0 in
   Atomic.set stop true;
   Domain.join d;
   Alcotest.(check int) "lost ping forces timeout" 1 t;
-  Alcotest.(check bool) "peer flagged" true timed_out.(1);
+  Alcotest.(check bool) "peer flagged" true (Handshake.timed_out hs ~port:p0 1);
   Alcotest.(check bool) "drops counted" true (Softsignal.pings_dropped hub > 0);
   Alcotest.(check int) "no ack ever arrived" 0 (Handshake.get hs 1)
+
+(* Two reclaimers on different tids run rounds concurrently against one
+   deaf registered peer. Each reads only its own timed-out row: after
+   every round the deaf peer is flagged, the caller is not, and the
+   flags match the count [round] returned (a row shared between callers
+   would be rewritten under the other's reads). The handshake's tally,
+   as reported by [Counters.snapshot ~hs], is the sum of those counts. *)
+let handshake_rows_per_caller () =
+  let hub = Softsignal.create ~max_threads:3 in
+  let hs = handshake ~spins:8 hub in
+  let stop = Atomic.make false and ready = Atomic.make 0 in
+  let deaf =
+    Domain.spawn (fun () ->
+        let p2 = Softsignal.register hub ~tid:2 in
+        while not (Atomic.get stop) do
+          Domain.cpu_relax ()
+        done;
+        Softsignal.deregister p2)
+  in
+  while not (Softsignal.is_active hub 2) do
+    Domain.cpu_relax ()
+  done;
+  let reclaimer tid () =
+    let port = Softsignal.register hub ~tid in
+    Softsignal.set_handler port (fun () -> Handshake.ack hs ~tid);
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let sum = ref 0 and bad = ref 0 in
+    for _ = 1 to 200 do
+      let t = Handshake.round hs ~port in
+      sum := !sum + t;
+      let flagged = List.filter (Handshake.timed_out hs ~port) [ 0; 1; 2 ] in
+      if List.length flagged <> t || List.mem tid flagged || not (List.mem 2 flagged) then
+        incr bad
+    done;
+    Softsignal.deregister port;
+    (!sum, !bad)
+  in
+  let d0 = Domain.spawn (reclaimer 0) and d1 = Domain.spawn (reclaimer 1) in
+  let sum0, bad0 = Domain.join d0 and sum1, bad1 = Domain.join d1 in
+  Atomic.set stop true;
+  Domain.join deaf;
+  Alcotest.(check int) "reclaimer 0 saw only its own row" 0 bad0;
+  Alcotest.(check int) "reclaimer 1 saw only its own row" 0 bad1;
+  let s = Counters.snapshot ~hs (Counters.create 3) ~hub ~epoch:0 in
+  Alcotest.(check int) "tally is the sum of the returned counts" (sum0 + sum1)
+    s.Smr_stats.handshake_timeouts
 
 (* --- Smr_config / stats plumbing --- *)
 
@@ -358,7 +397,6 @@ let config_validation () =
       { ok with Smr_config.max_threads = 0 };
       { ok with Smr_config.max_hp = 0 };
       { ok with Smr_config.reclaim_freq = 0 };
-      { ok with Smr_config.reclaim_scale = -1 };
       { ok with Smr_config.epoch_freq = 0 };
       { ok with Smr_config.pop_mult = 0 };
       { ok with Smr_config.ping_timeout_spins = 0 };
@@ -381,8 +419,6 @@ let counters_snapshot () =
   Counters.reclaim_pass c ~tid:0;
   Counters.pop_pass c ~tid:1;
   Counters.restart c ~tid:0;
-  Counters.handshake_timeout c ~tid:0 2;
-  Counters.handshake_timeout c ~tid:1 0;
   let s = Counters.snapshot c ~hub ~epoch:5 in
   Alcotest.(check int) "retired" 3 s.Smr_stats.retired;
   Alcotest.(check int) "freed" 2 s.Smr_stats.freed;
@@ -391,7 +427,7 @@ let counters_snapshot () =
   Alcotest.(check int) "pop passes" 1 s.Smr_stats.pop_passes;
   Alcotest.(check int) "restarts" 1 s.Smr_stats.restarts;
   Alcotest.(check int) "epoch" 5 s.Smr_stats.epoch;
-  Alcotest.(check int) "handshake timeouts" 2 s.Smr_stats.handshake_timeouts;
+  Alcotest.(check int) "no handshake, no timeouts" 0 s.Smr_stats.handshake_timeouts;
   Alcotest.(check int) "violations" 0 s.Smr_stats.violations;
   Alcotest.(check int) "gauge" 1 (Counters.unreclaimed c)
 
@@ -441,6 +477,7 @@ let suite =
     case "handshake: late registration is not waited on" handshake_late_registration;
     case "handshake: deaf peer times out" handshake_deaf_peer_times_out;
     case "handshake: dropped pings time out" handshake_dropped_pings_time_out;
+    case "handshake: concurrent callers keep their own rows" handshake_rows_per_caller;
     case "smr_config: validation" config_validation;
     case "counters: snapshot arithmetic" counters_snapshot;
     case "smr_stats: pp" stats_pp_smoke;

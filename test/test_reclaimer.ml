@@ -13,22 +13,19 @@ open Pop_core
 module Heap = Pop_sim.Heap
 open Tu
 
-let cfg ?(reclaim_freq = 4) ?(reclaim_scale = 0) ?(max_threads = 2) ?(max_hp = 4)
+let cfg ?(reclaim_freq = 4) ?(max_threads = 2) ?(max_hp = 4)
     ?(segment_size = 64) ?(segment_rescan = 2) () =
   {
     (Smr_config.default ()) with
     Smr_config.max_threads;
     max_hp;
     reclaim_freq;
-    reclaim_scale;
     segment_size;
     segment_rescan;
   }
 
-let make ?reclaim_freq ?reclaim_scale ?max_threads ?max_hp ?segment_size ?segment_rescan () =
-  let cfg =
-    cfg ?reclaim_freq ?reclaim_scale ?max_threads ?max_hp ?segment_size ?segment_rescan ()
-  in
+let make ?reclaim_freq ?max_threads ?max_hp ?segment_size ?segment_rescan () =
+  let cfg = cfg ?reclaim_freq ?max_threads ?max_hp ?segment_size ?segment_rescan () in
   let heap = Heap.create ~max_threads:cfg.Smr_config.max_threads ~payload:(fun _ -> ()) () in
   let c = Counters.create cfg.Smr_config.max_threads in
   let eng = Reclaimer.create cfg ~heap ~counters:c in
@@ -51,21 +48,6 @@ let table_collect table called scratch =
   !k
 
 let keep_reserved rl n = Id_set.mem (Reclaimer.snapshot rl) n.Heap.id
-
-(* --- adaptive threshold --- *)
-
-let adaptive_threshold () =
-  let mk ~reclaim_freq ~reclaim_scale =
-    let cfg = cfg ~reclaim_freq ~reclaim_scale ~max_threads:3 ~max_hp:5 () in
-    let heap = Heap.create ~max_threads:3 ~payload:(fun _ -> ()) () in
-    Reclaimer.create cfg ~heap ~counters:(Counters.create 3)
-  in
-  Alcotest.(check int) "scale off: flat freq" 7
-    (Reclaimer.threshold (mk ~reclaim_freq:7 ~reclaim_scale:0));
-  Alcotest.(check int) "scale on: threads*hp*scale" 30
-    (Reclaimer.threshold (mk ~reclaim_freq:7 ~reclaim_scale:2));
-  Alcotest.(check int) "flat freq is the floor" 100
-    (Reclaimer.threshold (mk ~reclaim_freq:100 ~reclaim_scale:2))
 
 (* --- snapshot cache + invalidation --- *)
 
@@ -726,7 +708,6 @@ let sharded_orphanage_drains () =
 
 let suite =
   [
-    case "reclaimer: adaptive threshold" adaptive_threshold;
     case "reclaimer: snapshot cache + invalidation" cache_and_invalidate;
     QCheck_alcotest.to_alcotest invalidation_property;
     case "reclaimer: old-vs-new equivalence (seed 101)" equivalence_seed_1;

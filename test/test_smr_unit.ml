@@ -402,40 +402,36 @@ let cadence_tick_gates_frees () =
       Alcotest.(check int) "freed after forced rounds" 0 (Cadence.unreclaimed g))
 
 let cadence_periodic_rounds_without_reclaiming () =
-  let saved = !Pop_baselines.Cadence.tick_interval in
-  Pop_baselines.Cadence.tick_interval := 0.001;
-  Fun.protect
-    ~finally:(fun () -> Pop_baselines.Cadence.tick_interval := saved)
-    (fun () ->
-      Cadence_rig.run (fun rig g ctx ->
-          let open Pop_baselines in
-          (* No retires at all — yet barrier rounds still run, the
-             overhead the paper criticizes in section 2.1.2. The peer
-             must poll from its own domain: the barrier waits for it. *)
-          let stop = Atomic.make false in
-          let d =
-            Domain.spawn (fun () ->
-                let ctx1 = Cadence.register g ~tid:1 in
-                while not (Atomic.get stop) do
-                  Cadence.poll ctx1;
-                  Domain.cpu_relax ()
-                done;
-                Cadence.deregister ctx1)
-          in
-          while not (Softsignal.is_active rig.hub 1) do
-            Domain.cpu_relax ()
-          done;
-          for _ = 1 to 3 do
-            Unix.sleepf 0.002;
-            for _ = 1 to 128 do
-              Cadence.start_op ctx;
-              Cadence.end_op ctx
-            done
-          done;
-          Atomic.set stop true;
-          Domain.join d;
-          Alcotest.(check bool) "rounds ran without reclamation" true
-            (Softsignal.pings_sent rig.hub > 0)))
+  Cadence_rig.run (fun rig g ctx ->
+      let open Pop_baselines in
+      (* No retires at all — yet barrier rounds still run, the overhead
+         the paper criticizes in section 2.1.2. The peer must poll from
+         its own domain: the barrier waits for it. *)
+      let stop = Atomic.make false in
+      let d =
+        Domain.spawn (fun () ->
+            let ctx1 = Cadence.register g ~tid:1 in
+            while not (Atomic.get stop) do
+              Cadence.poll ctx1;
+              Domain.cpu_relax ()
+            done;
+            Cadence.deregister ctx1)
+      in
+      while not (Softsignal.is_active rig.hub 1) do
+        Domain.cpu_relax ()
+      done;
+      for _ = 1 to 3 do
+        (* Sleep past one tick, so the next 64 operations start a round. *)
+        Unix.sleepf (1.5 *. Cadence.tick_interval);
+        for _ = 1 to 128 do
+          Cadence.start_op ctx;
+          Cadence.end_op ctx
+        done
+      done;
+      Atomic.set stop true;
+      Domain.join d;
+      Alcotest.(check bool) "rounds ran without reclamation" true
+        (Softsignal.pings_sent rig.hub > 0))
 
 module Epop_rig = Smr_rig (Epoch_pop)
 
