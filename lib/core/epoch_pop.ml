@@ -71,7 +71,7 @@ let register g ~tid =
       op_counter = 0;
     }
   in
-  Pop_round.set_handler port g.res g.eng g.hs;
+  Hp_family.set_pop_handler port g.res g.eng g.hs;
   ctx
 
 (* Algorithm 3, STARTOP: advance the global epoch every [epoch_freq]

@@ -261,7 +261,10 @@ let sanitized_cell ds smr () =
   if not r.Runner.invariants_ok then Alcotest.failf "invariants: %s" r.Runner.invariant_error;
   if r.Runner.total_ops = 0 then Alcotest.fail "no operations executed";
   let v = r.Runner.smr.Smr_stats.violations in
-  if v <> 0 then Alcotest.failf "%d protocol violations under %s" v (Dispatch.smr_name smr)
+  if v <> 0 then
+    Alcotest.failf "%d protocol violations under %s: %s" v (Dispatch.smr_name smr)
+      (String.concat ", "
+         (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) r.Runner.violations_by_category))
 
 (* HMHT with 16 keys has 4 buckets, so most deletes unlink a bucket's
    first node and hand the table's shared anchor to

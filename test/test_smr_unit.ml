@@ -48,6 +48,54 @@ let protected_survives (name, (module R : Smr.S)) =
           Alcotest.(check bool) "freed after clear+flush" false (Heap.is_live n);
           Alcotest.(check int) "nothing left" 0 (R.unreclaimed g)))
 
+(* The same, with the reservation held by a peer domain (tid 1) that
+   keeps polling, so the pass must see another thread's reservation
+   through the scheme's publication: the shared row, hp-asym's barrier
+   round over private rows, or a ping that makes the peer publish. *)
+let peer_reservation_survives (name, (module R : Smr.S)) =
+  case (name ^ ": a peer's reservation survives a pass, freed after its clear") (fun () ->
+      let module Rig = Smr_rig (R) in
+      Rig.run (fun rig g ctx ->
+          let n = R.alloc ctx in
+          let cell = Atomic.make n in
+          (* 0 spawn, 1 held, 2 release, 3 cleared, 4 leave *)
+          let phase = Atomic.make 0 in
+          let serve_until p ctx1 =
+            while Atomic.get phase = p do
+              R.poll ctx1;
+              Domain.cpu_relax ()
+            done
+          in
+          let d =
+            Domain.spawn (fun () ->
+                let ctx1 = R.register g ~tid:1 in
+                R.start_op ctx1;
+                ignore (R.read ctx1 0 cell Fun.id);
+                Atomic.set phase 1;
+                serve_until 1 ctx1;
+                R.end_op ctx1;
+                Atomic.set phase 3;
+                serve_until 3 ctx1;
+                R.deregister ctx1)
+          in
+          while Atomic.get phase = 0 do
+            Domain.cpu_relax ()
+          done;
+          R.retire ctx n;
+          Rig.retire_n ctx 3;
+          let held = Heap.is_live n in
+          Atomic.set phase 2;
+          while Atomic.get phase = 2 do
+            Domain.cpu_relax ()
+          done;
+          R.flush ctx;
+          let freed = not (Heap.is_live n) in
+          Atomic.set phase 4;
+          Domain.join d;
+          Alcotest.(check bool) "peer-held node survives the pass" true held;
+          Alcotest.(check bool) "freed after the peer's clear + flush" true freed;
+          Alcotest.(check int) "no UAF" 0 (Heap.uaf_count rig.heap)))
+
 let flush_drains (name, (module R : Smr.S)) =
   case (name ^ ": flush drains the retire list") (fun () ->
       let module Rig = Smr_rig (R) in
@@ -336,35 +384,34 @@ let ebr_pinned_epoch_blocks () =
 
 (* --- HE: reservations pin eras, not nodes --- *)
 
-module He_rig = Smr_rig (Pop_baselines.Hazard_eras)
-
 (* HE's robustness: a reservation only pins nodes whose lifespan
    intersects the reserved era. Reserve the old node's era so it
    survives one pass, then move the reservation to the new era (by
    re-reading) and watch the old, lifespan-disjoint node get freed even
-   though a reservation is still held. *)
-let he_old_nodes_freeable_despite_reservation () =
-  He_rig.run (fun rig _g ctx ->
-      let open Pop_baselines in
-      Hazard_eras.start_op ctx;
-      let old_node = Hazard_eras.alloc ctx in
+   though a reservation is still held. Run for he and he-pop, which
+   share the era pass. *)
+let era_old_nodes_freeable_despite_reservation (module R : Smr.S) () =
+  let module Rig = Smr_rig (R) in
+  Rig.run (fun rig _g ctx ->
+      R.start_op ctx;
+      let old_node = R.alloc ctx in
       let cell = Atomic.make old_node in
-      ignore (Hazard_eras.read ctx 0 cell Fun.id);
-      Hazard_eras.retire ctx old_node;
-      He_rig.retire_n ctx 3;
+      ignore (R.read ctx 0 cell Fun.id);
+      R.retire ctx old_node;
+      Rig.retire_n ctx 3;
       (* Pass 1: our era-of-old reservation covers old_node. *)
       Alcotest.(check bool) "reserved era pins old node" true (Heap.is_live old_node);
       (* Move the reservation to the current era. *)
-      let fresh = Hazard_eras.alloc ctx in
+      let fresh = R.alloc ctx in
       Atomic.set cell fresh;
-      ignore (Hazard_eras.read ctx 0 cell Fun.id);
-      He_rig.retire_n ctx 4;
+      ignore (R.read ctx 0 cell Fun.id);
+      Rig.retire_n ctx 4;
       (* Pass 2: old_node's lifespan no longer intersects any reserved
          era, so it is reclaimed despite the live reservation. *)
       Alcotest.(check bool) "disjoint lifespan freed" false (Heap.is_live old_node);
       Alcotest.(check bool) "newly reserved node survives" true (Heap.is_live fresh);
       Alcotest.(check int) "no UAF" 0 (Heap.uaf_count rig.heap);
-      Hazard_eras.end_op ctx)
+      R.end_op ctx)
 
 (* --- IBR: intervals protect overlapping lifespans --- *)
 
@@ -562,8 +609,13 @@ let generic =
 
 let protection = List.map protected_survives reclaiming_smrs
 
+let family_smrs =
+  List.filter (fun (n, _) -> List.mem n [ "hp"; "hp-asym"; "hp-pop"; "he"; "he-pop" ]) reclaiming_smrs
+
+let peer_protection = List.map peer_reservation_survives family_smrs
+
 let suite =
-  generic @ protection
+  generic @ protection @ peer_protection
   @ [
       case "nr: leaks by design" nr_leaks;
       case "unsafe-free: detectably unsafe" unsafe_free_is_unsafe;
@@ -590,7 +642,9 @@ let suite =
       case "cadence: periodic rounds without reclaiming"
         cadence_periodic_rounds_without_reclaiming;
       case "he: old lifespans freeable despite reservation"
-        he_old_nodes_freeable_despite_reservation;
+        (era_old_nodes_freeable_despite_reservation (module Pop_baselines.Hazard_eras));
+      case "he-pop: old lifespans freeable despite reservation"
+        (era_old_nodes_freeable_despite_reservation (module Hazard_era_pop));
       case "ibr: overlapping interval protects" ibr_interval_protects;
       case "epoch-pop: birth eras advance" epoch_pop_birth_eras_advance;
       case "epoch-pop: a blocked epoch pass is retried when the floor moves"
