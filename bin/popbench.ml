@@ -28,31 +28,11 @@ let smr_conv =
   in
   Arg.conv (parse, fun fmt a -> Format.pp_print_string fmt (Dispatch.smr_name a))
 
-(* The SMR-stat columns come from Smr_stats.to_alist, so a stat added to
-   the record shows up here (and in the table below) by construction. *)
-let csv_header =
-  "ds,smr,threads,duration,key_range,ins_pct,del_pct,reclaim_freq,mops,read_mops,total_ops,\
-max_unreclaimed,final_unreclaimed,max_live,final_live,uaf,double_free,final_size,\
-expected_size,invariants_ok,exited,crashed,joined,p50_us,p99_us,p999_us,max_us,"
-  ^ Pop_core.Smr_stats.csv_header
-
 let quantile_us (r : Runner.result) q =
   float_of_int (Pop_runtime.Histogram.quantile r.latency q) /. 1e3
 
 let max_lat_us (r : Runner.result) =
   float_of_int (Pop_runtime.Histogram.max_value r.latency) /. 1e3
-
-let print_csv (r : Runner.result) =
-  print_endline csv_header;
-  Printf.printf
-    "%s,%s,%d,%.3f,%d,%d,%d,%d,%.6f,%.6f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%b,%d,%d,%d,%.3f,%.3f,%.3f,%.3f,%s\n"
-    (Dispatch.ds_name r.r_cfg.ds) (Dispatch.smr_name r.r_cfg.smr) r.r_cfg.threads
-    r.r_cfg.duration r.r_cfg.key_range r.r_cfg.mix.Workload.ins_pct r.r_cfg.mix.Workload.del_pct
-    r.r_cfg.reclaim_freq r.mops r.read_mops r.total_ops r.max_unreclaimed r.final_unreclaimed
-    r.max_live r.final_live r.uaf r.double_free r.final_size r.expected_size r.invariants_ok
-    r.exited r.crashed r.joined (quantile_us r 0.50) (quantile_us r 0.99) (quantile_us r 0.999)
-    (max_lat_us r)
-    (Pop_core.Smr_stats.csv_row r.smr)
 
 let print_result (r : Runner.result) =
   Report.section
@@ -96,7 +76,7 @@ let print_result (r : Runner.result) =
 
 let run_cell ds smr threads duration key_range ins del reclaim_freq epoch_freq pop_mult lrr kv
     zipf rate stall_for stall_polling churn_counts churn_start churn_period ping_timeout
-    suspect_after segment_size drop_ping delay_poll seed sanitize csv json =
+    suspect_after segment_size drop_ping delay_poll seed sanitize json =
   let mix = { Workload.ins_pct = ins; del_pct = del } in
   let stall =
     if stall_for > 0.0 then
@@ -150,7 +130,7 @@ let run_cell ds smr threads duration key_range ins del reclaim_freq epoch_freq p
     }
   in
   let r = Runner.run cfg in
-  if csv then print_csv r else print_result r;
+  print_result r;
   match json with
   | None -> ()
   | Some file ->
@@ -264,7 +244,6 @@ let cmd =
             "Wrap the scheme in the SmrSan protocol sanitizer; violations are counted in the \
              'violations' stat.")
   in
-  let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit the cell result as CSV.") in
   let json =
     Arg.(
       value
@@ -317,7 +296,7 @@ let cmd =
   in
   let main ds smr threads duration key_range ins del reclaim epochf popm lrr kv zipf rate
       stall_for stall_polling churn_counts churn_start churn_period ping_timeout suspect_after
-      segment_size drop_ping delay_poll seed sanitize csv json fig out smrs scenarios fullscale
+      segment_size drop_ping delay_poll seed sanitize json fig out smrs scenarios fullscale
       =
     match fig with
     | Some name ->
@@ -326,7 +305,7 @@ let cmd =
     | None ->
         run_cell ds smr threads duration key_range ins del reclaim epochf popm lrr kv zipf rate
           stall_for stall_polling churn_counts churn_start churn_period ping_timeout
-          suspect_after segment_size drop_ping delay_poll seed sanitize csv json
+          suspect_after segment_size drop_ping delay_poll seed sanitize json
   in
   Cmd.v
     (Cmd.info "popbench" ~doc:"Publish-on-ping reclamation benchmark")
@@ -334,7 +313,7 @@ let cmd =
       const main $ ds $ smr $ threads $ duration $ key_range $ ins $ del $ reclaim $ epochf
       $ popm $ lrr $ kv $ zipf $ rate $ stall_for $ stall_polling $ churn_counts $ churn_start
       $ churn_period $ ping_timeout $ suspect_after $ segment_size $ drop_ping $ delay_poll
-      $ seed $ sanitize $ csv $ json $ fig $ out $ tournament_smrs $ tournament_scenarios
+      $ seed $ sanitize $ json $ fig $ out $ tournament_smrs $ tournament_scenarios
       $ fullscale)
 
 let () = exit (Cmd.eval cmd)

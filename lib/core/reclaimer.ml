@@ -6,11 +6,10 @@ type pass = Plain | Pop
 (* Retire buffers are Blelloch–Wei segmented lists: fixed-size blocks of
    [Smr_config.segment_size] slots, singly linked head→tail. Slots at or
    beyond [len] always hold the engine's sentinel [dummy], so a block's
-   backing array never pins a freed or drained node (the same scrub discipline
-   [Vec.filter_sub] documents). Every buffer operation the hot paths
-   need — push, whole-list hand-off, prefix advance — is O(1) in nodes;
-   only filtering touches node contents, and only for the blocks it must
-   examine. *)
+   backing array never pins a freed or drained node. Every buffer
+   operation the hot paths need — push, whole-list hand-off, prefix
+   advance — is O(1) in nodes; only filtering touches node contents,
+   and only for the blocks it must examine. *)
 type 'a block = {
   slots : 'a Heap.node array;
   mutable len : int;
@@ -64,7 +63,6 @@ type 'a t = {
   gen : int Atomic.t;
   threshold : int;
   seg_size : int;
-  rescan_blocks : int;
   (* The orphanage: retire-buffer survivors of departed threads, parked
      until a surviving thread's next pass adopts them, sharded into one
      stripe per donor tid. Each hand-off direction splices whole block
@@ -84,7 +82,6 @@ let create (cfg : Smr_config.t) ~heap ~counters =
     gen = Atomic.make 0;
     threshold = cfg.reclaim_freq;
     seg_size = cfg.segment_size;
-    rescan_blocks = cfg.segment_rescan;
     orphans =
       Array.init cfg.max_threads (fun _ ->
           { s_list = empty_blist (); s_lock = Spinlock.create (); s_count = Atomic.make 0 });
@@ -127,6 +124,9 @@ type 'a local = {
   mutable snap_gen : int;
       (* Generation observed when the snapshot was collected; -1 before
          the first fresh pass. *)
+  mutable scanned : int;
+      (* Blocks [vet] has settled in the current pass: the pass's
+         [max_scan_blocks] sample. *)
   mutable moves : int;
       (* Node copies this local has ever performed (pushes, compactions,
          drains). Donate/adopt must not change it: the O(1) hand-off
@@ -150,6 +150,7 @@ let register r ~tid ~scratch_slots =
     scratch = Array.make (max 1 scratch_slots) 0;
     doomed = Array.make (max 1 r.seg_size) r.dummy;
     snap_gen = -1;
+    scanned = 0;
     moves = 0;
     adopt_cursor = tid mod Array.length r.orphans;
   }
@@ -173,11 +174,12 @@ let stamp_node b (n : 'a Heap.node) =
 (* A node whose lifespan escapes its block's stamps is the stamp-
    maintenance bug the SmrSan stale-stamp check reports: a too-narrow
    [min_birth, max_retire] could have let the block-level emptiness
-   probe free a reserved node. Checked on every path that already
-   touches the node (filters, wholesale frees), so the audit costs two
-   compares, never an extra traversal. *)
-let check_stamp l b (n : 'a Heap.node) =
-  if n.Heap.birth_era < b.min_birth || n.Heap.retire_era > b.max_retire then
+   probe free a reserved node. Checked against the block's stamps as
+   they stood before the pass touched it ([lo] = [min_birth], [hi] =
+   [max_retire]), on every path that already reads the node, so the
+   audit costs two compares, never an extra traversal. *)
+let check_stamp l ~lo ~hi (n : 'a Heap.node) =
+  if n.Heap.birth_era < lo || n.Heap.retire_era > hi then
     Counters.stale_stamp l.r.c ~tid:l.tid
 
 (* Pop the freelist or allocate; unused slots hold the engine's dummy. *)
@@ -215,37 +217,14 @@ let recycle_block l b =
   Counters.seg_slots_add l.r.c ~tid:l.tid (-l.r.seg_size);
   Counters.segment_recycle l.r.c ~tid:l.tid
 
-(* Free the first [d] nodes parked in the doomed scratch as one
-   whole-block call and scrub the scratch behind them. This is the only
-   way engine filtering returns nodes to the heap: block-granularity
-   hand-off even on the per-node [Scan_block] fallback (the smrlint
-   [heap-free-loop] rule pins the absence of per-node free loops). *)
-let flush_doomed l d =
-  if d > 0 then begin
-    Heap.free_block l.r.heap ~tid:l.tid ~len:d l.doomed;
-    Array.fill l.doomed 0 d l.r.dummy
-  end
-
-let append_block bl b =
+(* Link [b] at [bl]'s tail through [cell], which must be [Some b]: a
+   block relinked by [vet] reuses the cell that held it, so moving a
+   block allocates nothing. *)
+let append_block bl b cell =
   b.next <- None;
-  (match bl.tail with None -> bl.head <- Some b | Some t -> t.next <- Some b);
-  bl.tail <- Some b;
+  (match bl.tail with None -> bl.head <- cell | Some t -> t.next <- cell);
+  bl.tail <- cell;
   bl.blocks <- bl.blocks + 1
-
-let push_node l bl n =
-  let b =
-    match bl.tail with
-    | Some b when b.len < Array.length b.slots -> b
-    | _ ->
-        let b = new_block l in
-        append_block bl b;
-        b
-  in
-  b.slots.(b.len) <- n;
-  b.len <- b.len + 1;
-  stamp_node b n;
-  bl.nodes <- bl.nodes + 1;
-  l.moves <- l.moves + 1
 
 (* O(1) whole-list hand-off: relink [src]'s chain onto [dst]'s tail and
    transfer the counts. No node is copied — this is what makes donate,
@@ -263,93 +242,111 @@ let splice_blist dst src =
       src.nodes <- 0;
       src.blocks <- 0
 
-(* Free the non-kept nodes of [bl], block by block. A block-level
+(* The one block walker every pass uses. Pop up to [n] blocks off
+   [src]'s head and settle each by its block verdict. A block-level
    classifier (the era-stamp fast path) may settle a whole block with
    one probe: [Free_block] frees every slot without a per-node keep
    call, [Keep_block] leaves the block untouched (stamps included —
    nothing was removed, so they stay exact). On the [Scan_block]
    fallback survivors compact to the front of their block (counted as
    moves only when a slot actually changes), vacated slots are
-   scrubbed, stamps are recomputed over the survivors, and
-   fully-emptied blocks are unlinked and recycled. Updates [bl]'s
-   counts but leaves the global seg-node counter to the caller (one
-   batched add per pass). *)
-let filter_blist ?block_keep l bl keep =
+   scrubbed and stamps are recomputed over the survivors. Emptied
+   blocks are recycled; the rest are relinked to [dst]'s tail, so
+   [~src:bl ~dst:bl ~n:bl.blocks] filters [bl] in place, order kept.
+   Updates both lists' counts and the pass's [scanned] tally, returns
+   the nodes freed, and leaves the global seg-node counter to the
+   caller (one batched add per pass). *)
+let vet ?block_keep l ~src ~dst ~n keep =
   let freed = ref 0 in
-  let verdict b =
-    match block_keep with
-    | None -> Scan_block
-    | Some f when b.len > 0 ->
-        f ~min_birth:b.min_birth ~max_birth:b.max_birth ~min_retire:b.min_retire
-          ~max_retire:b.max_retire
-    | Some _ -> Scan_block
-  in
-  let rec walk prev cur =
-    match cur with
+  for _ = 1 to min n src.blocks do
+    match src.head with
     | None -> ()
-    | Some b -> (
-        match verdict b with
-        | Keep_block ->
-            Counters.block_keep l.r.c ~tid:l.tid;
-            walk cur b.next
-        | Free_block ->
-            Counters.block_skip l.r.c ~tid:l.tid;
-            for i = 0 to b.len - 1 do
-              check_stamp l b b.slots.(i)
-            done;
-            (* The whole block goes back in one call; [recycle_block]
-               scrubs the slots right after, so the segment array never
-               pins the now-pooled nodes. *)
-            Heap.free_block l.r.heap ~tid:l.tid ~len:b.len b.slots;
-            freed := !freed + b.len;
-            let next = b.next in
-            (match prev with None -> bl.head <- next | Some p -> p.next <- next);
-            (match next with None -> bl.tail <- prev | Some _ -> ());
-            bl.blocks <- bl.blocks - 1;
-            recycle_block l b;
-            walk prev next
-        | Scan_block ->
-            let j = ref 0 in
-            let d = ref 0 in
-            let saved_min_birth = b.min_birth and saved_max_retire = b.max_retire in
-            reset_stamps b;
-            for i = 0 to b.len - 1 do
-              let n = b.slots.(i) in
-              if n.Heap.birth_era < saved_min_birth || n.Heap.retire_era > saved_max_retire
-              then Counters.stale_stamp l.r.c ~tid:l.tid;
-              if keep n then begin
-                if !j <> i then begin
-                  b.slots.(!j) <- n;
-                  l.moves <- l.moves + 1
-                end;
-                stamp_node b n;
-                incr j
-              end
-              else begin
-                l.doomed.(!d) <- n;
-                incr d
-              end
-            done;
-            flush_doomed l !d;
-            freed := !freed + !d;
-            Array.fill b.slots !j (b.len - !j) l.r.dummy;
-            b.len <- !j;
-            let next = b.next in
-            if !j = 0 then begin
-              (match prev with None -> bl.head <- next | Some p -> p.next <- next);
-              (match next with None -> bl.tail <- prev | Some _ -> ());
-              bl.blocks <- bl.blocks - 1;
-              recycle_block l b;
-              walk prev next
-            end
-            else walk cur next)
-  in
-  walk None bl.head;
-  bl.nodes <- bl.nodes - !freed;
+    | Some b as cell ->
+        src.head <- b.next;
+        (match b.next with None -> src.tail <- None | Some _ -> ());
+        src.blocks <- src.blocks - 1;
+        src.nodes <- src.nodes - b.len;
+        l.scanned <- l.scanned + 1;
+        let verdict =
+          match block_keep with
+          | Some f when b.len > 0 ->
+              f ~min_birth:b.min_birth ~max_birth:b.max_birth ~min_retire:b.min_retire
+                ~max_retire:b.max_retire
+          | _ -> Scan_block
+        in
+        let kept =
+          match verdict with
+          | Keep_block ->
+              Counters.block_keep l.r.c ~tid:l.tid;
+              b.len
+          | Free_block ->
+              Counters.block_skip l.r.c ~tid:l.tid;
+              for i = 0 to b.len - 1 do
+                check_stamp l ~lo:b.min_birth ~hi:b.max_retire b.slots.(i)
+              done;
+              (* The whole block goes back in one call; [recycle_block]
+                 scrubs the slots right after, so the segment array never
+                 pins the now-pooled nodes. *)
+              Heap.free_block l.r.heap ~tid:l.tid ~len:b.len b.slots;
+              0
+          | Scan_block ->
+              let j = ref 0 and d = ref 0 in
+              let lo = b.min_birth and hi = b.max_retire in
+              reset_stamps b;
+              for i = 0 to b.len - 1 do
+                let n = b.slots.(i) in
+                check_stamp l ~lo ~hi n;
+                if keep n then begin
+                  if !j <> i then begin
+                    b.slots.(!j) <- n;
+                    l.moves <- l.moves + 1
+                  end;
+                  stamp_node b n;
+                  incr j
+                end
+                else begin
+                  l.doomed.(!d) <- n;
+                  incr d
+                end
+              done;
+              (* The rejected nodes go back as one whole-block call and the
+                 scratch is scrubbed behind them: block-granularity hand-off
+                 even on the per-node fallback (the smrlint [heap-free-loop]
+                 rule pins the absence of per-node free loops). *)
+              if !d > 0 then begin
+                Heap.free_block l.r.heap ~tid:l.tid ~len:!d l.doomed;
+                Array.fill l.doomed 0 !d l.r.dummy
+              end;
+              !j
+        in
+        freed := !freed + b.len - kept;
+        if kept = 0 then recycle_block l b
+        else begin
+          Array.fill b.slots kept (b.len - kept) l.r.dummy;
+          b.len <- kept;
+          append_block dst b cell;
+          dst.nodes <- dst.nodes + kept
+        end
+  done;
   !freed
 
+let vet_all ?block_keep l bl keep = vet ?block_keep l ~src:bl ~dst:bl ~n:bl.blocks keep
+
 let retire l n =
-  push_node l l.open_seg n;
+  let bl = l.open_seg in
+  let b =
+    match bl.tail with
+    | Some b when b.len < Array.length b.slots -> b
+    | _ ->
+        let b = new_block l in
+        append_block bl b (Some b);
+        b
+  in
+  b.slots.(b.len) <- n;
+  b.len <- b.len + 1;
+  stamp_node b n;
+  bl.nodes <- bl.nodes + 1;
+  l.moves <- l.moves + 1;
   Counters.seg_nodes_add l.r.c ~tid:l.tid 1;
   Counters.retire l.r.c ~tid:l.tid
 
@@ -475,64 +472,33 @@ let note_skip l =
   Counters.note_unreclaimed l.r.c ~tid:l.tid;
   Counters.scan_skip l.r.c ~tid:l.tid
 
-let count_pass l = function
+(* The frame every pass that runs shares: [start_pass] counts the pass
+   and starts the clock, [finish_pass] records the pause, the blocks
+   [vet] settled, and the frees. Timing covers the whole pass — collect
+   included, so a ping-based scheme's handshake wait (and timeout
+   fallback) lands in the pause figure the latency report surfaces. *)
+let start_pass l kind =
+  (match kind with
   | Plain -> Counters.reclaim_pass l.r.c ~tid:l.tid
-  | Pop -> Counters.pop_pass l.r.c ~tid:l.tid
+  | Pop -> Counters.pop_pass l.r.c ~tid:l.tid);
+  l.scanned <- 0;
+  Clock.now ()
 
-(* Pop up to [quota] blocks that were covered *before* this pass spliced
-   its open segment in, and re-vet their nodes against the snapshot just
-   collected. Sound in both directions: reservations on retired nodes
-   only disappear, so the newer snapshot can only free more, and every
-   survivor is (re-)covered by it. This bounds how stale covered garbage
-   can get without giving up the pass's O(uncovered blocks) cost. *)
-let rescan_covered ?block_keep l ~quota ~keep ~freed ~touched =
-  for _ = 1 to quota do
-    match l.covered.head with
-    | None -> ()
-    | Some b ->
-        let next = b.next in
-        l.covered.head <- next;
-        (match next with None -> l.covered.tail <- None | Some _ -> ());
-        l.covered.blocks <- l.covered.blocks - 1;
-        l.covered.nodes <- l.covered.nodes - b.len;
-        incr touched;
-        let verdict =
-          match block_keep with
-          | Some f when b.len > 0 ->
-              f ~min_birth:b.min_birth ~max_birth:b.max_birth ~min_retire:b.min_retire
-                ~max_retire:b.max_retire
-          | _ -> Scan_block
-        in
-        (match verdict with
-        | Keep_block ->
-            (* Still covered in full: relink the block to the covered
-               tail without reading a node (stamps travel with it). *)
-            Counters.block_keep l.r.c ~tid:l.tid;
-            append_block l.covered b;
-            l.covered.nodes <- l.covered.nodes + b.len
-        | Free_block ->
-            Counters.block_skip l.r.c ~tid:l.tid;
-            for i = 0 to b.len - 1 do
-              check_stamp l b b.slots.(i)
-            done;
-            Heap.free_block l.r.heap ~tid:l.tid ~len:b.len b.slots;
-            freed := !freed + b.len;
-            recycle_block l b
-        | Scan_block ->
-            let d = ref 0 in
-            for i = 0 to b.len - 1 do
-              let n = b.slots.(i) in
-              check_stamp l b n;
-              if keep n then push_node l l.covered n
-              else begin
-                l.doomed.(!d) <- n;
-                incr d
-              end
-            done;
-            flush_doomed l !d;
-            freed := !freed + !d;
-            recycle_block l b)
-  done
+let finish_pass l t0 freed =
+  Counters.note_pause l.r.c ~tid:l.tid (int_of_float (Clock.elapsed t0 *. 1e9));
+  Counters.note_scan_blocks l.r.c ~tid:l.tid l.scanned;
+  Counters.seg_nodes_add l.r.c ~tid:l.tid (-freed);
+  Counters.free l.r.c ~tid:l.tid freed;
+  freed
+
+(* How many covered blocks a fresh non-forced pass re-vets beyond the
+   blocks it adds: a pass whose survivors fill [b] blocks re-vets up to
+   [rescan_quota + b] covered ones, so the covered list drains even when
+   a scheme's own reservation pins most of every open segment (he-pop's
+   era; see EXPERIMENTS.md "What sets he-pop's peak garbage"). 2 is the
+   drain rate once the additions stop; the pass stays O(uncovered
+   blocks). *)
+let rescan_quota = 2
 
 let scan ?(force = false) ?(fill = true) ?block_keep ~kind ~collect ~except ~keep l =
   (* Adopt before deciding whether the cache can answer: orphans join
@@ -556,67 +522,62 @@ let scan ?(force = false) ?(fill = true) ?block_keep ~kind ~collect ~except ~kee
     0
   end
   else begin
-    count_pass l kind;
-    (* Time the whole fresh pass — collect included, so a ping-based
-       scheme's handshake wait (and timeout fallback) lands in the
-       pause figure the latency report surfaces. *)
-    let t0 = Clock.now () in
+    let t0 = start_pass l kind in
     let k = collect l.scratch in
     if fill then begin
       Id_set.fill l.reserved ~except l.scratch k;
       Id_set.seal l.reserved
     end;
-    let freed = ref 0 and touched = ref 0 in
-    if force then begin
-      (* Flush semantics: vet everything, covered included, exactly like
-         the seed engine's full compaction — this is what the
-         equivalence trace replays compare against. *)
-      touched := l.covered.blocks + l.open_seg.blocks;
-      freed := filter_blist ?block_keep l l.covered keep;
-      freed := !freed + filter_blist ?block_keep l l.open_seg keep;
-      splice_blist l.covered l.open_seg
-    end
-    else begin
-      touched := l.open_seg.blocks;
-      freed := filter_blist ?block_keep l l.open_seg keep;
-      let old_covered = l.covered.blocks and spliced = l.open_seg.blocks in
-      splice_blist l.covered l.open_seg;
-      (* Re-vet at least as many covered blocks as this pass adds: a
-         scheme whose own reservation pins most of the open segment
-         (he-pop's era) would otherwise grow the covered list by
-         [spliced - rescan_blocks] blocks per pass and never drain it. *)
-      rescan_covered ?block_keep l
-        ~quota:(min (l.r.rescan_blocks + spliced) old_covered)
-        ~keep ~freed ~touched
-    end;
+    let freed =
+      if force then begin
+        (* Flush semantics: vet everything, covered included, exactly like
+           the seed engine's full compaction — this is what the
+           equivalence trace replays compare against. *)
+        let freed = vet_all ?block_keep l l.covered keep in
+        let freed = freed + vet_all ?block_keep l l.open_seg keep in
+        splice_blist l.covered l.open_seg;
+        freed
+      end
+      else begin
+        let freed = vet_all ?block_keep l l.open_seg keep in
+        (* Re-vet at least as many covered blocks as this pass adds, from
+           the youngest: a scheme whose own reservation pins most of the
+           open segment (he-pop's era) would otherwise grow the covered
+           list by a block per pass and never drain it. The re-vet runs
+           before this pass's survivors join, and they join at the head,
+           so the next pass re-vets them before any older block: a
+           stall's pinned backlog sinks to the tail instead of hiding the
+           short-lived survivors behind it. Sound in both directions:
+           reservations on retired nodes only disappear, so the newer
+           snapshot can only free more, and every survivor is (re-)covered
+           by it. *)
+        let freed =
+          freed
+          + vet ?block_keep l ~src:l.covered ~dst:l.covered
+              ~n:(rescan_quota + l.open_seg.blocks) keep
+        in
+        splice_blist l.open_seg l.covered;
+        splice_blist l.covered l.open_seg;
+        freed
+      end
+    in
     (* Capture the generation only now: everything published before the
        collect read the table is in this snapshot, so handler bumps
        caused by our own ping round must not mark it stale. *)
     l.snap_gen <- Atomic.get l.r.gen;
-    Counters.note_pause l.r.c ~tid:l.tid (int_of_float (Clock.elapsed t0 *. 1e9));
-    Counters.note_scan_blocks l.r.c ~tid:l.tid !touched;
-    Counters.seg_nodes_add l.r.c ~tid:l.tid (- !freed);
     Counters.segment l.r.c ~tid:l.tid;
-    Counters.free l.r.c ~tid:l.tid !freed;
-    !freed
+    finish_pass l t0 freed
   end
 
 let scan_plain ~kind ~keep l =
   ignore (adopt l);
   Counters.note_unreclaimed l.r.c ~tid:l.tid;
-  count_pass l kind;
-  let t0 = Clock.now () in
+  let t0 = start_pass l kind in
   (* Epoch-style passes don't use the snapshot: filter both lists in
      place. Filtering only removes nodes, so the covered list stays
      covered by whatever snapshot the cache holds. *)
-  let touched = l.covered.blocks + l.open_seg.blocks in
-  let freed = filter_blist l l.covered keep in
-  let freed = freed + filter_blist l l.open_seg keep in
-  Counters.note_pause l.r.c ~tid:l.tid (int_of_float (Clock.elapsed t0 *. 1e9));
-  Counters.note_scan_blocks l.r.c ~tid:l.tid touched;
-  Counters.seg_nodes_add l.r.c ~tid:l.tid (-freed);
-  Counters.free l.r.c ~tid:l.tid freed;
-  freed
+  let freed = vet_all l l.covered keep in
+  finish_pass l t0 (freed + vet_all l l.open_seg keep)
 
 (* The era-interval pass, owned by the engine so schemes never probe
    the snapshot per node themselves (the smrlint [era-per-node] rule

@@ -1,7 +1,7 @@
 (** The shared retire-buffer + scan engine behind every scheme.
 
-    Each scheme used to carry its own copy of the same block: a retired
-    {!Pop_runtime.Vec}, a raw reservation scratch, [Id_set.fill] /
+    Each scheme used to carry its own copy of the same block: a growable
+    retire array, a raw reservation scratch, [Id_set.fill] /
     [seal], and a [filter_in_place] that frees non-reserved nodes. This
     module owns that block once, and adds three amortizations the copies
     could not share:
@@ -37,11 +37,11 @@
     no-op. A pass goes fresh when the open list alone reaches the
     threshold; it filters block by block, returns fully-freed blocks to
     a per-reclaimer freelist (bounding allocation churn the way
-    {!Pop_sim.Heap}'s node freelists already do), promotes the open
-    list's survivors to covered with one splice, and re-vets at most
-    {!Smr_config.t.segment_rescan} previously covered blocks more than
-    it spliced in — so fresh work is O(uncovered blocks + rescan
-    quota), never O(total retired), matching BW21's constant-time block
+    {!Pop_sim.Heap}'s node freelists already do), re-vets at most 2
+    covered blocks more than the open list's survivors fill, youngest
+    first, and then promotes those survivors to the covered head with
+    one splice — so fresh work is O(uncovered blocks + rescan quota),
+    never O(total retired), matching BW21's constant-time block
     operations (see DESIGN.md §4.2).
 
     {b Era-stamped blocks.} Each block carries the exact min/max of its
@@ -135,7 +135,7 @@ val is_empty : 'a local -> bool
 
 val node_moves : 'a local -> int
 (** How many node copies this local has ever performed (pushes on
-    retire, in-block compactions, rescan re-pushes, {!take_all} drains).
+    retire, in-block compactions, {!take_all} drains).
     {!donate} and adoption splice block lists without reading a node, so
     this counter staying flat across a hand-off is the testable face of
     the O(1) claim. *)
@@ -194,13 +194,15 @@ val scan :
     where schemes run their handshake / ping round) and returns the
     element count; the scratch is sealed into the snapshot (skipped
     with [~fill:false], for IBR); the open list is filtered block by
-    block, its survivors are spliced onto the covered list, and up to
-    {!Smr_config.t.segment_rescan} plus as many previously covered
-    blocks as were spliced in are re-vetted against the new snapshot.
-    [~force:true] (flush, explicit drains) filters {e everything},
-    covered included — seed-engine semantics. [keep] must be monotone in the snapshot: it may consult
-    {!snapshot} / {!raw} and per-scheme floors captured by the
-    [collect] closure. [?block_keep] is the block-level fast path:
+    block; up to 2 more covered blocks than its survivors fill are
+    re-vetted against the new snapshot, taken from the covered head
+    (the youngest), those still holding nodes relinked to its tail;
+    then the survivors join the covered list at its head, so the next
+    pass re-vets them before any older block. [~force:true] (flush,
+    explicit drains) filters {e everything}, covered included —
+    seed-engine semantics. [keep] must be monotone in the snapshot: it
+    may consult {!snapshot} / {!raw} and per-scheme floors captured by
+    the [collect] closure. [?block_keep] is the block-level fast path:
     given a non-empty block's era stamps it may settle the whole block
     ([Free_block]/[Keep_block]) with one probe; [Scan_block] falls back
     to the per-node [keep]. It must be consistent with [keep]:

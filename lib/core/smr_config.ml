@@ -6,7 +6,6 @@ type t = {
   pop_mult : int;
   ping_timeout_spins : int;
   segment_size : int;
-  segment_rescan : int;
   suspect_after : int;
 }
 
@@ -19,7 +18,6 @@ let default ?(max_threads = 8) () =
     pop_mult = 1;
     ping_timeout_spins = 64;
     segment_size = 64;
-    segment_rescan = 2;
     suspect_after = 3;
   }
 
@@ -32,6 +30,4 @@ let validate t =
   if t.ping_timeout_spins <= 0 then
     invalid_arg "Smr_config: ping_timeout_spins must be positive";
   if t.segment_size <= 0 then invalid_arg "Smr_config: segment_size must be positive";
-  if t.segment_rescan < 0 then
-    invalid_arg "Smr_config: segment_rescan must be non-negative";
   if t.suspect_after <= 0 then invalid_arg "Smr_config: suspect_after must be positive"

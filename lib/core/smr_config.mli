@@ -29,15 +29,6 @@ type t = {
           {!Reclaimer}'s Blelloch–Wei segmented lists (BW21). Larger
           blocks amortize link maintenance over more retires; smaller
           ones recycle (and hence bound fragmentation) sooner. *)
-  segment_rescan : int;
-      (** How many covered segment blocks a fresh (non-forced) pass
-          re-vets against the new snapshot beyond the blocks it splices
-          onto the covered list: a pass that splices in [b] blocks
-          re-vets up to [segment_rescan + b] older ones, so the covered
-          list drains even when a scheme's own reservation pins most of
-          every open segment (he-pop's era; see EXPERIMENTS.md "What
-          sets he-pop's peak garbage"). The default 2 is the drain rate
-          once the splices stop; the pass stays O(uncovered blocks). *)
   suspect_after : int;
       (** Consecutive stale-heartbeat handshake timeouts before the
           {!Handshake} failure detector quarantines a peer. Raise it on
@@ -49,12 +40,13 @@ type t = {
 val default : ?max_threads:int -> unit -> t
 (** Paper-flavoured defaults scaled to this machine: [max_hp = 8],
     [reclaim_freq = 512], [epoch_freq = 32], [pop_mult = 1],
-    [ping_timeout_spins = 64], [segment_size = 64], [segment_rescan = 2],
-    [suspect_after = 3]. There is no barrier cost knob: every
-    fence a scheme pays is the one OCaml itself executes ([Atomic.set]
-    and read-modify-writes are [xchg]/[lock]-prefixed on x86). A knob
-    no scheme reads, such as the harness's busy-wait budget, is not
-    here but with its reader. *)
+    [ping_timeout_spins = 64], [segment_size = 64], [suspect_after = 3].
+    There is no barrier cost knob: every fence a scheme pays is the one
+    OCaml itself executes ([Atomic.set] and read-modify-writes are
+    [xchg]/[lock]-prefixed on x86). A knob no run varies, such as the
+    {!Reclaimer}'s covered re-vet quota, is a constant with its reader,
+    and one no scheme reads, such as the harness's busy-wait budget, is
+    not here but with its reader. *)
 
 val validate : t -> unit
 (** Raise [Invalid_argument] on nonsensical settings. *)

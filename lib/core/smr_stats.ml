@@ -65,7 +65,7 @@ let zero =
     violations = 0;
   }
 
-(* The single record-to-rows function every consumer (pp, CSV, report
+(* The single record-to-rows function every consumer (pp, JSON, report
    tables) is derived from. The exhaustive record pattern is the point:
    adding a field to [t] without extending this list is a compile error
    (warning 9 is fatal in the dev profile), so a stat can never again be
@@ -136,10 +136,6 @@ let to_alist
     ("epoch", epoch);
     ("violations", violations);
   ]
-
-let csv_header = String.concat "," (List.map fst (to_alist zero))
-
-let csv_row t = String.concat "," (List.map (fun (_, v) -> string_of_int v) (to_alist t))
 
 let pp fmt t =
   Format.pp_print_list

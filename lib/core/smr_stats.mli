@@ -27,10 +27,12 @@ type t = {
           blocks). Low values mean fragmentation; > 100 is impossible
           and flagged by the {!Smr_check} sanitizer. *)
   max_scan_blocks : int;
-      (** The most segment blocks any single fresh pass touched (filtered
-          or rescanned). This is the measurable face of the O(uncovered
-          blocks) fresh-pass bound: it tracks the open suffix plus the
-          [segment_rescan] quota, not the total retired population. *)
+      (** The most segment blocks any single pass vetted (filtered,
+          re-vetted, or settled whole by its era stamps). For a fresh
+          non-forced pass this is the measurable face of the O(uncovered
+          blocks) bound: the open suffix plus the covered re-vet quota
+          (the blocks the pass adds, plus 2), not the total retired
+          population. Forced and epoch passes vet every block. *)
   pings : int;  (** Soft signals sent by this instance's hub. *)
   publishes : int;  (** Handler executions (reservation publishes/acks). *)
   restarts : int;  (** NBR neutralization-induced operation restarts. *)
@@ -112,14 +114,8 @@ val zero : t
 
 val to_alist : t -> (string * int) list
 (** Every field as a [(label, value)] row, in display order. This is the
-    single record-to-rows function: [pp], [csv_header]/[csv_row] and the
+    single record-to-rows function: [pp], the [--json] cells and the
     harness report tables all derive from it, and its exhaustive record
     pattern makes "stat collected but never reported" a compile error. *)
-
-val csv_header : string
-(** Comma-joined labels of {!to_alist}, for benchmark CSV output. *)
-
-val csv_row : t -> string
-(** Comma-joined values, aligned with {!csv_header}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -143,7 +143,6 @@ let smr_config cfg ~max_threads =
     pop_mult = cfg.pop_mult;
     ping_timeout_spins = cfg.ping_timeout_spins;
     segment_size = cfg.segment_size;
-    segment_rescan = (Pop_core.Smr_config.default ()).segment_rescan;
     suspect_after = cfg.suspect_after;
   }
 

@@ -26,7 +26,8 @@ let tournament_doc =
 
 let seg_doc =
   Json.of_string
-    {|{"pass_cost": [{"covered": 4096, "uncovered": 512, "freed_per_pass": 512, "fresh_ns_per_pass": 12807.2, "forced_ns_per_pass": 42859.4, "fresh_max_scan_blocks": 10, "forced_max_scan_blocks": 72, "segments_recycled": 7934}],
+    {|{"pass_cost": [{"covered": 4096, "uncovered": 512, "freed_per_pass": 512, "fresh_ns_per_pass": 12807.2, "forced_ns_per_pass": 42859.4, "fresh_max_scan_blocks": 18, "forced_max_scan_blocks": 72, "segments_recycled": 7934},
+                     {"covered": 16384, "uncovered": 512, "freed_per_pass": 512, "fresh_ns_per_pass": 13102.5, "forced_ns_per_pass": 150398.6, "fresh_max_scan_blocks": 18, "forced_max_scan_blocks": 264, "segments_recycled": 8228}],
       "era_span": [{"covered": 512, "uncovered": 512, "freed_per_pass": 512, "fresh_ns_per_pass": 6958.6, "block_keeps": 800, "block_skips": 3200, "stale_stamps": 0}],
       "donor_churn": [{"donors": 2, "nodes": 4096, "ns_total": 1000000.0, "handoff_mops": 4.1, "splice_moves": 0, "stripe_contention": 0, "donated": 4096, "adopted": 4096}]}|}
 
@@ -107,6 +108,12 @@ let table =
         ( "freed_per_pass <> uncovered",
           set [ K "pass_cost"; I 0; K "freed_per_pass" ] (Int 511),
           "pass_cost[0].freed_per_pass" );
+        ( "fresh pass as wide as the forced one",
+          set [ K "pass_cost"; I 0; K "fresh_max_scan_blocks" ] (Int 72),
+          "pass_cost[0].fresh_max_scan_blocks = 72 >= forced_max_scan_blocks" );
+        ( "fresh pass grows with the covered backlog",
+          set [ K "pass_cost"; I 1; K "fresh_max_scan_blocks" ] (Int 19),
+          "pass_cost[1].fresh_max_scan_blocks = 19" );
         ( "forced timing missing",
           set [ K "pass_cost"; I 0; K "forced_ns_per_pass" ] Null,
           "forced_ns_per_pass" );

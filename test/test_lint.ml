@@ -84,20 +84,6 @@ let direct_free () =
   Alcotest.(check bool) "freed_total accepted" false
     (flags "direct-free" "test/a.ml" "let x = Heap.freed_total h")
 
-let retire_vec () =
-  let push = "let f l n = Vec.push l.retired n" in
-  let filt = "let g l = Vec.filter_sub l.retired ~pos:0 ~len:4 keep" in
-  Alcotest.(check bool) "scheme Vec.push flagged" true
-    (flags "retire-vec" "lib/baselines/a.ml" push);
-  Alcotest.(check bool) "scheme Vec.filter_sub flagged" true
-    (flags "retire-vec" "lib/core/a.ml" filt);
-  Alcotest.(check bool) "the engine itself may use Vec" false
-    (flags "retire-vec" "lib/core/reclaimer.ml" push);
-  Alcotest.(check bool) "outside scheme land accepted" false
-    (flags "retire-vec" "lib/harness/a.ml" push);
-  Alcotest.(check bool) "other Vec calls accepted" false
-    (flags "retire-vec" "lib/baselines/a.ml" "let n = Vec.length l.retired")
-
 let heap_free_loop () =
   let for_loop =
     "let drain l b =\n  for i = 0 to b.len - 1 do\n    Heap.free l.r.heap ~tid:l.tid b.slots.(i)\n  done"
@@ -301,7 +287,6 @@ let suite =
     case "rule: poly-compare" poly_compare;
     case "rule: node-eq heuristic" node_eq;
     case "rule: direct-free scoping" direct_free;
-    case "rule: retire-vec scoping" retire_vec;
     case "rule: heap-free-loop scoping" heap_free_loop;
     case "rule: raw-smr-in-dslib scoping" raw_smr;
     case "rule: era-per-node scoping" era_per_node;

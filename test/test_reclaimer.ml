@@ -13,19 +13,11 @@ open Pop_core
 module Heap = Pop_sim.Heap
 open Tu
 
-let cfg ?(reclaim_freq = 4) ?(max_threads = 2) ?(max_hp = 4)
-    ?(segment_size = 64) ?(segment_rescan = 2) () =
-  {
-    (Smr_config.default ()) with
-    Smr_config.max_threads;
-    max_hp;
-    reclaim_freq;
-    segment_size;
-    segment_rescan;
-  }
+let cfg ?(reclaim_freq = 4) ?(max_threads = 2) ?(max_hp = 4) ?(segment_size = 64) () =
+  { (Smr_config.default ()) with Smr_config.max_threads; max_hp; reclaim_freq; segment_size }
 
-let make ?reclaim_freq ?max_threads ?max_hp ?segment_size ?segment_rescan () =
-  let cfg = cfg ?reclaim_freq ?max_threads ?max_hp ?segment_size ?segment_rescan () in
+let make ?reclaim_freq ?max_threads ?max_hp ?segment_size () =
+  let cfg = cfg ?reclaim_freq ?max_threads ?max_hp ?segment_size () in
   let heap = Heap.create ~max_threads:cfg.Smr_config.max_threads ~payload:(fun _ -> ()) () in
   let c = Counters.create cfg.Smr_config.max_threads in
   let eng = Reclaimer.create cfg ~heap ~counters:c in
@@ -337,8 +329,7 @@ let concurrent_donate_adopt () =
 (* Recycled blocks must not pin drained nodes under the GC: [take_all]
    scrubs every slot with the sentinel before a block enters the
    freelist, so once the caller drops the drained array the nodes are
-   collectable. Mirrors the Vec scrub regression in test_runtime.ml at
-   the segment-block layer. *)
+   collectable. *)
 let recycled_blocks_do_not_pin () =
   let heap, _c, _eng, rl = make ~segment_size:4 () in
   let w = Weak.create 1 in
@@ -622,14 +613,12 @@ let one_dummy_per_engine () =
    [3 * blocks] fully pinned blocks. Phase two releases them, while each
    pass pins one node per open block until the next pass (a scheme's
    own reservation of its latest retires), so every pass splices
-   [blocks] partly pinned blocks in. With a quota of [segment_rescan]
-   alone the covered list would grow by [blocks - segment_rescan]
-   blocks a pass and never drain. *)
+   [blocks] partly pinned blocks in. With the constant quota (2) alone
+   the covered list would grow by [blocks - 2] blocks a pass and never
+   drain. *)
 let covered_blocks_drain () =
   let seg = 4 and blocks = 4 in
-  let heap, _, _, rl =
-    make ~reclaim_freq:(seg * blocks) ~segment_size:seg ~segment_rescan:1 ()
-  in
+  let heap, _, _, rl = make ~reclaim_freq:(seg * blocks) ~segment_size:seg () in
   let table = Hashtbl.create 64 and called = ref false in
   let pass () =
     ignore
@@ -660,6 +649,49 @@ let covered_blocks_drain () =
   Alcotest.(check bool) "released blocks drained" true
     (List.for_all (Array.for_all (fun (n, seq) -> n.Heap.seq <> seq)) pinned);
   Alcotest.(check int) "only the last pass's pinned nodes remain" blocks (Reclaimer.pending rl);
+  Alcotest.(check int) "no uaf" 0 (Heap.uaf_count heap);
+  Alcotest.(check int) "no double free" 0 (Heap.double_free_count heap)
+
+(* A fresh pass re-vets the covered list from its youngest blocks: the
+   pass's survivors join at the head, so the next pass re-vets them
+   before any older block. Ten passes each leave four one-node blocks
+   pinned for good (a stalled reader's backlog, 40 blocks); one more
+   covers sixteen short-lived pinned nodes, which are then released.
+   Oldest-first, the quota would spend the next passes on the backlog
+   and the released nodes would wait behind all forty blocks. *)
+let youngest_covered_first () =
+  let seg = 4 in
+  let heap, _, eng, rl = make ~reclaim_freq:(4 * seg) ~segment_size:seg () in
+  let table = Hashtbl.create 64 and called = ref false in
+  let pass () =
+    Reclaimer.invalidate eng;
+    ignore
+      (Reclaimer.scan ~kind:Reclaimer.Plain ~collect:(table_collect table called)
+         ~except:(-1) ~keep:(keep_reserved rl) rl)
+  in
+  let retire_batch ~pin =
+    Array.init (4 * seg) (fun i ->
+        let n = Heap.alloc heap ~tid:0 ~birth_era:0 in
+        if pin i then Hashtbl.replace table n.Heap.id ();
+        Reclaimer.retire rl n;
+        (n, n.Heap.seq))
+  in
+  for _ = 1 to 10 do
+    ignore (retire_batch ~pin:(fun i -> i mod seg = 0));
+    pass ()
+  done;
+  Alcotest.(check int) "pinned backlog" 40 (Reclaimer.pending rl);
+  let transients = retire_batch ~pin:(fun _ -> true) in
+  pass ();
+  Alcotest.(check int) "transients covered" 56 (Reclaimer.pending rl);
+  Array.iter (fun (n, _) -> Hashtbl.remove table n.Heap.id) transients;
+  for _ = 1 to 2 do
+    ignore (retire_batch ~pin:(fun _ -> false));
+    pass ()
+  done;
+  Alcotest.(check bool) "transients freed within two passes" true
+    (Array.for_all (fun (n, seq) -> n.Heap.seq <> seq) transients);
+  Alcotest.(check int) "only the backlog remains" 40 (Reclaimer.pending rl);
   Alcotest.(check int) "no uaf" 0 (Heap.uaf_count heap);
   Alcotest.(check int) "no double free" 0 (Heap.double_free_count heap)
 
@@ -725,5 +757,6 @@ let suite =
     case "reclaimer: engine frees at block granularity only" engine_frees_whole_blocks;
     case "reclaimer: sharded orphanage drains exactly once" sharded_orphanage_drains;
     case "reclaimer: released covered blocks drain" covered_blocks_drain;
+    case "reclaimer: youngest covered blocks re-vetted first" youngest_covered_first;
     case "reclaimer: one scrub dummy per engine" one_dummy_per_engine;
   ]

@@ -200,6 +200,42 @@ let stalled_hp_pop_stays_bounded () =
     true
     (r.Runner.max_unreclaimed <= bound)
 
+(* The era schemes' garbage under a stall plateaus instead of growing
+   with the operations the stall window holds: the stalled thread pins
+   only the nodes whose lifespan covers its reserved eras, and the
+   reclaimer's covered re-vet reaches the short-lived survivors before
+   the pinned backlog. The stall covers the run from 10% on (the
+   wake-on-stop hook ends it); the bound is 4x the ~2,048 live nodes. *)
+let stalled_era_scheme_plateaus smr =
+  let name = Dispatch.smr_name smr in
+  case
+    (Printf.sprintf "runner stall: %s garbage plateaus" name)
+    (fun () ->
+      let r =
+        Runner.run
+          {
+            Runner.default_cfg with
+            ds = Dispatch.HMHT;
+            smr;
+            threads = 2;
+            duration = 0.6;
+            key_range = 4096;
+            stall =
+              Some
+                {
+                  Runner.stall_tid = 0;
+                  stall_after = 0.06;
+                  stall_for = 0.6;
+                  stall_polling = true;
+                };
+          }
+      in
+      Alcotest.(check bool) "consistent" true (Runner.consistent r);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s garbage (%d) <= 8192" name r.Runner.max_unreclaimed)
+        true
+        (r.Runner.max_unreclaimed <= 8192))
+
 let deaf_stall_delays_but_recovers () =
   (* A stalled thread that does not serve pings blocks POP reclaimers
      for the stall's duration (Assumption 1's bounded time), but the run
@@ -269,4 +305,5 @@ let suite =
     case "runner stall: hp-pop stays bounded" stalled_hp_pop_stays_bounded;
     case "deaf stall delays reclaimers but recovers" deaf_stall_delays_but_recovers;
   ]
+  @ List.map stalled_era_scheme_plateaus Dispatch.[ HEPOP; HE ]
   @ List.map deaf_to_the_end Dispatch.[ EPOCHPOP; HPPOP; HEPOP; NBR; HPASYM; CADENCE ]

@@ -104,8 +104,11 @@ let churn doc =
   Printf.sprintf "exited=%d crashed=%d joined=%d, %d categories clean" exited crashed joined
     (List.length expected)
 
-(* [bench --fig seg]: blocks recycled, freed-set parity, block-level era
-   verdicts firing, no stale stamps, exactly-once splice-free hand-off. *)
+(* [bench --fig seg]: blocks recycled, freed-set parity, the fresh pass
+   bounded by the uncovered suffix (the same block count at every
+   covered backlog, and below the forced pass's wherever the backlog is
+   the larger part), block-level era verdicts firing, no stale stamps,
+   exactly-once splice-free hand-off. *)
 let seg doc =
   let d = root doc in
   let pass = cells (get d "pass_cost") in
@@ -114,7 +117,17 @@ let seg doc =
   List.iter
     (fun c ->
       positive c [ "segments_recycled"; "fresh_ns_per_pass"; "forced_ns_per_pass" ];
-      equal c [ "freed_per_pass"; "uncovered" ])
+      equal c [ "freed_per_pass"; "uncovered" ];
+      if num c "covered" > num c "uncovered" then
+        chain ( < ) ">=" c [ "fresh_max_scan_blocks"; "forced_max_scan_blocks" ];
+      match List.find_opt (fun p -> num p "uncovered" = num c "uncovered") pass with
+      | Some p when num p "fresh_max_scan_blocks" <> num c "fresh_max_scan_blocks" ->
+          fail "%s.fresh_max_scan_blocks = %s <> %s.fresh_max_scan_blocks = %s at equal uncovered"
+            c.path
+            (show (num c "fresh_max_scan_blocks"))
+            p.path
+            (show (num p "fresh_max_scan_blocks"))
+      | _ -> ())
     pass;
   List.iter
     (fun c ->

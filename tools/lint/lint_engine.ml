@@ -310,22 +310,6 @@ let rules =
          lib/simheap, lib/baselines, lib/check and the dispatch bridge";
     };
     {
-      name = "retire-vec";
-      applies =
-        (fun path -> ml_file path && scheme_land path && path <> "lib/core/reclaimer.ml");
-      check =
-        (fun line ->
-          if has_token line "Vec.push" || has_token line "Vec.filter_sub" then
-            Some
-              "direct Vec mutation in scheme code; retire buffers are the Reclaimer's \
-               segmented block lists - go through Reclaimer.retire/scan instead of \
-               keeping a side Vec of retired nodes"
-          else None);
-      doc =
-        "forbid Vec.push/Vec.filter_sub in scheme code outside the Reclaimer engine \
-         (retire buffers are segmented block lists)";
-    };
-    {
       name = "era-per-node";
       applies =
         (fun path ->
