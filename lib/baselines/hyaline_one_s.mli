@@ -1,25 +1,16 @@
 (** Hyaline-1S (Nikolaev & Ravindran): Hyaline-1's per-batch reference
-    counting plus the birth-era guard that makes it robust.
+    counting plus the birth-era guard that makes it robust, the
+    {!Hyaline_family} instance with the guard.
 
-    The protocol is {!Hyaline_one}'s deferred adjustment — batches
-    ENLISTed on active slots, one deferred [+adjs], leavers TRAVERSE
-    and the unique 0-crossing frees — with one addition: every thread
-    publishes a single era cell ({e fenced, before} going active, and
-    revalidated on every protected read, exactly like hazard eras), the
-    global era is bumped at each batch formation, and each batch
-    carries the minimum birth era of its nodes. Enlisting skips any
-    active slot whose published era is older than that minimum: a
-    successful protected read implies the global era equalled the
-    reader's published era at read time, so such a thread cannot hold a
-    pointer to any node born after its era froze.
-
-    That skip is the robustness bound. A stalled or crashed thread's
-    era stops moving, so it is only ever charged for batches containing
-    nodes that were already alive when it froze — garbage pinned by a
-    frozen thread is bounded by the live set at freeze time, like
-    HE/IBR and the POP family, while plain {!Hyaline_one} and EBR pin
-    every later batch and grow with run length. The tournament's stall
-    and crash cells measure exactly this contrast via
-    {!Pop_core.Smr_stats.t.max_unreclaimed}. *)
+    Every thread publishes one era cell ({e fenced, before} going
+    active, and revalidated on every protected read, like hazard eras).
+    A successful protected read implies the global era equalled the
+    reader's published era, so a thread whose era is older than a
+    batch's minimum birth era cannot reach any of its nodes, and ENLIST
+    skips it. A stalled or crashed thread is therefore only charged for
+    batches with nodes alive when it froze: its pinned garbage is
+    bounded by the live set at freeze time, like HE/IBR and the POP
+    family, while {!Hyaline_one} and EBR grow with run length
+    ({!Pop_core.Smr_stats.t.max_unreclaimed} in the tournament). *)
 
 include Pop_core.Smr.S

@@ -71,15 +71,19 @@ let end_op ctx =
 
 let poll ctx = Softsignal.poll ctx.port
 
-let read ctx _slot addr _proj =
+(* The IBR paper's read: load the pointer, then the epoch. An unchanged
+   epoch means the node was born at or below the published [hi]. A moved
+   one is published (fenced: the bound must be visible before the pointer
+   is used) and the pointer reloaded, as it may be a node born above it. *)
+let rec read ctx slot addr proj =
+  let v = Atomic.get addr in
   let e = Atomic.get ctx.g.epoch in
-  if e <> ctx.cached_hi then begin
-    (* The upper bound must be visible before the pointer is used: the
-       fence IBR pays whenever the epoch advances under a traversal. *)
+  if e = ctx.cached_hi then v
+  else begin
     Atomic.set ctx.hi_cell e;
-    ctx.cached_hi <- e
-  end;
-  Atomic.get addr
+    ctx.cached_hi <- e;
+    read ctx slot addr proj
+  end
 
 let check ctx n = if n.Heap.seq land 1 = 1 then Heap.check_access ctx.g.heap n
 

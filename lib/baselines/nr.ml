@@ -38,6 +38,9 @@ let alloc ctx = Heap.alloc ctx.g.heap ~tid:ctx.tid ~birth_era:0
    it again), so allocations keep growing — the paper's NR behaviour. *)
 let retire ctx n = Reclaimer.retire_leak ctx.rl n
 
+(* Free immediately: no grace period at all (unsafe-free's [retire]). *)
+let retire_now ctx n = Reclaimer.retire_now ctx.rl n
+
 (* Unpublished nodes were never shared, so even NR can recycle them. *)
 let free_unpublished ctx n = Reclaimer.free_unpublished ctx.rl n
 
@@ -46,8 +49,8 @@ let enter_write_phase _ctx _nodes = ()
 let flush _ctx = ()
 
 let deregister ctx =
-  (* [retire_leak] buffers nothing, so this is a no-op; kept so every
-     scheme's exit path is uniformly routed through the orphanage. *)
+  (* [retire_leak] and [retire_now] buffer nothing, so this is a no-op,
+     kept so every scheme's exit path is routed through the orphanage. *)
   Reclaimer.donate ctx.rl;
   Softsignal.deregister ctx.port
 

@@ -5,3 +5,7 @@
     throughput every SMR is compared against. *)
 
 include Pop_core.Smr.S
+
+val retire_now : 'a tctx -> 'a Pop_sim.Heap.node -> unit
+(** Count the retire and free the node at once, with no grace period:
+    {!Unsafe_free}'s [retire]. *)

@@ -1,8 +1,11 @@
 (** Behavioural unit tests for every reclamation algorithm, run through
     the uniform interface: reclamation thresholds, protection of
-    reserved nodes, drain-on-flush, and the algorithm-specific quirks
-    (NBR neutralization, POP publish-on-ping, EpochPOP's dual mode,
-    Hyaline batch charging, EBR's rescan guard). *)
+    reserved nodes (the thread's own and a peer's), drain-on-flush, the
+    era bound of a protected read, and the algorithm-specific quirks
+    (NBR neutralization, POP publish-on-ping, Hyaline batch charging
+    with and without the 1S era guard, and the epoch pass that EBR and
+    EpochPOP share: its pinned-floor guard and its retry once the floor
+    moves). *)
 
 open Pop_runtime
 open Pop_core
@@ -365,22 +368,26 @@ let hyaline_1_frozen_holder_pins_everything () =
       Alcotest.(check int) "released on leave" 0 (Hyaline_one.unreclaimed g);
       Hyaline_one.deregister ctx1)
 
-(* --- EBR: pinned epoch blocks reclamation; rescan guard --- *)
+(* --- EBR and EpochPOP: the shared epoch pass --- *)
 
-module Ebr_rig = Smr_rig (Pop_baselines.Ebr)
-
-let ebr_pinned_epoch_blocks () =
-  Ebr_rig.run (fun _rig g ctx0 ->
-      let open Pop_baselines in
-      let ctx1 = Ebr.register g ~tid:1 in
-      Ebr.start_op ctx1 (* pins the current epoch and never leaves *);
-      Ebr_rig.retire_n ctx0 16;
-      Alcotest.(check bool) "garbage accumulates" true (Ebr.unreclaimed g >= 12);
-      (* The rescan guard keeps pass count tiny while pinned. *)
-      Alcotest.(check bool) "few passes" true ((Ebr.stats g).Smr_stats.reclaim_passes <= 2);
-      Ebr.end_op ctx1;
-      Ebr.flush ctx0;
-      Alcotest.(check int) "drains once unpinned" 0 (Ebr.unreclaimed g))
+(* A pinned floor: the passes after the first are skipped and counted,
+   garbage accumulates, and it drains once the peer leaves. Run for ebr
+   over four thresholds and for epoch-pop over two: epoch-pop's POP pass
+   at the second threshold pings the peer, which never polls here, and
+   a third timed-out round would quarantine it and free the garbage. *)
+let pinned_epoch_blocks (module R : Smr.S) ~retires () =
+  let module Rig = Smr_rig (R) in
+  Rig.run (fun _rig g ctx0 ->
+      let ctx1 = R.register g ~tid:1 in
+      R.start_op ctx1 (* pins the current epoch and never leaves *);
+      Rig.retire_n ctx0 retires;
+      Alcotest.(check bool) "garbage accumulates" true (R.unreclaimed g >= retires * 3 / 4);
+      let s = R.stats g in
+      Alcotest.(check bool) "few passes" true (s.Smr_stats.reclaim_passes <= 2);
+      Alcotest.(check bool) "skipped passes counted" true (s.Smr_stats.scan_skips >= 1);
+      R.end_op ctx1;
+      R.flush ctx0;
+      Alcotest.(check int) "drains once unpinned" 0 (R.unreclaimed g))
 
 (* --- HE: reservations pin eras, not nodes --- *)
 
@@ -496,17 +503,55 @@ let epoch_pop_birth_eras_advance () =
 (* An epoch pass blocked by a lagging announcement is retried within
    one segment block of the floor moving, not a whole threshold later:
    tid 1 pins the epoch while tid 0 retires a threshold's worth, then
-   leaves its operation. *)
-let epoch_pop_retries_blocked_pass () =
-  Epop_rig.run ~reclaim_freq:512 (fun rig g ctx0 ->
-      let ctx1 = Epoch_pop.register g ~tid:1 in
-      Epoch_pop.start_op ctx1;
-      Epop_rig.retire_n ctx0 512;
-      Alcotest.(check int) "the pass at the threshold is blocked" 512 (Epoch_pop.unreclaimed g);
-      Epoch_pop.end_op ctx1;
-      Epop_rig.retire_n ctx0 rig.cfg.Smr_config.segment_size;
-      Alcotest.(check bool) "retried once the floor moved" true (Epoch_pop.unreclaimed g < 512);
-      Epoch_pop.deregister ctx1)
+   leaves its operation. Run for ebr and epoch-pop, which share the
+   epoch pass. *)
+let retries_blocked_pass (module R : Smr.S) () =
+  let module Rig = Smr_rig (R) in
+  Rig.run ~reclaim_freq:512 (fun rig g ctx0 ->
+      let ctx1 = R.register g ~tid:1 in
+      R.start_op ctx1;
+      Rig.retire_n ctx0 512;
+      Alcotest.(check int) "the pass at the threshold is blocked" 512 (R.unreclaimed g);
+      R.end_op ctx1;
+      Rig.retire_n ctx0 rig.cfg.Smr_config.segment_size;
+      Alcotest.(check bool) "retried once the floor moved" true (R.unreclaimed g < 512);
+      R.deregister ctx1)
+
+(* A protected read must never return a node born after the bound the
+   reader published. A writer (tid 1) keeps swapping freshly allocated
+   nodes into one cell and retiring the old ones, with a pass every 8
+   retires and, for IBR, an epoch advance at every allocation; the
+   reader (tid 0) reads the cell, holds the node for a while, then
+   dereferences it. A read that published its bound before loading the
+   pointer returns nodes the writer's passes do not see as covered. *)
+let era_read_bound (module R : Smr.S) () =
+  let module Rig = Smr_rig (R) in
+  Rig.run ~reclaim_freq:8 ~epoch_freq:1 (fun rig g ctx0 ->
+      let cell = Atomic.make (R.alloc ctx0) in
+      let stop = Atomic.make false in
+      let writer =
+        Domain.spawn (fun () ->
+            let ctx1 = R.register g ~tid:1 in
+            while not (Atomic.get stop) do
+              R.start_op ctx1;
+              let old = Atomic.exchange cell (R.alloc ctx1) in
+              R.end_op ctx1;
+              R.retire ctx1 old
+            done;
+            R.deregister ctx1)
+      in
+      for _ = 1 to 300_000 do
+        R.start_op ctx0;
+        let n = R.read ctx0 0 cell Fun.id in
+        for i = 1 to 500 do
+          ignore (Sys.opaque_identity i)
+        done;
+        R.check ctx0 n;
+        R.end_op ctx0
+      done;
+      Atomic.set stop true;
+      Domain.join writer;
+      Alcotest.(check int) "no UAF" 0 (Heap.uaf_count rig.heap))
 
 (* Delivery-bound guard (Assumption 1: a pending ping is handled within
    one protected read). A fixed-seed, single-thread replay of 1,000 hml
@@ -614,8 +659,13 @@ let family_smrs =
 
 let peer_protection = List.map peer_reservation_survives family_smrs
 
+let era_reads =
+  List.filter (fun (n, _) -> List.mem n [ "ibr"; "he"; "he-pop"; "hyaline-1s" ]) reclaiming_smrs
+  |> List.map (fun (n, m) ->
+         case (n ^ ": a read never returns a node born after the reader's bound") (era_read_bound m))
+
 let suite =
-  generic @ protection @ peer_protection
+  generic @ protection @ peer_protection @ era_reads
   @ [
       case "nr: leaks by design" nr_leaks;
       case "unsafe-free: detectably unsafe" unsafe_free_is_unsafe;
@@ -637,7 +687,10 @@ let suite =
         hyaline_1s_era_guard_skips_frozen_holder;
       case "hyaline-1: frozen holder pins everything"
         hyaline_1_frozen_holder_pins_everything;
-      case "ebr: pinned epoch blocks reclamation" ebr_pinned_epoch_blocks;
+      case "ebr: pinned epoch blocks reclamation"
+        (pinned_epoch_blocks (module Pop_baselines.Ebr) ~retires:16);
+      case "epoch-pop: pinned epoch blocks reclamation"
+        (pinned_epoch_blocks (module Epoch_pop) ~retires:8);
       case "cadence: ticks gate frees" cadence_tick_gates_frees;
       case "cadence: periodic rounds without reclaiming"
         cadence_periodic_rounds_without_reclaiming;
@@ -648,7 +701,9 @@ let suite =
       case "ibr: overlapping interval protects" ibr_interval_protects;
       case "epoch-pop: birth eras advance" epoch_pop_birth_eras_advance;
       case "epoch-pop: a blocked epoch pass is retried when the floor moves"
-        epoch_pop_retries_blocked_pass;
+        (retries_blocked_pass (module Epoch_pop));
+      case "ebr: a blocked epoch pass is retried when the floor moves"
+        (retries_blocked_pass (module Pop_baselines.Ebr));
       case "hp-pop: every protected read delivers a pending ping"
         (every_read_delivers (module Hazard_ptr_pop) ~period:1 ~delivers:true);
       case "he-pop: every protected read delivers a pending ping"
