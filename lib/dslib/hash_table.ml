@@ -24,7 +24,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let smr_name = T.name
 
-  type t = { base : Core.cell Common.base; anchor : Core.cell Heap.node; heads : Core.cell array }
+  type t = { base : Core.cell Common.base; anchor : Core.cell Heap.node; heads : Core.link array }
 
   type ctx = {
     s : t;
@@ -62,7 +62,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
      contents are unaffected however long it stays pinned. *)
   let stall_pin ctx =
     let cell = ctx.s.heads.(0) in
-    fun a -> ignore (T.read a ctx.sl.(0) cell Core.proj)
+    fun a -> ignore (T.read a ctx.sl.(0) cell Fun.id)
 
   let stall ?wake ctx ~seconds ~polling =
     Common.stall_in_op ?wake ctx.h ~seconds ~polling ~pin:(stall_pin ctx)

@@ -13,7 +13,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let smr_name = T.name
 
-  type t = { base : Core.cell Common.base; anchor : Core.cell Heap.node; head : Core.cell }
+  type t = { base : Core.cell Common.base; anchor : Core.cell Heap.node; head : Core.link }
 
   type ctx = {
     s : t;
@@ -47,7 +47,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
      contents are unaffected however long it stays pinned. *)
   let stall_pin ctx =
     let cell = ctx.s.head in
-    fun a -> ignore (T.read a ctx.sl.(0) cell Core.proj)
+    fun a -> ignore (T.read a ctx.sl.(0) cell Fun.id)
 
   let stall ?wake ctx ~seconds ~polling =
     Common.stall_in_op ?wake ctx.h ~seconds ~polling ~pin:(stall_pin ctx)

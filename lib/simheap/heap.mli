@@ -35,8 +35,9 @@
     key and the one payload value that every ordered structure needs.
     A structure with an int key keeps it in [key], not in its payload,
     so a key comparison is one load from the node; the Harris-Michael
-    lists make their [next] cell the whole payload, so a hop is node →
-    cell → link → node. Structures that need more (locks, towers, a
+    lists make their [next] cell the whole payload and let the cell
+    hold the successor node itself, so a hop is node → cell box →
+    atomic → node. Structures that need more (locks, towers, a
     second child, an a,b-tree's arrays) put it in a payload record. *)
 type 'a node = {
   id : int;  (** Stable identity, unique across the heap's lifetime. *)

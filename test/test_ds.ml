@@ -144,10 +144,12 @@ let per_ds ds =
   ]
 
 (* Hm_core's structural check on hand-built chains from a bare head
-   cell: a node linked while its [next] is still the fresh-payload [Nil]
-   must fail [check_seq], and the same chain finished with a link to the
-   tail must pass. *)
-let hm_core_nil_fails_check () =
+   cell: a node linked while its [next] still holds the fresh-payload
+   [unlinked] node must fail [check_seq], and the same chain finished
+   with a link to the tail must pass. A node marked by hand (its cell
+   swapped for a marker that holds its successor) is still linked: it
+   passes [check_seq] and is skipped by [iter_seq] and [size_seq]. *)
+let hm_core_unlinked_fails_check () =
   let module Core = Pop_ds.Hm_core.Make (Pop_core.Smr_typed.Of (Pop_baselines.Nr)) in
   let module Heap = Pop_sim.Heap in
   let heap = Heap.create ~max_threads:1 ~payload:Core.payload () in
@@ -156,13 +158,53 @@ let hm_core_nil_fails_check () =
   Core.check_seq heap head;
   let n = Heap.alloc heap ~tid:0 ~birth_era:0 in
   n.Heap.key <- 5;
-  Atomic.set head (Core.Link { tgt = n; marked = false });
-  Alcotest.check_raises "chain reaching Nil rejected"
-    (Failure "hm_core: chain reaches the Nil placeholder") (fun () ->
-      Core.check_seq heap head);
-  Atomic.set (Core.next_cell n) (Core.Link { tgt = tail; marked = false });
+  Atomic.set head n;
+  Alcotest.check_raises "chain reaching Unlinked rejected"
+    (Failure "hm_core: chain reaches an unlinked cell") (fun () -> Core.check_seq heap head);
+  Atomic.set (Core.next_cell n) tail;
   Core.check_seq heap head;
-  Alcotest.(check int) "one key" 1 (Core.size_seq head)
+  Alcotest.(check int) "one key" 1 (Core.size_seq head);
+  let m = Heap.alloc heap ~tid:0 ~birth_era:0 in
+  m.Heap.key <- 7;
+  Atomic.set (Core.next_cell m) tail;
+  Atomic.set (Core.next_cell n) m;
+  Atomic.set (Core.next_cell n) (Core.marker m);
+  Core.check_seq heap head;
+  Alcotest.(check int) "marked node not counted" 1 (Core.size_seq head);
+  let keys = ref [] in
+  Core.iter_seq head (fun k -> keys := k :: !keys);
+  Alcotest.(check (list int)) "marked node skipped" [ 7 ] !keys
+
+(* A cycle, which only an unsafe scheme's ABA can build: every walk
+   must still end, and [check_seq] must report the break. *)
+let hm_core_cycle_terminates () =
+  let module T = Pop_core.Smr_typed.Of (Pop_baselines.Nr) in
+  let module Core = Pop_ds.Hm_core.Make (T) in
+  let module Heap = Pop_sim.Heap in
+  let heap = Heap.create ~max_threads:1 ~payload:Core.payload () in
+  let tail = Core.make_tail heap in
+  let anchor = Core.make_head heap ~tail in
+  let node key =
+    let n = Heap.alloc heap ~tid:0 ~birth_era:0 in
+    n.Heap.key <- key;
+    n
+  in
+  let a = node 5 and b = node 7 in
+  let head = Core.next_cell anchor in
+  Atomic.set head a;
+  Atomic.set (Core.next_cell a) b;
+  Atomic.set (Core.next_cell b) a;
+  Alcotest.(check int) "size stops at the back edge" 2 (Core.size_seq head);
+  Alcotest.check_raises "cycle rejected" (Failure "hm_core: keys not strictly ascending")
+    (fun () -> Core.check_seq heap head);
+  let smr =
+    T.create
+      (Pop_core.Smr_config.default ~max_threads:1 ())
+      (Pop_runtime.Softsignal.create ~max_threads:1)
+      heap
+  in
+  let h = T.start_op (T.register smr ~tid:0) in
+  Alcotest.(check bool) "find ends" false (Core.contains_in_op h (T.slots smr) anchor head 9)
 
 (* The update-heavy shape: 65,536 keys over 16,384 buckets must load
    every bucket with exactly 4 keys, 2 of them even, so a prefill of the
@@ -184,6 +226,8 @@ let hmht_hash_spreads_keys () =
 let suite =
   List.concat_map per_ds Dispatch.all_ds_ext
   @ [
-      case "hml: check_seq rejects a chain reaching Nil" hm_core_nil_fails_check;
+      case "hml: check_seq rejects a chain reaching Unlinked; marks are skipped"
+        hm_core_unlinked_fails_check;
+      case "hml: a cyclic chain ends every walk and fails check_seq" hm_core_cycle_terminates;
       case "hmht: the hash spreads every key range over every bucket" hmht_hash_spreads_keys;
     ]

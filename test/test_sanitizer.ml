@@ -268,12 +268,14 @@ let sanitized_cell ds smr () =
 
 (* HMHT with 16 keys has 4 buckets, so most deletes unlink a bucket's
    first node and hand the table's shared anchor to
-   [enter_write_phase]. Two workers hammer it under the sanitizer; each
-   key's final presence must equal its prefill plus the workers' net
+   [enter_write_phase]; HML with 16 keys is one short chain, where
+   marks, marker-driven unlinks and inserts beside marked nodes race
+   all the time. Two workers hammer it under the sanitizer; each key's
+   final presence must equal its prefill plus the workers' net
    successful inserts of it. *)
-let contended_heads smr () =
+let contended_heads ds smr () =
   let key_range = 16 and workers = 2 in
-  let (module S) = Dispatch.set_module ~sanitize:true Dispatch.HMHT smr in
+  let (module S) = Dispatch.set_module ~sanitize:true ds smr in
   let scfg =
     { (Smr_config.default ~max_threads:(workers + 1) ()) with reclaim_freq = 8; epoch_freq = 4 }
   in
@@ -365,6 +367,13 @@ let suite =
         case
           (Printf.sprintf "sanitized hmht/%s: contended bucket heads keep every key's tally"
              (Dispatch.smr_name smr))
-          (contended_heads smr))
+          (contended_heads Dispatch.HMHT smr))
+      Dispatch.paper_smrs
+  @ List.map
+      (fun smr ->
+        case
+          (Printf.sprintf "sanitized hml/%s: contended list keeps every key's tally"
+             (Dispatch.smr_name smr))
+          (contended_heads Dispatch.HML smr))
       Dispatch.paper_smrs
   @ [ case "unsafe-free is flagged by the sanitizer" unsafe_sanitized ]

@@ -6,11 +6,13 @@
 #   3. smrlint, the source-level protocol/style gate (tools/lint)
 #   4. dune-file formatting (@fmt is restricted to dune files in
 #      dune-project because ocamlformat is not in the build image)
-#   5. eighteen fixed-seed smoke runs, each checked by `benchcheck CONTRACT
-#      FILE` against its named JSON contract (json twice: hml/epoch-pop
-#      and a sanitized hmht/nbr; churn once per ping-round scheme, so
-#      every caller's handshake-timeout fallback runs, and for hp, he,
-#      ebr, hyaline-1, hyaline-1s and ibr, so every Hp_family,
+#   5. nineteen fixed-seed smoke runs, each checked by `benchcheck CONTRACT
+#      FILE` against its named JSON contract (json three times:
+#      hml/epoch-pop, a sanitized hmht/nbr, and a sanitized hmht/hp-pop
+#      over 65,536 keys, the update-heavy benchmark shape; churn once
+#      per ping-round scheme, so every caller's handshake-timeout
+#      fallback runs, and for hp, he, ebr, hyaline-1, hyaline-1s and
+#      ibr, so every Hp_family,
 #      Epoch_family and Hyaline_family scheme and IBR run deregister
 #      sanitized under churn; seg, kv, alloc, tournament;
 #      tools/benchcheck/contracts.ml says what each requires).
@@ -33,6 +35,8 @@ $popbench --ds hml --smr epoch-pop -t 2 -d 0.2 --json "$out/json.json" > /dev/nu
 $check json "$out/json.json"
 $popbench --ds hmht --smr nbr --sanitize -t 2 -d 0.2 --json "$out/hmht.json" > /dev/null
 $check json "$out/hmht.json"
+$popbench --ds hmht --smr hp-pop --sanitize -s 65536 -t 2 -d 0.2 --json "$out/hmht-pop.json" > /dev/null
+$check json "$out/hmht-pop.json"
 for smr in hp-pop he-pop epoch-pop hp-asym cadence nbr hp he ebr hyaline-1 hyaline-1s ibr; do
   $popbench --ds hml --smr $smr -t 4 -d 0.5 \
     --churn 1,1,1 --ping-timeout 20 --sanitize --seed 7 \
