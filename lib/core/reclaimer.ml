@@ -29,8 +29,9 @@ type 'a block = {
   mutable max_retire : int;
 }
 
-(* The block-level era verdict: what one [exists_in_range] probe against
-   a block's stamps decided about all of its nodes at once. *)
+(* The block-level verdict: what one probe against a block's stamps
+   decided about all of its nodes at once. It must agree with the pass's
+   per-node [keep], which [Scan_block] falls back to. *)
 type block_verdict = Free_block | Keep_block | Scan_block
 
 type 'a blist = {
@@ -373,8 +374,6 @@ let due l = pending l >= l.r.threshold
 
 let snapshot l = l.reserved
 
-let raw l = l.scratch
-
 (* Donate into the donor's own stripe: the only thread that can hold
    this lock against us is an adopter momentarily claiming the stripe,
    so a failed [try_lock] is genuine cross-thread contention (counted)
@@ -500,7 +499,9 @@ let finish_pass l t0 freed =
    blocks). *)
 let rescan_quota = 2
 
-let scan ?(force = false) ?(fill = true) ?block_keep ~kind ~collect ~except ~keep l =
+(* [fill] seals the collect into the snapshot; the interval pass reads
+   the raw scratch instead. *)
+let snapshot_pass ~force ~fill ?block_keep ~kind ~collect ~except ~keep l =
   (* Adopt before deciding whether the cache can answer: orphans join
      the open segment and count toward the fresh-pass trigger, so a
      departed thread's garbage is vetted by whichever survivor scans
@@ -569,6 +570,9 @@ let scan ?(force = false) ?(fill = true) ?block_keep ~kind ~collect ~except ~kee
     finish_pass l t0 freed
   end
 
+let scan ?(force = false) ~kind ~collect ~except ~keep l =
+  snapshot_pass ~force ~fill:true ~kind ~collect ~except ~keep l
+
 let scan_plain ~kind ~keep l =
   ignore (adopt l);
   Counters.note_unreclaimed l.r.c ~tid:l.tid;
@@ -593,15 +597,41 @@ let scan_plain ~kind ~keep l =
    - otherwise inconclusive: fall back to per-node probes against the
      same snapshot, hoisted once per pass rather than re-fetched per
      retired node. *)
-let scan_eras ?force ~kind ~collect ~except l =
+let scan_eras ?(force = false) ~kind ~collect ~except l =
   let snap = l.reserved in
-  scan ?force ~kind ~collect ~except
+  snapshot_pass ~force ~fill:true ~kind ~collect ~except
     ~block_keep:(fun ~min_birth ~max_birth ~min_retire ~max_retire ->
       if not (Id_set.exists_in_range snap ~lo:min_birth ~hi:max_retire) then Free_block
       else if Id_set.exists_in_range snap ~lo:max_birth ~hi:min_retire then Keep_block
       else Scan_block)
     ~keep:(fun n ->
       Id_set.exists_in_range snap ~lo:n.Heap.birth_era ~hi:n.Heap.retire_era)
+    l
+
+(* The interval pass (IBR). The scratch holds one [lo; hi] pair per
+   thread, positionally, which a sorted set cannot represent, so the
+   verdicts read it raw. [meets] asks whether some pair overlaps
+   [birth, retire]: a node is kept iff one overlaps its lifespan, and
+   the block verdicts ask it of the envelope, as [scan_eras] does —
+   none meets [min_birth, max_retire] (free the block), or one meets
+   [max_birth, min_retire] and so every node's lifespan (keep it). *)
+let scan_intervals ?(force = false) ~kind ~collect l =
+  let s = l.scratch and pairs = ref 0 in
+  let rec meets i ~birth ~retire =
+    i < !pairs
+    && ((s.(2 * i) <= retire && birth <= s.((2 * i) + 1)) || meets (i + 1) ~birth ~retire)
+  in
+  let collect scratch =
+    let k = collect scratch in
+    pairs := k / 2;
+    k
+  in
+  snapshot_pass ~force ~fill:false ~kind ~collect ~except:0
+    ~block_keep:(fun ~min_birth ~max_birth ~min_retire ~max_retire ->
+      if not (meets 0 ~birth:min_birth ~retire:max_retire) then Free_block
+      else if meets 0 ~birth:max_birth ~retire:min_retire then Keep_block
+      else Scan_block)
+    ~keep:(fun n -> meets 0 ~birth:n.Heap.birth_era ~retire:n.Heap.retire_era)
     l
 
 (* Test-facing audit: walk both lists and count blocks whose stamps are

@@ -47,10 +47,10 @@
     {b Era-stamped blocks.} Each block carries the exact min/max of its
     nodes' [birth_era]/[retire_era] (merged on retire, recomputed over
     filter survivors, travelling with the block across splices). A
-    block-level classifier ({!scan}[?block_keep], packaged for the era
-    schemes as {!scan_eras}) answers "any reservation inside this
-    block's envelope?" with one {!Id_set.exists_in_range} probe and
-    frees or keeps all [segment_size] nodes at once; only inconclusive
+    block-level classifier ({!scan_eras} for the era schemes,
+    {!scan_intervals} for IBR) answers "any reservation inside this
+    block's envelope?" with one probe and frees or keeps all
+    [segment_size] nodes at once; only inconclusive
     blocks fall back to the per-node [keep] ([block_skips] /
     [block_keeps] in {!Smr_stats}, stamp-soundness audited via
     [stale_stamps]).
@@ -73,15 +73,6 @@ module Heap := Pop_sim.Heap
 type pass =
   | Plain  (** Counted as a [reclaim_pass] (epoch/eager scan). *)
   | Pop  (** Counted as a [pop_pass] (ping/neutralization based). *)
-
-type block_verdict =
-  | Free_block
-      (** No node in the block can be reserved: free all of them
-          without a per-node [keep] call. *)
-  | Keep_block
-      (** Every node in the block is certainly kept: leave the block
-          untouched (stamps included). *)
-  | Scan_block  (** Inconclusive: fall back to the per-node [keep]. *)
 
 type 'a t
 (** Shared engine state for one scheme instance. *)
@@ -150,10 +141,6 @@ val snapshot : 'a local -> Id_set.t
 (** The current sealed reservation snapshot; valid inside a [keep]
     callback of a fresh {!scan}. *)
 
-val raw : 'a local -> int array
-(** The raw collect scratch (for IBR's positional interval pairs, which
-    a sorted set cannot represent). *)
-
 val take_all : 'a local -> 'a Heap.node array
 (** Adopt any pending orphans, then drain the buffer without freeing
     (Hyaline hands the batch over to its reference-counted lists). *)
@@ -176,9 +163,6 @@ val note_skip : 'a local -> unit
 
 val scan :
   ?force:bool ->
-  ?fill:bool ->
-  ?block_keep:
-    (min_birth:int -> max_birth:int -> min_retire:int -> max_retire:int -> block_verdict) ->
   kind:pass ->
   collect:(int array -> int) ->
   except:int ->
@@ -192,33 +176,37 @@ val scan :
     cache in O(1) and frees nothing. Otherwise the pass goes fresh:
     [collect] fills the scratch with the reservation table (this is
     where schemes run their handshake / ping round) and returns the
-    element count; the scratch is sealed into the snapshot (skipped
-    with [~fill:false], for IBR); the open list is filtered block by
-    block; up to 2 more covered blocks than its survivors fill are
-    re-vetted against the new snapshot, taken from the covered head
-    (the youngest), those still holding nodes relinked to its tail;
-    then the survivors join the covered list at its head, so the next
-    pass re-vets them before any older block. [~force:true] (flush,
-    explicit drains) filters {e everything}, covered included —
-    seed-engine semantics. [keep] must be monotone in the snapshot: it
-    may consult {!snapshot} / {!raw} and per-scheme floors captured by
-    the [collect] closure. [?block_keep] is the block-level fast path:
-    given a non-empty block's era stamps it may settle the whole block
-    ([Free_block]/[Keep_block]) with one probe; [Scan_block] falls back
-    to the per-node [keep]. It must be consistent with [keep]:
-    [Free_block] only when [keep] would reject every node in the block,
-    [Keep_block] only when it would accept every one. *)
+    element count; the scratch, minus [except] values, is sealed into
+    the snapshot; the open list is filtered block by block; up to 2
+    more covered blocks than its survivors fill are re-vetted against
+    the new snapshot, taken from the covered head (the youngest), those
+    still holding nodes relinked to its tail; then the survivors join
+    the covered list at its head, so the next pass re-vets them before
+    any older block. [~force:true] (flush, explicit drains) filters
+    {e everything}, covered included — seed-engine semantics. [keep]
+    must be monotone in the snapshot: it may consult {!snapshot} and
+    per-scheme floors captured before the pass. *)
 
 val scan_eras :
   ?force:bool -> kind:pass -> collect:(int array -> int) -> except:int -> 'a local -> int
 (** The era-interval pass (HE, HazardEraPOP): {!scan} with the engine's
-    own [keep]/[block_keep] pair over the sealed snapshot — a node is
-    kept iff a reserved era lies in [[birth_era, retire_era]], and a
-    whole block is freed (kept) when one {!Id_set.exists_in_range}
+    own per-node and per-block verdicts over the sealed snapshot — a
+    node is kept iff a reserved era lies in [[birth_era, retire_era]],
+    and a whole block is freed (kept) when one {!Id_set.exists_in_range}
     probe against its stamps proves no node (every node) is reserved.
     The snapshot accessor is hoisted once per pass; schemes must not
     probe the snapshot per node themselves (the smrlint [era-per-node]
     rule enforces this). *)
+
+val scan_intervals :
+  ?force:bool -> kind:pass -> collect:(int array -> int) -> 'a local -> int
+(** The interval pass (IBR): {!scan}'s cache and block walk, with
+    [collect] filling the scratch with one [lo; hi] pair per thread
+    (slot 0 and 1 of each row, [lo = max_int] for no interval). The
+    pairs are positional, so nothing is sealed: a node is kept iff some
+    pair overlaps its [[birth_era, retire_era]], and a block is freed
+    (kept) whole when no pair meets its stamps' envelope (one pair
+    covers every node's lifespan). *)
 
 val debug_stamp_errors : 'a local -> int
 (** Test hook: blocks in this local's lists whose stamps differ from

@@ -514,6 +514,53 @@ let era_block_fast_path () =
   Alcotest.(check int) "no double free" 0 (Heap.double_free_count heap);
   Alcotest.(check int) "no uaf" 0 (Heap.uaf_count heap)
 
+(* The interval pass frees exactly the nodes whose lifespan no [lo; hi]
+   pair overlaps, whatever its block verdicts settled: random lifespans
+   in blocks of 4 (so whole-block frees, whole-block keeps and the
+   per-node fallback all occur) against two random pairs, one of them
+   sometimes empty ([lo = max_int]). *)
+let interval_verdict_property =
+  QCheck2.Test.make ~name:"reclaimer: the interval pass frees exactly the unoverlapped lifespans"
+    ~count:200
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 40) (pair (int_range 0 30) (int_range 0 10)))
+        (list_repeat 4 (int_range 0 40)))
+    (fun (spans, bounds) ->
+      let heap, c, eng, rl = make ~reclaim_freq:1_000_000 ~segment_size:4 () in
+      let pair a b = (min a b, max a b) in
+      let pairs =
+        match bounds with
+        | [ a; b; x; y ] -> [ pair a b; (if x > 35 then (max_int, y) else pair x y) ]
+        | _ -> assert false
+      in
+      let nodes =
+        List.map
+          (fun (birth, len) ->
+            let n = Heap.alloc heap ~tid:0 ~birth_era:birth in
+            n.Heap.retire_era <- birth + len;
+            Reclaimer.retire rl n;
+            n)
+          spans
+      in
+      Reclaimer.invalidate eng;
+      ignore
+        (Reclaimer.scan_intervals ~force:true ~kind:Reclaimer.Plain
+           ~collect:(fun scratch ->
+             List.iteri
+               (fun i (lo, hi) ->
+                 scratch.(2 * i) <- lo;
+                 scratch.((2 * i) + 1) <- hi)
+               pairs;
+             4)
+           rl);
+      let overlapped n =
+        List.exists (fun (lo, hi) -> lo <= n.Heap.retire_era && n.Heap.birth_era <= hi) pairs
+      in
+      List.for_all (fun n -> Heap.is_live n = overlapped n) nodes
+      && (stats c).Smr_stats.stale_stamps = 0
+      && Heap.double_free_count heap = 0)
+
 (* A mixed block (kept and doomed nodes sharing one block) must fall
    back to the per-node path: exactly the doomed half is freed and the
    surviving block's stamps are recomputed over the survivors. *)
@@ -752,6 +799,7 @@ let suite =
     case "reclaimer: recycled blocks do not pin drained nodes" recycled_blocks_do_not_pin;
     case "reclaimer: scan_plain keeps segment bookkeeping" scan_plain_interleaving;
     QCheck_alcotest.to_alcotest stamp_maintenance_property;
+    QCheck_alcotest.to_alcotest interval_verdict_property;
     case "reclaimer: era fast path settles whole blocks" era_block_fast_path;
     case "reclaimer: mixed block falls back to per-node era probes" era_mixed_block_fallback;
     case "reclaimer: engine frees at block granularity only" engine_frees_whole_blocks;

@@ -54,7 +54,10 @@ let protected_survives (name, (module R : Smr.S)) =
 (* The same, with the reservation held by a peer domain (tid 1) that
    keeps polling, so the pass must see another thread's reservation
    through the scheme's publication: the shared row, hp-asym's barrier
-   round over private rows, or a ping that makes the peer publish. *)
+   round over private rows, a ping that makes the peer publish, or
+   cadence's tick rounds (whose guard alone holds the node in the first
+   pass; flush's forced round then frees it against the peer's cleared
+   row). *)
 let peer_reservation_survives (name, (module R : Smr.S)) =
   case (name ^ ": a peer's reservation survives a pass, freed after its clear") (fun () ->
       let module Rig = Smr_rig (R) in
@@ -655,7 +658,9 @@ let generic =
 let protection = List.map protected_survives reclaiming_smrs
 
 let family_smrs =
-  List.filter (fun (n, _) -> List.mem n [ "hp"; "hp-asym"; "hp-pop"; "he"; "he-pop" ]) reclaiming_smrs
+  List.filter
+    (fun (n, _) -> List.mem n [ "hp"; "hp-asym"; "hp-pop"; "he"; "he-pop"; "cadence"; "ibr" ])
+    reclaiming_smrs
 
 let peer_protection = List.map peer_reservation_survives family_smrs
 

@@ -321,12 +321,14 @@ let rules =
           if has_token line "exists_in_range" then
             Some
               "per-node snapshot probe in scheme code; era freeability goes through \
-               Reclaimer.scan_eras, which probes each block's era stamps once and \
-               falls back per node only for inconclusive blocks"
+               Reclaimer.scan_eras (interval freeability through \
+               Reclaimer.scan_intervals), which probes each block's era stamps once \
+               and falls back per node only for inconclusive blocks"
           else None);
       doc =
         "forbid Id_set.exists_in_range in scheme code outside the Reclaimer engine \
-         (era passes use the block-stamp fast path via Reclaimer.scan_eras)";
+         (era and interval passes use the block-stamp fast path via \
+         Reclaimer.scan_eras and Reclaimer.scan_intervals)";
     };
   ]
 

@@ -12,9 +12,8 @@
 #      over 65,536 keys, the update-heavy benchmark shape; churn once
 #      per ping-round scheme, so every caller's handshake-timeout
 #      fallback runs, and for hp, he, ebr, hyaline-1, hyaline-1s and
-#      ibr, so every Hp_family,
-#      Epoch_family and Hyaline_family scheme and IBR run deregister
-#      sanitized under churn; seg, kv, alloc, tournament;
+#      ibr, so every Hp_family, Epoch_family and Hyaline_family scheme
+#      runs deregister sanitized under churn; seg, kv, alloc, tournament;
 #      tools/benchcheck/contracts.ml says what each requires).
 #      Figures write to _build/smoke (`popbench --fig NAME --out DIR`), so
 #      the committed repo-root baselines are not overwritten.
