@@ -29,10 +29,9 @@ module Heap = Pop_sim.Heap
 
 module Make (T : Smr_typed.S) : Set_intf.SET = struct
   module Common = Ds_common.Make (T)
+  include Common.Shell
 
   let name = "abt"
-
-  let smr_name = T.name
 
   type data = {
     mutable leaf : bool;
@@ -47,15 +46,13 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let pl (n : data Heap.node) = n.Heap.payload
 
-  type t = { base : data Common.base; anchor : data Heap.node; b : int }
+  type state = { anchor : data Heap.node; b : int }
 
-  type ctx = {
-    s : t;
-    h : (data, Smr_typed.idle) T.handle;
-    sl : T.slot array;
-    tid : int;
-    tmp : int array;
-  }
+  type t = (data, state) Common.set
+
+  (* A thread's scratch ([ctx.loc]) holds [b + 1] keys: a leaf's keys
+     plus the one being inserted. *)
+  type ctx = (data, state, int array) Common.ctx
 
   let payload_for b _id =
     {
@@ -67,7 +64,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
       lock = Spinlock.create ();
     }
 
-  let create scfg dcfg ~hub =
+  let create scfg dcfg ~hub : t =
     let b = dcfg.Ds_config.ab_branch in
     let base = Common.make_base scfg dcfg hub (payload_for b) in
     let heap = base.Common.heap in
@@ -78,16 +75,9 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
     (pl anchor).leaf <- false;
     (pl anchor).nkeys <- 1;
     Atomic.set (pl anchor).children.(0) (Some root);
-    { base; anchor; b }
+    { base; st = { anchor; b } }
 
-  let register s ~tid =
-    {
-      s;
-      h = T.register s.base.smr ~tid;
-      sl = T.slots s.base.smr;
-      tid;
-      tmp = Array.make (s.b + 1) 0;
-    }
+  let register (s : t) ~tid : ctx = Common.attach s ~tid (Array.make (s.st.b + 1) 0)
 
   (* Child index for [key] in internal node [n]. *)
   let route n key =
@@ -116,7 +106,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
      After reading a child out of [l], validate that [l] is still
      unmarked (hence still linked, hence the child was reachable and
      unretired when reserved); restart from the anchor otherwise. *)
-  let search ctx a key =
+  let search (ctx : ctx) a key =
     let rec go gp gpcell p pcell lidx l_r sfree =
       let l_w = T.project l_r proj in
       T.check a l_w;
@@ -132,7 +122,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
       end
     in
     let rec attempt () =
-      let anchor = ctx.s.anchor in
+      let anchor = ctx.st.anchor in
       let cell0 = (pl anchor).children.(0) in
       let n0_r = T.read a ctx.sl.(0) cell0 proj in
       match
@@ -154,7 +144,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let points_to cell n = match Atomic.get cell with Some x -> x == n | None -> false
 
-  let contains ctx key =
+  let contains (ctx : ctx) key =
     Common.with_op ctx.h (fun a -> leaf_mem (search ctx a key).l key)
 
   (* Node constructors (fresh nodes are private until linked). All
@@ -176,31 +166,31 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
     p.marked <- false;
     n
 
-  (* Copy leaf [l]'s keys plus [key] (sorted) into ctx.tmp; returns count. *)
-  let merged_keys ctx l key =
+  (* Copy leaf [l]'s keys plus [key] (sorted) into ctx.loc; returns count. *)
+  let merged_keys (ctx : ctx) l key =
     let p = pl l in
     let rec copy i j =
       if i >= p.nkeys then begin
-        ctx.tmp.(j) <- key;
+        ctx.loc.(j) <- key;
         j + 1
       end
       else if p.keys.(i) < key then begin
-        ctx.tmp.(j) <- p.keys.(i);
+        ctx.loc.(j) <- p.keys.(i);
         copy (i + 1) (j + 1)
       end
       else begin
-        ctx.tmp.(j) <- key;
-        Array.blit p.keys i ctx.tmp (j + 1) (p.nkeys - i);
+        ctx.loc.(j) <- key;
+        Array.blit p.keys i ctx.loc (j + 1) (p.nkeys - i);
         j + 1 + p.nkeys - i
       end
     in
     copy 0 0
 
-  (* Split ctx.tmp[0..n) into two leaves; returns (left, right, separator). *)
-  let split_leaf ctx w n =
+  (* Split ctx.loc[0..n) into two leaves; returns (left, right, separator). *)
+  let split_leaf (ctx : ctx) w n =
     let half = (n + 1) / 2 in
-    let left = new_leaf w ctx.tmp half in
-    let right_src = Array.sub ctx.tmp half (n - half) in
+    let left = new_leaf w ctx.loc half in
+    let right_src = Array.sub ctx.loc half (n - half) in
     let right = new_leaf w right_src (n - half) in
     (left, right, (pl right).keys.(0))
 
@@ -264,9 +254,9 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
     Spinlock.unlock (pl b).lock;
     Spinlock.unlock (pl a).lock
 
-  let insert ctx key =
+  let insert (ctx : ctx) key =
     Common.with_op ctx.h (fun a ->
-        let b = ctx.s.b in
+        let b = ctx.st.b in
         let rec attempt a =
           let path = search ctx a key in
           if leaf_mem path.l key then false
@@ -280,7 +270,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
             end
             else begin
               let n = merged_keys ctx path.l key in
-              let nl = new_leaf w ctx.tmp n in
+              let nl = new_leaf w ctx.loc n in
               (pl path.l).marked <- true;
               Atomic.set path.pcell (Some nl);
               Spinlock.unlock (pl path.p).lock;
@@ -288,7 +278,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
               true
             end
           end
-          else if path.p == ctx.s.anchor then begin
+          else if path.p == ctx.st.anchor then begin
             (* Overfull root leaf: grow the tree under the anchor. *)
             let w = T.enter_write_phase a [| path.p; path.l |] in
             Common.lock_serving w (pl path.p).lock;
@@ -347,12 +337,12 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
         in
         attempt a)
 
-  let delete ctx key =
+  let delete (ctx : ctx) key =
     Common.with_op ctx.h (fun a ->
         let rec attempt a =
           let path = search ctx a key in
           if not (leaf_mem path.l key) then false
-          else if (pl path.l).nkeys > 1 || path.p == ctx.s.anchor then begin
+          else if (pl path.l).nkeys > 1 || path.p == ctx.st.anchor then begin
             (* Fast path: shrink (or empty, if it is the root leaf). *)
             let w = T.enter_write_phase a [| path.p; path.l |] in
             Common.lock_serving w (pl path.p).lock;
@@ -365,11 +355,11 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
               let j = ref 0 in
               for i = 0 to src.nkeys - 1 do
                 if src.keys.(i) <> key then begin
-                  ctx.tmp.(!j) <- src.keys.(i);
+                  ctx.loc.(!j) <- src.keys.(i);
                   incr j
                 end
               done;
-              let nl = new_leaf w ctx.tmp !j in
+              let nl = new_leaf w ctx.loc !j in
               (pl path.l).marked <- true;
               Atomic.set path.pcell (Some nl);
               Spinlock.unlock (pl path.p).lock;
@@ -414,25 +404,16 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
         in
         attempt a)
 
-  let poll ctx = T.poll ctx.h
-
   (* The reservation both [stall] and [crash] hold: a protected read of
      the structure's first pointer, never written back, so the set's
      contents are unaffected however long it stays pinned. *)
-  let stall_pin ctx =
-    let cell = (pl ctx.s.anchor).children.(0) in
-    fun a -> ignore (T.read a ctx.sl.(0) cell proj)
+  let pin (ctx : ctx) a = ignore (T.read a ctx.sl.(0) (pl ctx.st.anchor).children.(0) proj)
 
-  let stall ?wake ctx ~seconds ~polling =
-    Common.stall_in_op ?wake ctx.h ~seconds ~polling ~pin:(stall_pin ctx)
+  let stall = Common.stall pin
 
-  let crash ctx = Common.crash_in_op ctx.h ~pin:(stall_pin ctx)
+  let crash = Common.crash pin
 
-  let flush ctx = T.flush ctx.h
-
-  let deregister ctx = T.deregister ctx.h
-
-  let iter_seq s f =
+  let iter_seq (s : t) f =
     let rec go n =
       let p = pl n in
       if p.leaf then
@@ -444,20 +425,14 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
           go (proj (Atomic.get p.children.(i)))
         done
     in
-    go s.anchor
+    go s.st.anchor
 
-  let size_seq s =
-    let c = ref 0 in
-    iter_seq s (fun _ -> incr c);
-    !c
+  let size_seq = Ds_common.size_seq iter_seq
 
-  let keys_seq s =
-    let acc = ref [] in
-    iter_seq s (fun k -> acc := k :: !acc);
-    List.rev !acc
+  let keys_seq = Ds_common.keys_seq iter_seq
 
-  let check_invariants s =
-    let b = s.b in
+  let check_invariants (s : t) =
+    let b = s.st.b in
     (* Inclusive bounds: keys under [n] lie in [lo, hi]. *)
     let rec go n lo hi ~is_root =
       let p = pl n in
@@ -489,18 +464,6 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
         done
       end
     in
-    let root = proj (Atomic.get (pl s.anchor).children.(0)) in
+    let root = proj (Atomic.get (pl s.st.anchor).children.(0)) in
     go root min_int max_int ~is_root:true
-
-  let heap_live s = Heap.live_nodes s.base.heap
-
-  let heap_uaf s = Heap.uaf_count s.base.heap
-
-  let heap_double_free s = Heap.double_free_count s.base.heap
-
-  let smr_unreclaimed s = T.unreclaimed s.base.smr
-
-  let smr_stats s = T.stats s.base.smr
-
-  let smr_violations s = T.violation_breakdown s.base.smr
 end

@@ -1,6 +1,7 @@
-(** Plumbing shared by every data-structure implementation: heap + SMR
-    construction, the operation wrapper that restarts on NBR
-    neutralization, ping-serving lock acquisition, and stall injection.
+(** The data-structure shell: heap + SMR construction, the operation
+    wrapper that restarts on NBR neutralization, ping-serving lock
+    acquisition, and every harness-facing entry point of {!Set_intf.SET}
+    and {!Queue_intf.QUEUE} that is not the algorithm itself.
 
     Everything is written against the typed facade
     {!Pop_core.Smr_typed.S}: the operation brackets here are the only
@@ -11,18 +12,35 @@ open Pop_runtime
 open Pop_core
 module Heap = Pop_sim.Heap
 
+let size_seq iter_seq s =
+  let c = ref 0 in
+  iter_seq s (fun _ -> incr c);
+  !c
+
+let keys_seq iter_seq s =
+  let acc = ref [] in
+  iter_seq s (fun k -> acc := k :: !acc);
+  List.sort Int.compare !acc
+
 module Make (T : Smr_typed.S) = struct
-  type 'p base = {
-    heap : 'p Heap.t;
-    smr : 'p T.t;
-    scfg : Smr_config.t;
-    dcfg : Ds_config.t;
+  type 'p base = { heap : 'p Heap.t; smr : 'p T.t }
+
+  type ('p, 's) set = { base : 'p base; st : 's }
+
+  type ('p, 's, 'l) ctx = {
+    st : 's;
+    h : ('p, Smr_typed.idle) T.handle;
+    sl : T.slot array;
+    loc : 'l;
   }
 
   let make_base scfg dcfg hub payload =
     Ds_config.validate dcfg;
     let heap = Heap.create ~max_threads:scfg.Smr_config.max_threads ~payload () in
-    { heap; smr = T.create scfg hub heap; scfg; dcfg }
+    { heap; smr = T.create scfg hub heap }
+
+  let attach (s : (_, _) set) ~tid loc =
+    { st = s.st; h = T.register s.base.smr ~tid; sl = T.slots s.base.smr; loc }
 
   (* Run one operation: start/end bracketing plus restart-on-neutralize.
      Only NBR ever raises [Smr_typed.Restart]. *)
@@ -49,16 +67,36 @@ module Make (T : Smr_typed.S) = struct
       done
     end
 
-  (* Stall inside an operation for [seconds] (or until [wake ()] turns
-     true), after [pin] has taken whatever reservations/epoch the caller
-     wants pinned on the freshly opened handle. With [polling = false]
-     the thread is deaf to pings for the duration. *)
-  let stall_in_op ?(wake = fun () -> false) h ~seconds ~polling ~pin =
+  module Shell = struct
+    let smr_name = T.name
+
+    let register s ~tid = attach s ~tid ()
+
+    let poll ctx = T.poll ctx.h
+
+    let flush ctx = T.flush ctx.h
+
+    let deregister ctx = T.deregister ctx.h
+
+    let heap_live s = Heap.live_nodes s.base.heap
+
+    let heap_uaf s = Heap.uaf_count s.base.heap
+
+    let heap_double_free s = Heap.double_free_count s.base.heap
+
+    let smr_unreclaimed s = T.unreclaimed s.base.smr
+
+    let smr_stats s = T.stats s.base.smr
+
+    let smr_violations s = T.violation_breakdown s.base.smr
+  end
+
+  let stall pin ?(wake = fun () -> false) ctx ~seconds ~polling =
     let t0 = Clock.now () in
     let rec hold () =
-      let a = T.start_op h in
+      let a = T.start_op ctx.h in
       match
-        pin a;
+        pin ctx a;
         while Clock.elapsed t0 < seconds && not (wake ()) do
           if polling then T.poll a;
           Unix.sleepf 0.0005
@@ -72,12 +110,10 @@ module Make (T : Smr_typed.S) = struct
     in
     hold ()
 
-  (* Crash inside an operation: open it, take [pin]'s reservations, and
-     abandon ship — no end_op, no deregister. An NBR neutralization that
-     lands during the pin is swallowed: a dead thread cannot honour the
-     restart protocol either, which is exactly the case DEBRA+-style
-     recovery must tolerate. *)
-  let crash_in_op h ~pin =
-    let a = T.start_op h in
-    (try pin a with Smr_typed.Restart -> ())
+  (* An NBR neutralization that lands during the pin is swallowed: a
+     dead thread cannot honour the restart protocol either, which is
+     exactly the case DEBRA+-style recovery must tolerate. *)
+  let crash pin ctx =
+    let a = T.start_op ctx.h in
+    try pin ctx a with Smr_typed.Restart -> ()
 end

@@ -22,10 +22,9 @@ module Heap = Pop_sim.Heap
 
 module Make (T : Smr_typed.S) : Set_intf.SET = struct
   module Common = Ds_common.Make (T)
+  include Common.Shell
 
   let name = "dgt"
-
-  let smr_name = T.name
 
   let inf0 = max_int - 2
 
@@ -55,9 +54,11 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let pl (n : data Heap.node) = n.Heap.payload
 
-  type t = { base : data Common.base; anchor : data Heap.node }
+  type state = { anchor : data Heap.node }
 
-  type ctx = { s : t; h : (data, Smr_typed.idle) T.handle; sl : T.slot array; tid : int }
+  type t = (data, state) Common.set
+
+  type ctx = (data, state, unit) Common.ctx
 
   let make_leaf_sentinel heap key =
     let n = Heap.sentinel heap in
@@ -65,7 +66,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
     (pl n).is_leaf <- true;
     n
 
-  let create scfg dcfg ~hub =
+  let create scfg dcfg ~hub : t =
     let base = Common.make_base scfg dcfg hub payload in
     let heap = base.Common.heap in
     let s = Heap.sentinel heap in
@@ -78,10 +79,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
     (pl anchor).is_leaf <- false;
     Atomic.set (pl anchor).left (Some s);
     Atomic.set (pl anchor).right (Some (make_leaf_sentinel heap inf2));
-    { base; anchor }
-
-  let register s ~tid =
-    { s; h = T.register s.base.smr ~tid; sl = T.slots s.base.smr; tid }
+    { base; st = { anchor } }
 
   let child_cell n key = if key < n.Heap.key then (pl n).left else (pl n).right
 
@@ -100,7 +98,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
      unmarked: an unmarked internal is still linked, so the child was
      reachable (and unretired) when reserved. A marked [l] means the
      descent walked into a removed subtree — restart from the anchor. *)
-  let search ctx a key =
+  let search (ctx : ctx) a key =
     let rec go gp gpcell p pcell l_r sgp sp slf =
       let l_w = T.project l_r proj in
       T.check a l_w;
@@ -114,7 +112,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
       end
     in
     let rec attempt () =
-      let anchor = ctx.s.anchor in
+      let anchor = ctx.st.anchor in
       let cell0 = (pl anchor).left in
       let n0_r = T.read a ctx.sl.(0) cell0 proj in
       match
@@ -137,10 +135,10 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let points_to cell n = match Atomic.get cell with Some x -> x == n | None -> false
 
-  let contains ctx key =
+  let contains (ctx : ctx) key =
     Common.with_op ctx.h (fun a -> (search ctx a key).l.Heap.key = key)
 
-  let insert ctx key =
+  let insert (ctx : ctx) key =
     Common.with_op ctx.h (fun a ->
         let rec attempt a =
           let path = search ctx a key in
@@ -179,7 +177,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
         in
         attempt a)
 
-  let delete ctx key =
+  let delete (ctx : ctx) key =
     Common.with_op ctx.h (fun a ->
         let rec attempt a =
           let path = search ctx a key in
@@ -217,25 +215,16 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
         in
         attempt a)
 
-  let poll ctx = T.poll ctx.h
-
   (* The reservation both [stall] and [crash] hold: a protected read of
      the structure's first pointer, never written back, so the set's
      contents are unaffected however long it stays pinned. *)
-  let stall_pin ctx =
-    let cell = (pl ctx.s.anchor).left in
-    fun a -> ignore (T.read a ctx.sl.(0) cell proj)
+  let pin (ctx : ctx) a = ignore (T.read a ctx.sl.(0) (pl ctx.st.anchor).left proj)
 
-  let stall ?wake ctx ~seconds ~polling =
-    Common.stall_in_op ?wake ctx.h ~seconds ~polling ~pin:(stall_pin ctx)
+  let stall = Common.stall pin
 
-  let crash ctx = Common.crash_in_op ctx.h ~pin:(stall_pin ctx)
+  let crash = Common.crash pin
 
-  let flush ctx = T.flush ctx.h
-
-  let deregister ctx = T.deregister ctx.h
-
-  let iter_seq s f =
+  let iter_seq (s : t) f =
     let rec go n =
       let p = pl n in
       if p.is_leaf then begin
@@ -246,19 +235,13 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
         go (proj (Atomic.get p.right))
       end
     in
-    go s.anchor
+    go s.st.anchor
 
-  let size_seq s =
-    let c = ref 0 in
-    iter_seq s (fun _ -> incr c);
-    !c
+  let size_seq = Ds_common.size_seq iter_seq
 
-  let keys_seq s =
-    let acc = ref [] in
-    iter_seq s (fun k -> acc := k :: !acc);
-    List.rev !acc
+  let keys_seq = Ds_common.keys_seq iter_seq
 
-  let check_invariants s =
+  let check_invariants (s : t) =
     (* Inclusive bounds: keys under [n] lie in [lo, hi]. *)
     let rec go n lo hi =
       let p = pl n and k = n.Heap.key in
@@ -274,17 +257,5 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
         go (proj (Atomic.get p.right)) k hi
       end
     in
-    go s.anchor min_int max_int
-
-  let heap_live s = Heap.live_nodes s.base.heap
-
-  let heap_uaf s = Heap.uaf_count s.base.heap
-
-  let heap_double_free s = Heap.double_free_count s.base.heap
-
-  let smr_unreclaimed s = T.unreclaimed s.base.smr
-
-  let smr_stats s = T.stats s.base.smr
-
-  let smr_violations s = T.violation_breakdown s.base.smr
+    go s.st.anchor min_int max_int
 end

@@ -19,78 +19,49 @@ let hash nbuckets key = (((key + (key / nbuckets)) * 0x9E3779B1) land max_int) m
 module Make (T : Smr_typed.S) : Set_intf.SET = struct
   module Core = Hm_core.Make (T)
   module Common = Ds_common.Make (T)
+  include Common.Shell
 
   let name = "hmht"
 
-  let smr_name = T.name
+  type state = { anchor : Core.cell Heap.node; heads : Core.link array }
 
-  type t = { base : Core.cell Common.base; anchor : Core.cell Heap.node; heads : Core.link array }
+  type t = (Core.cell, state) Common.set
 
-  type ctx = {
-    s : t;
-    h : (Core.cell, Smr_typed.idle) T.handle;
-    sl : T.slot array;
-    tid : int;
-  }
+  type ctx = (Core.cell, state, unit) Common.ctx
 
-  let create scfg dcfg ~hub =
+  let create scfg dcfg ~hub : t =
     let base = Common.make_base scfg dcfg hub Core.payload in
     let nbuckets = max 1 (dcfg.Ds_config.key_range / dcfg.Ds_config.ht_load) in
     let tail = Core.make_tail base.heap in
     let anchor = Core.make_head base.heap ~tail in
-    { base; anchor; heads = Array.init nbuckets (fun _ -> Core.head_cell ~tail) }
+    { base; st = { anchor; heads = Array.init nbuckets (fun _ -> Core.head_cell ~tail) } }
 
-  let register s ~tid =
-    { s; h = T.register s.base.smr ~tid; sl = T.slots s.base.smr; tid }
+  let head_of (ctx : ctx) key = ctx.st.heads.(hash (Array.length ctx.st.heads) key)
 
-  let head_of ctx key = ctx.s.heads.(hash (Array.length ctx.s.heads) key)
+  let insert (ctx : ctx) key =
+    Common.with_op ctx.h (fun a -> Core.insert_in_op a ctx.sl ctx.st.anchor (head_of ctx key) key)
 
-  let insert ctx key =
-    Common.with_op ctx.h (fun a -> Core.insert_in_op a ctx.sl ctx.s.anchor (head_of ctx key) key)
+  let delete (ctx : ctx) key =
+    Common.with_op ctx.h (fun a -> Core.delete_in_op a ctx.sl ctx.st.anchor (head_of ctx key) key)
 
-  let delete ctx key =
-    Common.with_op ctx.h (fun a -> Core.delete_in_op a ctx.sl ctx.s.anchor (head_of ctx key) key)
-
-  let contains ctx key =
+  let contains (ctx : ctx) key =
     Common.with_op ctx.h (fun a ->
-        Core.contains_in_op a ctx.sl ctx.s.anchor (head_of ctx key) key)
-
-  let poll ctx = T.poll ctx.h
+        Core.contains_in_op a ctx.sl ctx.st.anchor (head_of ctx key) key)
 
   (* The reservation both [stall] and [crash] hold: a protected read of
      the structure's first pointer, never written back, so the set's
      contents are unaffected however long it stays pinned. *)
-  let stall_pin ctx =
-    let cell = ctx.s.heads.(0) in
-    fun a -> ignore (T.read a ctx.sl.(0) cell Fun.id)
+  let pin (ctx : ctx) a = ignore (T.read a ctx.sl.(0) ctx.st.heads.(0) Fun.id)
 
-  let stall ?wake ctx ~seconds ~polling =
-    Common.stall_in_op ?wake ctx.h ~seconds ~polling ~pin:(stall_pin ctx)
+  let stall = Common.stall pin
 
-  let crash ctx = Common.crash_in_op ctx.h ~pin:(stall_pin ctx)
+  let crash = Common.crash pin
 
-  let flush ctx = T.flush ctx.h
+  let iter_seq (s : t) f = Array.iter (fun h -> Core.iter_seq h f) s.st.heads
 
-  let deregister ctx = T.deregister ctx.h
+  let size_seq = Ds_common.size_seq iter_seq
 
-  let size_seq s = Array.fold_left (fun acc h -> acc + Core.size_seq h) 0 s.heads
+  let keys_seq = Ds_common.keys_seq iter_seq
 
-  let keys_seq s =
-    let acc = ref [] in
-    Array.iter (fun h -> Core.iter_seq h (fun k -> acc := k :: !acc)) s.heads;
-    List.sort Int.compare !acc
-
-  let check_invariants s = Array.iter (Core.check_seq s.base.heap) s.heads
-
-  let heap_live s = Heap.live_nodes s.base.heap
-
-  let heap_uaf s = Heap.uaf_count s.base.heap
-
-  let heap_double_free s = Heap.double_free_count s.base.heap
-
-  let smr_unreclaimed s = T.unreclaimed s.base.smr
-
-  let smr_stats s = T.stats s.base.smr
-
-  let smr_violations s = T.violation_breakdown s.base.smr
+  let check_invariants (s : t) = Array.iter (Core.check_seq s.base.heap) s.st.heads
 end

@@ -191,11 +191,6 @@ module Make (T : Smr_typed.S) = struct
     in
     go (Atomic.get head)
 
-  let size_seq head =
-    let c = ref 0 in
-    iter_seq head (fun _ -> incr c);
-    !c
-
   (* Structural invariants: strictly ascending keys from the head cell
      to the tail, every linked node is live (anything freed-but-linked
      would be a reclamation bug), and the chain never reaches the

@@ -146,8 +146,6 @@ module Make (T : Pop_core.Smr_typed.S) : sig
   (** Quiescent in-order iteration over the unmarked keys of the chain
       at a head cell; stops, like {!find}, at a non-ascending step. *)
 
-  val size_seq : link -> int
-
   val check_seq : cell Pop_sim.Heap.t -> link -> unit
   (** Structural invariants: strictly ascending keys from the head cell
       to the tail, every linked node live (marked ones included), and no

@@ -12,10 +12,9 @@ module Heap = Pop_sim.Heap
 
 module Make (T : Smr_typed.S) : Set_intf.SET = struct
   module Common = Ds_common.Make (T)
+  include Common.Shell
 
   let name = "ll"
-
-  let smr_name = T.name
 
   (* The key lives in the node header ([Heap.node.key]). *)
   type data = {
@@ -33,21 +32,20 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let next_cell (n : data Heap.node) = n.Heap.payload.next
 
-  type t = { base : data Common.base; head : data Heap.node }
+  type state = { head : data Heap.node }
 
-  type ctx = { s : t; h : (data, Smr_typed.idle) T.handle; sl : T.slot array; tid : int }
+  type t = (data, state) Common.set
 
-  let create scfg dcfg ~hub =
+  type ctx = (data, state, unit) Common.ctx
+
+  let create scfg dcfg ~hub : t =
     let base = Common.make_base scfg dcfg hub payload in
     let tail = Heap.sentinel base.heap in
     tail.Heap.key <- max_int;
     let head = Heap.sentinel base.heap in
     head.Heap.key <- min_int;
     Atomic.set head.Heap.payload.next (Some tail);
-    { base; head }
-
-  let register s ~tid =
-    { s; h = T.register s.base.smr ~tid; sl = T.slots s.base.smr; tid }
+    { base; st = { head } }
 
   exception Retry_walk
 
@@ -58,7 +56,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
      linked, hence curr was reachable (and unretired) when reserved.
      A marked pred means the traversal walked onto a removed prefix —
      restart from the head. *)
-  let walk ctx a key =
+  let walk (ctx : ctx) a key =
     let rec go pred spred scurr =
       let curr_r = T.read a scurr (next_cell pred) proj in
       if pred.Heap.payload.marked then raise Retry_walk;
@@ -68,7 +66,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
       if node_key curr < key then go curr scurr spred else (pred, curr)
     in
     let rec attempt () =
-      match go ctx.s.head ctx.sl.(1) ctx.sl.(0) with
+      match go ctx.st.head ctx.sl.(1) ctx.sl.(0) with
       | r -> r
       | exception Retry_walk -> attempt ()
     in
@@ -79,12 +77,12 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
     && (not curr.Heap.payload.marked)
     && match Atomic.get (next_cell pred) with Some n -> n == curr | None -> false
 
-  let contains ctx key =
+  let contains (ctx : ctx) key =
     Common.with_op ctx.h (fun a ->
         let _, curr = walk ctx a key in
         node_key curr = key && not curr.Heap.payload.marked)
 
-  let insert ctx key =
+  let insert (ctx : ctx) key =
     Common.with_op ctx.h (fun a ->
         let rec attempt a =
           let pred, curr = walk ctx a key in
@@ -114,7 +112,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
         in
         attempt a)
 
-  let delete ctx key =
+  let delete (ctx : ctx) key =
     Common.with_op ctx.h (fun a ->
         let rec attempt a =
           let pred, curr = walk ctx a key in
@@ -140,44 +138,29 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
         in
         attempt a)
 
-  let poll ctx = T.poll ctx.h
-
   (* The reservation both [stall] and [crash] hold: a protected read of
      the structure's first pointer, never written back, so the set's
      contents are unaffected however long it stays pinned. *)
-  let stall_pin ctx =
-    let cell = next_cell ctx.s.head in
-    fun a -> ignore (T.read a ctx.sl.(0) cell proj)
+  let pin (ctx : ctx) a = ignore (T.read a ctx.sl.(0) (next_cell ctx.st.head) proj)
 
-  let stall ?wake ctx ~seconds ~polling =
-    Common.stall_in_op ?wake ctx.h ~seconds ~polling ~pin:(stall_pin ctx)
+  let stall = Common.stall pin
 
-  let crash ctx = Common.crash_in_op ctx.h ~pin:(stall_pin ctx)
+  let crash = Common.crash pin
 
-  let flush ctx = T.flush ctx.h
-
-  let deregister ctx = T.deregister ctx.h
-
-  let iter_seq s f =
+  let iter_seq (s : t) f =
     let rec go n =
       if node_key n <> max_int then begin
         if (not n.Heap.payload.marked) && node_key n <> min_int then f (node_key n);
         go (proj (Atomic.get (next_cell n)))
       end
     in
-    go s.head
+    go s.st.head
 
-  let size_seq s =
-    let c = ref 0 in
-    iter_seq s (fun _ -> incr c);
-    !c
+  let size_seq = Ds_common.size_seq iter_seq
 
-  let keys_seq s =
-    let acc = ref [] in
-    iter_seq s (fun k -> acc := k :: !acc);
-    List.rev !acc
+  let keys_seq = Ds_common.keys_seq iter_seq
 
-  let check_invariants s =
+  let check_invariants (s : t) =
     let rec go n last =
       let k = node_key n in
       if not (Heap.is_live n) then failwith "lazy_list: freed node still linked";
@@ -186,17 +169,5 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
       if Spinlock.is_locked n.Heap.payload.lock then failwith "lazy_list: node left locked";
       if k <> max_int then go (proj (Atomic.get (next_cell n))) (max k last)
     in
-    go s.head min_int
-
-  let heap_live s = Heap.live_nodes s.base.heap
-
-  let heap_uaf s = Heap.uaf_count s.base.heap
-
-  let heap_double_free s = Heap.double_free_count s.base.heap
-
-  let smr_unreclaimed s = T.unreclaimed s.base.smr
-
-  let smr_stats s = T.stats s.base.smr
-
-  let smr_violations s = T.violation_breakdown s.base.smr
+    go s.st.head min_int
 end

@@ -18,10 +18,9 @@ module Heap = Pop_sim.Heap
 
 module Make (T : Smr_typed.S) : Queue_intf.QUEUE = struct
   module Common = Ds_common.Make (T)
+  include Common.Shell
 
   let name = "msq"
-
-  let smr_name = T.name
 
   (* A node's value is its header [key]; the payload is the [next] cell
      alone, unboxed, so reaching it is one load from the node. *)
@@ -31,72 +30,67 @@ module Make (T : Smr_typed.S) : Queue_intf.QUEUE = struct
 
   let pl (n : data Heap.node) = n.Heap.payload
 
-  type t = {
-    base : data Common.base;
-    head : data Heap.node Atomic.t;
-    tail : data Heap.node Atomic.t;
-  }
+  type state = { head : data Heap.node Atomic.t; tail : data Heap.node Atomic.t }
 
-  type ctx = { s : t; h : (data, Smr_typed.idle) T.handle; sl : T.slot array; tid : int }
+  type t = (data, state) Common.set
+
+  type ctx = (data, state, unit) Common.ctx
 
   let proj_node (n : data Heap.node) = n
 
-  let create scfg ~hub =
+  let create scfg ~hub : t =
     let base = Common.make_base scfg (Ds_config.default ~key_range:1) hub payload in
-    let dummy = Heap.sentinel base.Common.heap in
-    { base; head = Atomic.make dummy; tail = Atomic.make dummy }
-
-  let register s ~tid =
-    { s; h = T.register s.base.smr ~tid; sl = T.slots s.base.smr; tid }
+    let dummy = Heap.sentinel base.heap in
+    { base; st = { head = Atomic.make dummy; tail = Atomic.make dummy } }
 
   (* Reserve the successor of [anchor_node] (read from its next cell),
      validating that the anchor cell still holds the anchor. *)
   let proj_opt_of anchor = function Some n -> n | None -> anchor
 
-  let enqueue ctx v =
+  let enqueue (ctx : ctx) v =
     Common.with_op ctx.h (fun a ->
         let n = T.alloc a in
         n.Heap.key <- v;
         Atomic.set (pl n).next None;
         let rec attempt a =
-          let last_r = T.read a ctx.sl.(0) ctx.s.tail proj_node in
+          let last_r = T.read a ctx.sl.(0) ctx.st.tail proj_node in
           T.check a (T.project last_r proj_node);
           let last = T.value last_r in
           let next_r = T.read a ctx.sl.(1) (pl last).next (proj_opt_of last) in
-          if Atomic.get ctx.s.tail == last then begin
+          if Atomic.get ctx.st.tail == last then begin
             match T.value next_r with
             | None ->
                 let w = T.enter_write_phase a [| last |] in
                 if Atomic.compare_and_set (pl last).next None (Some n) then
                   (* Swing tail; failure means someone helped. *)
-                  ignore (Atomic.compare_and_set ctx.s.tail last n)
+                  ignore (Atomic.compare_and_set ctx.st.tail last n)
                 else attempt (T.reopen_op w)
             | Some nx ->
                 (* Tail is lagging: help swing it. *)
                 let w = T.enter_write_phase a [| last; nx |] in
-                ignore (Atomic.compare_and_set ctx.s.tail last nx);
+                ignore (Atomic.compare_and_set ctx.st.tail last nx);
                 attempt (T.reopen_op w)
           end
           else attempt a
         in
         attempt a)
 
-  let dequeue ctx =
+  let dequeue (ctx : ctx) =
     Common.with_op ctx.h (fun a ->
         let rec attempt a =
-          let first_r = T.read a ctx.sl.(0) ctx.s.head proj_node in
+          let first_r = T.read a ctx.sl.(0) ctx.st.head proj_node in
           T.check a (T.project first_r proj_node);
           let first = T.value first_r in
           let next_r = T.read a ctx.sl.(1) (pl first).next (proj_opt_of first) in
-          if Atomic.get ctx.s.head == first then begin
-            let last = Atomic.get ctx.s.tail in
+          if Atomic.get ctx.st.head == first then begin
+            let last = Atomic.get ctx.st.tail in
             match T.value next_r with
             | None -> None (* empty *)
             | Some nx0 ->
                 if first == last then begin
                   (* Tail lagging behind a concurrent enqueue: help. *)
                   let w = T.enter_write_phase a [| first; nx0 |] in
-                  ignore (Atomic.compare_and_set ctx.s.tail first nx0);
+                  ignore (Atomic.compare_and_set ctx.st.tail first nx0);
                   attempt (T.reopen_op w)
                 end
                 else begin
@@ -105,7 +99,7 @@ module Make (T : Smr_typed.S) : Queue_intf.QUEUE = struct
                   let nx = T.value nx_w in
                   let v = nx.Heap.key in
                   let w = T.enter_write_phase a [| first; nx |] in
-                  if Atomic.compare_and_set ctx.s.head first nx then begin
+                  if Atomic.compare_and_set ctx.st.head first nx then begin
                     T.retire w first;
                     Some v
                   end
@@ -116,26 +110,20 @@ module Make (T : Smr_typed.S) : Queue_intf.QUEUE = struct
         in
         attempt a)
 
-  let poll ctx = T.poll ctx.h
-
-  let flush ctx = T.flush ctx.h
-
-  let deregister ctx = T.deregister ctx.h
-
-  let to_list_seq s =
+  let to_list_seq (s : t) =
     let rec go acc cell =
       match Atomic.get cell with
       | None -> List.rev acc
       | Some n -> go (n.Heap.key :: acc) (pl n).next
     in
-    go [] (pl (Atomic.get s.head)).next
+    go [] (pl (Atomic.get s.st.head)).next
 
   let length_seq s = List.length (to_list_seq s)
 
-  let check_invariants s =
+  let check_invariants (s : t) =
     (* Head's chain must reach tail's node, and every linked node must
        be live. *)
-    let tail = Atomic.get s.tail in
+    let tail = Atomic.get s.st.tail in
     let rec go n seen_tail =
       if not (Heap.is_live n) then failwith "ms_queue: freed node still linked";
       let seen_tail = seen_tail || n == tail in
@@ -143,17 +131,5 @@ module Make (T : Smr_typed.S) : Queue_intf.QUEUE = struct
       | None -> if not seen_tail then failwith "ms_queue: tail not reachable from head"
       | Some nx -> go nx seen_tail
     in
-    go (Atomic.get s.head) false
-
-  let heap_live s = Heap.live_nodes s.base.heap
-
-  let heap_uaf s = Heap.uaf_count s.base.heap
-
-  let heap_double_free s = Heap.double_free_count s.base.heap
-
-  let smr_unreclaimed s = T.unreclaimed s.base.smr
-
-  let smr_stats s = T.stats s.base.smr
-
-  let smr_violations s = T.violation_breakdown s.base.smr
+    go (Atomic.get s.st.head) false
 end

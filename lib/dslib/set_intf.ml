@@ -1,5 +1,5 @@
-(** The uniform ordered-set-of-ints interface all five benchmark
-    structures implement, for any SMR algorithm.
+(** The uniform ordered-set-of-ints interface all six set structures
+    implement, for any SMR algorithm.
 
     Concurrency contract: [create], [size_seq], [keys_seq] and
     [check_invariants] are single-threaded (quiescent) operations;

@@ -21,10 +21,9 @@ module Heap = Pop_sim.Heap
 
 module Make (T : Smr_typed.S) : Set_intf.SET = struct
   module Common = Ds_common.Make (T)
+  include Common.Shell
 
   let name = "sl"
-
-  let smr_name = T.name
 
   (* The key lives in the node header ([Heap.node.key]). *)
   type data = {
@@ -48,23 +47,17 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
 
   let pl (n : data Heap.node) = n.Heap.payload
 
-  type t = {
-    base : data Common.base;
-    head : data Heap.node;
-    levels : int;
-  }
+  type state = { head : data Heap.node; levels : int }
 
-  type ctx = {
-    s : t;
-    h : (data, Smr_typed.idle) T.handle;
-    sl : T.slot array;
-    tid : int;
-    rng : Rng.t;
-    preds : data Heap.node array; (* scratch, length = levels *)
-    succs : data Heap.node array;
-  }
+  type t = (data, state) Common.set
 
-  let create scfg dcfg ~hub =
+  (* A thread's own tower-height generator, and its last find's pred and
+     succ at each level. *)
+  type scratch = { rng : Rng.t; preds : data Heap.node array; succs : data Heap.node array }
+
+  type ctx = (data, state, scratch) Common.ctx
+
+  let create scfg dcfg ~hub : t =
     let levels = dcfg.Ds_config.skip_levels in
     if scfg.Smr_config.max_hp < (2 * levels) + 2 then
       invalid_arg "Skip_list.create: max_hp must be at least 2*skip_levels+2";
@@ -81,30 +74,25 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
     for l = 0 to levels - 1 do
       Atomic.set (pl head).nexts.(l) (Some tail)
     done;
-    { base; head; levels }
+    { base; st = { head; levels } }
 
-  let register s ~tid =
-    {
-      s;
-      h = T.register s.base.smr ~tid;
-      sl = T.slots s.base.smr;
-      tid;
-      rng = Rng.make (0xabcd + tid);
-      preds = Array.make s.levels s.head;
-      succs = Array.make s.levels s.head;
-    }
+  let register (s : t) ~tid : ctx =
+    let { head; levels } = s.st in
+    let nodes () = Array.make levels head in
+    Common.attach s ~tid { rng = Rng.make (0xabcd + tid); preds = nodes (); succs = nodes () }
 
   exception Retry_find
 
-  (* Populate ctx.preds/ctx.succs for [key]; returns the level at which
+  (* Populate the scratch preds/succs for [key]; returns the level at which
      the key was found, or -1. Reservation slots: level [l]'s walk
      alternates between slots [2l] and [2l+1]; the final pred and succ
      of each level end up parked in that level's two slots, and the
      walk of lower levels never touches them. *)
-  let find_attempt ctx a key =
+  let find_attempt (ctx : ctx) a key =
+    let sc = ctx.loc in
     let lfound = ref (-1) in
-    let pred = ref ctx.s.head in
-    for level = ctx.s.levels - 1 downto 0 do
+    let pred = ref ctx.st.head in
+    for level = ctx.st.levels - 1 downto 0 do
       let sa = ctx.sl.(2 * level) and sb = ctx.sl.((2 * level) + 1) in
       let rec walk pred slot_parity =
         let slot = if slot_parity then sa else sb in
@@ -116,8 +104,8 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
         if curr.Heap.key < key then walk curr (not slot_parity) else (pred, curr)
       in
       let p, c = walk !pred true in
-      ctx.preds.(level) <- p;
-      ctx.succs.(level) <- c;
+      sc.preds.(level) <- p;
+      sc.succs.(level) <- c;
       if !lfound = -1 && c.Heap.key = key then lfound := level;
       pred := p
     done;
@@ -126,53 +114,55 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
   let rec find ctx a key =
     match find_attempt ctx a key with r -> r | exception Retry_find -> find ctx a key
 
-  let contains ctx key =
+  let contains (ctx : ctx) key =
     Common.with_op ctx.h (fun a ->
+        let sc = ctx.loc in
         let lfound = find ctx a key in
         lfound >= 0
         &&
-        let c = pl ctx.succs.(lfound) in
+        let c = pl sc.succs.(lfound) in
         c.fully_linked && not c.marked)
 
   (* Lock preds[0..top], skipping duplicates (the same node can be the
      pred at several levels; the spinlock is not reentrant). *)
-  let lock_preds ctx w top =
+  let lock_preds sc w top =
     for l = 0 to top do
-      if l = 0 || ctx.preds.(l) != ctx.preds.(l - 1) then
-        Common.lock_serving w (pl ctx.preds.(l)).lock
+      if l = 0 || sc.preds.(l) != sc.preds.(l - 1) then
+        Common.lock_serving w (pl sc.preds.(l)).lock
     done
 
-  let unlock_preds ctx top =
+  let unlock_preds sc top =
     for l = top downto 0 do
-      if l = 0 || ctx.preds.(l) != ctx.preds.(l - 1) then
-        Spinlock.unlock (pl ctx.preds.(l)).lock
+      if l = 0 || sc.preds.(l) != sc.preds.(l - 1) then
+        Spinlock.unlock (pl sc.preds.(l)).lock
     done
 
-  let valid_level ctx l =
-    let pred = pl ctx.preds.(l) and succ = pl ctx.succs.(l) in
+  let valid_level sc l =
+    let pred = pl sc.preds.(l) and succ = pl sc.succs.(l) in
     (not pred.marked)
     && (not succ.marked)
-    && (match Atomic.get pred.nexts.(l) with Some x -> x == ctx.succs.(l) | None -> false)
+    && (match Atomic.get pred.nexts.(l) with Some x -> x == sc.succs.(l) | None -> false)
 
-  let random_top ctx =
-    let rec toss l = if l < ctx.s.levels - 1 && Rng.bool ctx.rng then toss (l + 1) else l in
+  let random_top (ctx : ctx) =
+    let rec toss l = if l < ctx.st.levels - 1 && Rng.bool ctx.loc.rng then toss (l + 1) else l in
     toss 0
 
   (* NBR write set: the distinct preds plus the victim/new-node targets.
      Bounded by levels + 2 <= max_hp. *)
-  let write_set ctx top extra =
+  let write_set sc top extra =
     let nodes = ref extra in
     for l = top downto 0 do
-      if l = 0 || ctx.preds.(l) != ctx.preds.(l - 1) then nodes := ctx.preds.(l) :: !nodes
+      if l = 0 || sc.preds.(l) != sc.preds.(l - 1) then nodes := sc.preds.(l) :: !nodes
     done;
     Array.of_list !nodes
 
-  let insert ctx key =
+  let insert (ctx : ctx) key =
     Common.with_op ctx.h (fun a ->
         let rec attempt a =
+          let sc = ctx.loc in
           let lfound = find ctx a key in
           if lfound >= 0 then begin
-            let c = pl ctx.succs.(lfound) in
+            let c = pl sc.succs.(lfound) in
             if c.marked then
               (* A deletion is in flight; retry until it is unlinked. *)
               attempt (T.reopen_op a)
@@ -188,14 +178,14 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
           end
           else begin
             let top = random_top ctx in
-            let w = T.enter_write_phase a (write_set ctx top []) in
-            lock_preds ctx w top;
+            let w = T.enter_write_phase a (write_set sc top []) in
+            lock_preds sc w top;
             let valid = ref true in
             for l = 0 to top do
-              if not (valid_level ctx l) then valid := false
+              if not (valid_level sc l) then valid := false
             done;
             if not !valid then begin
-              unlock_preds ctx top;
+              unlock_preds sc top;
               attempt (T.reopen_op w)
             end
             else begin
@@ -206,13 +196,13 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
               p.marked <- false;
               p.fully_linked <- false;
               for l = 0 to top do
-                Atomic.set p.nexts.(l) (Some ctx.succs.(l))
+                Atomic.set p.nexts.(l) (Some sc.succs.(l))
               done;
               for l = 0 to top do
-                Atomic.set (pl ctx.preds.(l)).nexts.(l) (Some n)
+                Atomic.set (pl sc.preds.(l)).nexts.(l) (Some n)
               done;
               p.fully_linked <- true;
-              unlock_preds ctx top;
+              unlock_preds sc top;
               true
             end
           end
@@ -226,55 +216,57 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
      caught here and only this phase retries — re-entering through
      [start_op] to get a fresh active handle, since the raised [Restart]
      aborted the operation in flight. *)
-  let rec retry_unlink ctx a victim =
+  let rec retry_unlink (ctx : ctx) a victim =
     match unlink_attempt ctx a victim with
     | done_ -> done_
     | exception Smr_typed.Restart -> retry_unlink ctx (T.start_op ctx.h) victim
 
-  and unlink_attempt ctx a victim =
+  and unlink_attempt (ctx : ctx) a victim =
+    let sc = ctx.loc in
     let v = pl victim in
     let key = victim.Heap.key in
     ignore (find ctx a key);
     (* The preds computed for the victim's key are exactly its
        predecessors while it remains linked. *)
-    let w = T.enter_write_phase a (write_set ctx v.top [ victim ]) in
+    let w = T.enter_write_phase a (write_set sc v.top [ victim ]) in
     Common.lock_serving w v.lock;
     let top = v.top in
-    lock_preds ctx w top;
+    lock_preds sc w top;
     let valid = ref true in
     for l = 0 to top do
-      let pred = pl ctx.preds.(l) in
+      let pred = pl sc.preds.(l) in
       if
         pred.marked
         || (match Atomic.get pred.nexts.(l) with Some x -> x != victim | None -> true)
       then valid := false
     done;
     if not !valid then begin
-      unlock_preds ctx top;
+      unlock_preds sc top;
       Spinlock.unlock v.lock;
       unlink_attempt ctx (T.reopen_op w) victim
     end
     else begin
       for l = top downto 0 do
-        Atomic.set (pl ctx.preds.(l)).nexts.(l) (Atomic.get v.nexts.(l))
+        Atomic.set (pl sc.preds.(l)).nexts.(l) (Atomic.get v.nexts.(l))
       done;
-      unlock_preds ctx top;
+      unlock_preds sc top;
       Spinlock.unlock v.lock;
       T.retire w victim;
       true
     end
 
-  let delete ctx key =
+  let delete (ctx : ctx) key =
     Common.with_op ctx.h (fun a ->
         let attempt a =
+          let sc = ctx.loc in
           let lfound = find ctx a key in
           if lfound < 0 then false
           else begin
-            let victim = ctx.succs.(lfound) in
+            let victim = sc.succs.(lfound) in
             let v = pl victim in
             if not (v.fully_linked && v.top = lfound && not v.marked) then false
             else begin
-              let w = T.enter_write_phase a (write_set ctx v.top [ victim ]) in
+              let w = T.enter_write_phase a (write_set sc v.top [ victim ]) in
               Common.lock_serving w v.lock;
               if v.marked then begin
                 Spinlock.unlock v.lock;
@@ -283,10 +275,10 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
               else begin
                 v.marked <- true;
                 let top = v.top in
-                lock_preds ctx w top;
+                lock_preds sc w top;
                 let valid = ref true in
                 for l = 0 to top do
-                  let pred = pl ctx.preds.(l) in
+                  let pred = pl sc.preds.(l) in
                   if
                     pred.marked
                     ||
@@ -296,7 +288,7 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
                   then valid := false
                 done;
                 if not !valid then begin
-                  unlock_preds ctx top;
+                  unlock_preds sc top;
                   (* The victim stays marked: finish the removal after a
                      fresh find (it will still be found via lower
                      levels until unlinked; we must not abandon it). *)
@@ -305,9 +297,9 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
                 end
                 else begin
                   for l = top downto 0 do
-                    Atomic.set (pl ctx.preds.(l)).nexts.(l) (Atomic.get v.nexts.(l))
+                    Atomic.set (pl sc.preds.(l)).nexts.(l) (Atomic.get v.nexts.(l))
                   done;
-                  unlock_preds ctx top;
+                  unlock_preds sc top;
                   Spinlock.unlock v.lock;
                   T.retire w victim;
                   true
@@ -318,25 +310,16 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
         in
         attempt a)
 
-  let poll ctx = T.poll ctx.h
-
   (* The reservation both [stall] and [crash] hold: a protected read of
      the structure's first pointer, never written back, so the set's
      contents are unaffected however long it stays pinned. *)
-  let stall_pin ctx =
-    let cell = (pl ctx.s.head).nexts.(0) in
-    fun a -> ignore (T.read a ctx.sl.(0) cell proj)
+  let pin (ctx : ctx) a = ignore (T.read a ctx.sl.(0) (pl ctx.st.head).nexts.(0) proj)
 
-  let stall ?wake ctx ~seconds ~polling =
-    Common.stall_in_op ?wake ctx.h ~seconds ~polling ~pin:(stall_pin ctx)
+  let stall = Common.stall pin
 
-  let crash ctx = Common.crash_in_op ctx.h ~pin:(stall_pin ctx)
+  let crash = Common.crash pin
 
-  let flush ctx = T.flush ctx.h
-
-  let deregister ctx = T.deregister ctx.h
-
-  let iter_seq s f =
+  let iter_seq (s : t) f =
     let rec go n =
       let p = pl n in
       if n.Heap.key <> max_int then begin
@@ -344,19 +327,14 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
         go (proj (Atomic.get p.nexts.(0)))
       end
     in
-    go s.head
+    go s.st.head
 
-  let size_seq s =
-    let c = ref 0 in
-    iter_seq s (fun _ -> incr c);
-    !c
+  let size_seq = Ds_common.size_seq iter_seq
 
-  let keys_seq s =
-    let acc = ref [] in
-    iter_seq s (fun k -> acc := k :: !acc);
-    List.rev !acc
+  let keys_seq = Ds_common.keys_seq iter_seq
 
-  let check_invariants s =
+  let check_invariants (s : t) =
+    let { head; levels } = s.st in
     (* Bottom level: strictly ascending, all live, unmarked, unlocked,
        fully linked. Upper levels: sublists of the level below. *)
     let rec check_level l n prev_key =
@@ -372,14 +350,14 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
       if p.top < l then failwith "skip_list: node linked above its top level";
       if k <> max_int then check_level l (proj (Atomic.get p.nexts.(l))) k
     in
-    for l = 0 to s.levels - 1 do
-      check_level l s.head min_int
+    for l = 0 to levels - 1 do
+      check_level l head min_int
     done;
     (* Every upper-level key appears at the bottom. *)
     let bottom = Hashtbl.create 256 in
     iter_seq s (fun k -> Hashtbl.replace bottom k ());
     let mem k = Hashtbl.mem bottom k in
-    for l = 1 to s.levels - 1 do
+    for l = 1 to levels - 1 do
       let rec walk n =
         let p = pl n and k = n.Heap.key in
         if k <> max_int then begin
@@ -388,18 +366,6 @@ module Make (T : Smr_typed.S) : Set_intf.SET = struct
           walk (proj (Atomic.get p.nexts.(l)))
         end
       in
-      walk s.head
+      walk head
     done
-
-  let heap_live s = Heap.live_nodes s.base.heap
-
-  let heap_uaf s = Heap.uaf_count s.base.heap
-
-  let heap_double_free s = Heap.double_free_count s.base.heap
-
-  let smr_unreclaimed s = T.unreclaimed s.base.smr
-
-  let smr_stats s = T.stats s.base.smr
-
-  let smr_violations s = T.violation_breakdown s.base.smr
 end

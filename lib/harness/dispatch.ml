@@ -79,7 +79,7 @@ let smr_of_string s =
   | "unsafe" | "unsafe-free" -> Some UNSAFE
   | _ -> None
 
-let base_smr_module : smr_kind -> (module Pop_core.Smr.S) = function
+let smr_module : smr_kind -> (module Pop_core.Smr.S) = function
   | NR -> (module Pop_baselines.Nr)
   | HP -> (module Pop_baselines.Hp)
   | HPASYM -> (module Pop_baselines.Hp_asym)
@@ -95,12 +95,8 @@ let base_smr_module : smr_kind -> (module Pop_core.Smr.S) = function
   | CADENCE -> (module Pop_baselines.Cadence)
   | UNSAFE -> (module Pop_baselines.Unsafe_free)
 
-let smr_module ?(sanitize = false) kind : (module Pop_core.Smr.S) =
-  let ((module S : Pop_core.Smr.S) as base) = base_smr_module kind in
-  if sanitize then (module Pop_check.Smr_check.Make (S)) else base
-
 let set_module ?(sanitize = false) ds smr : (module Set_intf.SET) =
-  let (module S : Pop_core.Smr.S) = base_smr_module smr in
+  let (module S : Pop_core.Smr.S) = smr_module smr in
   let (module T : Pop_core.Smr_typed.S) =
     if sanitize then (module Pop_check.Smr_check.Typed (S)) else (module Pop_core.Smr_typed.Of (S))
   in

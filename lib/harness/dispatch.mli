@@ -39,13 +39,11 @@ val ds_of_string : string -> ds_kind option
 
 val smr_of_string : string -> smr_kind option
 
-val smr_module : ?sanitize:bool -> smr_kind -> (module Pop_core.Smr.S)
-(** The raw, untyped scheme. With [~sanitize:true] (default [false]),
-    the scheme is wrapped in the {!Pop_check.Smr_check} typestate
-    sanitizer in counting mode; its violation total surfaces through
-    [Smr_stats.violations]. Scheme-internal tests and the sanitizer's
-    own rigs use this; data structures get the scheme through the
-    {!Pop_core.Smr_typed} compile-time typestate facade instead. *)
+val smr_module : smr_kind -> (module Pop_core.Smr.S)
+(** The raw, untyped scheme. Scheme-internal tools use this; data
+    structures get the scheme through the {!Pop_core.Smr_typed}
+    compile-time typestate facade instead, sanitized or not
+    ({!set_module}). *)
 
 val set_module : ?sanitize:bool -> ds_kind -> smr_kind -> (module Pop_ds.Set_intf.SET)
 (** The structure over the scheme behind the {!Pop_core.Smr_typed}

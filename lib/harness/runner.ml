@@ -27,9 +27,6 @@ type cfg = {
   reclaim_freq : int;
   epoch_freq : int;
   pop_mult : int;
-  max_hp : int;
-  ht_load : int;
-  ab_branch : int;
   long_running_reads : bool;
   near_head_span : int;
   stall : stall_spec option;
@@ -59,9 +56,6 @@ let default_cfg =
     reclaim_freq = smr.reclaim_freq;
     epoch_freq = smr.epoch_freq;
     pop_mult = smr.pop_mult;
-    max_hp = smr.max_hp;
-    ht_load = 4;
-    ab_branch = 8;
     long_running_reads = false;
     near_head_span = 64;
     stall = None;
@@ -120,13 +114,7 @@ type tally = {
   lat : Histogram.t;
 }
 
-let ds_config cfg =
-  {
-    Pop_ds.Ds_config.key_range = cfg.key_range;
-    ht_load = cfg.ht_load;
-    ab_branch = cfg.ab_branch;
-    skip_levels = 8;
-  }
+let ds_config cfg = Pop_ds.Ds_config.default ~key_range:cfg.key_range
 
 let smr_config cfg ~max_threads =
   (* The skip list holds a pred+succ reservation per level. *)
@@ -137,7 +125,7 @@ let smr_config cfg ~max_threads =
   in
   {
     Pop_core.Smr_config.max_threads;
-    max_hp = max cfg.max_hp needed_hp;
+    max_hp = max (Pop_core.Smr_config.default ()).max_hp needed_hp;
     reclaim_freq = cfg.reclaim_freq;
     epoch_freq = cfg.epoch_freq;
     pop_mult = cfg.pop_mult;

@@ -42,9 +42,6 @@ type cfg = {
   reclaim_freq : int;
   epoch_freq : int;
   pop_mult : int;
-  max_hp : int;
-  ht_load : int;
-  ab_branch : int;
   long_running_reads : bool;
       (** Figure-4 mode: the first half of the threads run full-range
           contains only; the second half update keys in

@@ -225,24 +225,26 @@ let double_claim_is_churn_misuse () =
 (* Runner-driven churn schedules, sanitized                             *)
 (* ------------------------------------------------------------------ *)
 
-let runner_churn ?(crashes = 1) ?(duration = 0.5) smr =
+let runner_churn ?(ds = Dispatch.HML) ?(threads = 4) ?(exits = 1) ?(crashes = 1) ?(joins = 1)
+    ?(duration = 0.5) ?stall smr =
   Runner.run
     {
       Runner.default_cfg with
-      ds = Dispatch.HML;
+      ds;
       smr;
-      threads = 4;
+      threads;
       duration;
       key_range = 256;
       reclaim_freq = 32;
       ping_timeout_spins = 20;
       sanitize = true;
+      stall;
       churn =
         Some
           {
-            Runner.exits = 1;
+            Runner.exits;
             crashes;
-            joins = 1;
+            joins;
             churn_start = 0.2 *. duration;
             churn_period = 0.1 *. duration;
           };
@@ -286,6 +288,46 @@ let crash_churn_ebr_vs_hp_pop () =
     true
     (ebr.Runner.final_unreclaimed > 2 * hpp.Runner.final_unreclaimed)
 
+(* Every structure's own [pin] runs in a stall and in a crash: four
+   workers, worker 0 stalled (polling) across the churn window of one
+   exit, one crash and one join, sanitized. Under nbr the stalled
+   worker's neutralization lands inside the pin. *)
+let pins_under_churn ds () =
+  List.iter
+    (fun smr ->
+      let name = Dispatch.ds_name ds ^ "/" ^ Dispatch.smr_name smr in
+      let stall =
+        { Runner.stall_tid = 0; stall_after = 0.03; stall_for = 0.15; stall_polling = true }
+      in
+      let r = runner_churn ~ds ~duration:0.3 ~stall smr in
+      Alcotest.(check bool) (name ^ ": consistent") true (Runner.consistent r);
+      Alcotest.(check int) (name ^ ": no use after free") 0 r.Runner.uaf;
+      Alcotest.(check int) (name ^ ": no violations") 0 r.Runner.smr.Smr_stats.violations;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: exit, crash and join all fired (%d/%d/%d)" name r.Runner.exited
+           r.Runner.crashed r.Runner.joined)
+        true
+        (r.Runner.exited >= 1 && r.Runner.crashed >= 1 && r.Runner.joined >= 1))
+    [ Dispatch.HPPOP; Dispatch.NBR ]
+
+(* The crashed operation must keep its pin: under EBR a worker that dies
+   inside an operation freezes the epoch, so everything retired after
+   the crash (at 20% of the run) stays unreclaimed, and the garbage
+   left is most of what was retired. A crash that closed its operation
+   lets EBR reclaim as usual: such a copy ends with a few hundred nodes
+   against tens of thousands retired. The bound is a share of the run's
+   own retires, so it holds at any throughput. *)
+let crash_pins_ebr ds () =
+  let r = runner_churn ~ds ~threads:3 ~exits:0 ~joins:0 ~duration:0.3 Dispatch.EBR in
+  let retired = r.Runner.smr.Smr_stats.retired in
+  Alcotest.(check bool) "consistent" true (Runner.consistent r);
+  Alcotest.(check int) "one crash" 1 r.Runner.crashed;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: garbage pinned (%d of %d retired)" (Dispatch.ds_name ds)
+       r.Runner.final_unreclaimed retired)
+    true
+    (2 * r.Runner.final_unreclaimed > retired)
+
 let suite =
   List.map
     (fun (name, smr) ->
@@ -303,3 +345,11 @@ let suite =
       case "runner churn: every scheme survives, sanitized" churn_all_schemes_sanitized;
       case "runner crash churn: ebr unbounded vs hp-pop bounded" crash_churn_ebr_vs_hp_pop;
     ]
+  @ List.concat_map
+      (fun ds ->
+        let n = Dispatch.ds_name ds in
+        [
+          case ("runner churn + stall: " ^ n ^ " pins hold, sanitized") (pins_under_churn ds);
+          case ("runner crash: " ^ n ^ " pins ebr's epoch") (crash_pins_ebr ds);
+        ])
+      Dispatch.all_ds_ext

@@ -35,7 +35,7 @@ let boundary_keys ds () =
   Alcotest.(check bool) "key 63" true (S.insert ctx 63);
   Alcotest.(check bool) "contains 0" true (S.contains ctx 0);
   Alcotest.(check bool) "contains 63" true (S.contains ctx 63);
-  Alcotest.(check (list int)) "sorted keys" [ 0; 63 ] (S.keys_seq s);
+  Alcotest.(check (list int)) "both keys present" [ 0; 63 ] (S.keys_seq s);
   Alcotest.(check bool) "delete 0" true (S.delete ctx 0);
   Alcotest.(check bool) "delete 63" true (S.delete ctx 63);
   S.check_invariants s
@@ -49,7 +49,7 @@ let fill_and_drain ds () =
   done;
   Alcotest.(check int) "full" 64 (S.size_seq s);
   S.check_invariants s;
-  Alcotest.(check (list int)) "all keys ascending" (List.init 64 Fun.id) (S.keys_seq s);
+  Alcotest.(check (list int)) "all keys present" (List.init 64 Fun.id) (S.keys_seq s);
   (* Drain in an order that stresses restructuring: odd keys descending,
      then even keys ascending. *)
   for i = 0 to 63 do
@@ -121,6 +121,52 @@ let model_prop ?(count = 60) ds smr =
       check_against_model (set_of ds smr) ops;
       true)
 
+(* Minor words per no-write operation: one domain, nr, 4,096 keys half
+   full; each op runs over every key once to warm up, then once
+   measured. The ceilings are the counts this sequence read before the
+   structures moved onto the Ds_common shell (identical under hp-pop
+   and nbr): an extra closure or boxed value on an operation path
+   raises one. *)
+let alloc_ceiling ds () =
+  let contains, insert_present, delete_absent =
+    match ds with
+    | Dispatch.HML -> (28., 28., 28.)
+    | Dispatch.HMHT -> (29., 29., 29.)
+    | Dispatch.LL -> (33., 51., 48.)
+    | Dispatch.DGT -> (41., 55., 55.)
+    | Dispatch.SL -> (141., 163., 147.)
+    | Dispatch.ABT -> (67.57421875, 95.57421875, 88.57421875)
+  in
+  let (module S) = set_of ds Dispatch.NR in
+  let key_range = 4096 in
+  let dcfg = Pop_ds.Ds_config.default ~key_range in
+  let scfg =
+    {
+      (Pop_core.Smr_config.default ~max_threads:1 ()) with
+      max_hp = (2 * dcfg.Pop_ds.Ds_config.skip_levels) + 2;
+    }
+  in
+  let s = S.create scfg dcfg ~hub:(Pop_runtime.Softsignal.create ~max_threads:1) in
+  let ctx = S.register s ~tid:0 in
+  List.iter (fun k -> ignore (S.insert ctx k)) (Workload.prefill_keys ~key_range);
+  let check what ceiling op =
+    let batch () =
+      for k = 0 to key_range - 1 do
+        ignore (op k)
+      done
+    in
+    batch ();
+    let w0 = Gc.minor_words () in
+    batch ();
+    let words = (Gc.minor_words () -. w0) /. float_of_int key_range in
+    if words > ceiling then
+      Alcotest.failf "%s: %s allocates %.2f words per op, ceiling %.2f" S.name what words ceiling
+  in
+  check "contains" contains (fun k -> S.contains ctx k);
+  check "insert of a present key" insert_present (fun k -> S.insert ctx (2 * (k / 2)));
+  check "delete of an absent key" delete_absent (fun k -> S.delete ctx ((2 * (k / 2)) + 1));
+  Alcotest.(check int) "no write happened" (key_range / 2) (S.size_seq s)
+
 let per_ds ds =
   let n = Dispatch.ds_name ds in
   [
@@ -129,6 +175,7 @@ let per_ds ds =
     case (n ^ ": fill and drain") (fill_and_drain ds);
     case (n ^ ": interleaved churn vs model") (interleaved_churn ds);
     case (n ^ ": reclamation recycles memory") (reclamation_happens ds);
+    case (n ^ ": no-write ops stay within their allocation ceilings") (alloc_ceiling ds);
     (* Deep runs for the three most structurally demanding disciplines,
        lighter runs for the rest of the algorithm zoo. *)
     QCheck_alcotest.to_alcotest (model_prop ds Dispatch.EPOCHPOP);
@@ -148,7 +195,7 @@ let per_ds ds =
    [unlinked] node must fail [check_seq], and the same chain finished
    with a link to the tail must pass. A node marked by hand (its cell
    swapped for a marker that holds its successor) is still linked: it
-   passes [check_seq] and is skipped by [iter_seq] and [size_seq]. *)
+   passes [check_seq] and is skipped by [iter_seq]. *)
 let hm_core_unlinked_fails_check () =
   let module Core = Pop_ds.Hm_core.Make (Pop_core.Smr_typed.Of (Pop_baselines.Nr)) in
   let module Heap = Pop_sim.Heap in
@@ -163,14 +210,14 @@ let hm_core_unlinked_fails_check () =
     (Failure "hm_core: chain reaches an unlinked cell") (fun () -> Core.check_seq heap head);
   Atomic.set (Core.next_cell n) tail;
   Core.check_seq heap head;
-  Alcotest.(check int) "one key" 1 (Core.size_seq head);
+  Alcotest.(check int) "one key" 1 (Pop_ds.Ds_common.size_seq Core.iter_seq head);
   let m = Heap.alloc heap ~tid:0 ~birth_era:0 in
   m.Heap.key <- 7;
   Atomic.set (Core.next_cell m) tail;
   Atomic.set (Core.next_cell n) m;
   Atomic.set (Core.next_cell n) (Core.marker m);
   Core.check_seq heap head;
-  Alcotest.(check int) "marked node not counted" 1 (Core.size_seq head);
+  Alcotest.(check int) "marked node not counted" 1 (Pop_ds.Ds_common.size_seq Core.iter_seq head);
   let keys = ref [] in
   Core.iter_seq head (fun k -> keys := k :: !keys);
   Alcotest.(check (list int)) "marked node skipped" [ 7 ] !keys
@@ -194,7 +241,7 @@ let hm_core_cycle_terminates () =
   Atomic.set head a;
   Atomic.set (Core.next_cell a) b;
   Atomic.set (Core.next_cell b) a;
-  Alcotest.(check int) "size stops at the back edge" 2 (Core.size_seq head);
+  Alcotest.(check int) "size stops at the back edge" 2 (Pop_ds.Ds_common.size_seq Core.iter_seq head);
   Alcotest.check_raises "cycle rejected" (Failure "hm_core: keys not strictly ascending")
     (fun () -> Core.check_seq heap head);
   let smr =

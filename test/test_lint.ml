@@ -277,6 +277,35 @@ let allowlist_filters () =
       Alcotest.(check int) "clean tree" 0 (List.length diags);
       Alcotest.(check int) "stale allow entry noted" 1 (List.length notes))
 
+(* Every listed call fires in a structure; the shell that owns them, a
+   structure's algorithm calls, and code outside lib/dslib do not. *)
+let ds_plumbing () =
+  List.iter
+    (fun src ->
+      Alcotest.(check bool) src true (flags "ds-plumbing" "lib/dslib/hm_list.ml" src))
+    [
+      "let register s ~tid = T.register s.base.smr ~tid";
+      "let deregister ctx = T.deregister ctx.h";
+      "let flush ctx = T.flush ctx.h";
+      "let smr_stats s = T.stats s.base.smr";
+      "let smr_unreclaimed s = T.unreclaimed s.base.smr";
+      "let smr_violations s = T.violation_breakdown s.base.smr";
+      "let heap_live s = Heap.live_nodes s.base.heap";
+      "let heap_uaf s = Pop_sim.Heap.uaf_count s.base.heap";
+      "let heap_double_free s = Heap.double_free_count s.base.heap";
+    ];
+  let src = "let flush ctx = T.flush ctx.h" in
+  Alcotest.(check bool) "algorithm calls accepted" false
+    (flags "ds-plumbing" "lib/dslib/skip_list.ml" "let n = T.alloc w in T.retire w victim");
+  Alcotest.(check bool) "longer names accepted" false
+    (flags "ds-plumbing" "lib/dslib/a.ml" "let f ctx = T.flush_all ctx.h");
+  Alcotest.(check bool) "the shell is exempt" false
+    (flags "ds-plumbing" "lib/dslib/ds_common.ml" src);
+  Alcotest.(check bool) "interfaces are exempt" false (flags "ds-plumbing" "lib/dslib/a.mli" src);
+  Alcotest.(check bool) "the harness is exempt" false
+    (flags "ds-plumbing" "lib/harness/runner.ml" src);
+  Alcotest.(check bool) "schemes are exempt" false (flags "ds-plumbing" "lib/core/hp_family.ml" src)
+
 let case name f = Alcotest.test_case name `Quick f
 
 let suite =
@@ -290,6 +319,7 @@ let suite =
     case "rule: heap-free-loop scoping" heap_free_loop;
     case "rule: raw-smr-in-dslib scoping" raw_smr;
     case "rule: era-per-node scoping" era_per_node;
+    case "rule: ds-plumbing scoping" ds_plumbing;
     case "rule: fence-free-read scoping" fence_free_read;
     case "diagnostics carry file:line" diagnostics_have_positions;
     case "allow.sexp parsing" parse_allow;

@@ -237,7 +237,7 @@ let restart_resets_typestate () =
   Alcotest.(check int) "no violations from the restart path" 0 (Check.total (N.violations g))
 
 (* ------------------------------------------------------------------ *)
-(* Whole-matrix integration through the harness                        *)
+(* Whole-matrix integration, sanitized                                 *)
 
 let sanitized_cfg ds smr =
   {
@@ -249,22 +249,8 @@ let sanitized_cfg ds smr =
     key_range = 192;
     reclaim_freq = 24;
     epoch_freq = 8;
-    ab_branch = 4;
-    ht_load = 2;
     sanitize = true;
   }
-
-let sanitized_cell ds smr () =
-  let r = Runner.run (sanitized_cfg ds smr) in
-  if r.Runner.uaf <> 0 then Alcotest.failf "UAF: %d" r.Runner.uaf;
-  if r.Runner.double_free <> 0 then Alcotest.failf "double free: %d" r.Runner.double_free;
-  if not r.Runner.invariants_ok then Alcotest.failf "invariants: %s" r.Runner.invariant_error;
-  if r.Runner.total_ops = 0 then Alcotest.fail "no operations executed";
-  let v = r.Runner.smr.Smr_stats.violations in
-  if v <> 0 then
-    Alcotest.failf "%d protocol violations under %s: %s" v (Dispatch.smr_name smr)
-      (String.concat ", "
-         (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) r.Runner.violations_by_category))
 
 (* HMHT with 16 keys has 4 buckets, so most deletes unlink a bucket's
    first node and hand the table's shared anchor to
@@ -359,7 +345,7 @@ let suite =
             case
               (Printf.sprintf "sanitized %s/%s: zero violations" (Dispatch.ds_name ds)
                  (Dispatch.smr_name smr))
-              (sanitized_cell ds smr))
+              (small_node_cell ~sanitize:true ~duration:0.12 ds smr))
           Dispatch.all_ds)
       Dispatch.paper_smrs
   @ List.map

@@ -17,18 +17,7 @@ let stress_cfg ds smr =
     key_range = 192;
     reclaim_freq = 24;
     epoch_freq = 8;
-    ab_branch = 4;
-    ht_load = 2;
   }
-
-let stress_cell ds smr () =
-  let r = Runner.run (stress_cfg ds smr) in
-  if r.Runner.uaf <> 0 then Alcotest.failf "UAF: %d" r.Runner.uaf;
-  if r.Runner.double_free <> 0 then Alcotest.failf "double free: %d" r.Runner.double_free;
-  if not r.Runner.invariants_ok then Alcotest.failf "invariants: %s" r.Runner.invariant_error;
-  if r.Runner.final_size <> r.Runner.expected_size then
-    Alcotest.failf "size %d, expected %d" r.Runner.final_size r.Runner.expected_size;
-  if r.Runner.total_ops = 0 then Alcotest.fail "no operations executed"
 
 let unsafe_detected () =
   (* A leaky-free scheme under contention on a tiny key range must be
@@ -140,7 +129,7 @@ let suite =
           (fun smr ->
             case
               (Printf.sprintf "stress %s/%s" (Dispatch.ds_name ds) (Dispatch.smr_name smr))
-              (stress_cell ds smr))
+              (small_node_cell ~duration:0.25 ds smr))
           Dispatch.all_smr)
       Dispatch.all_ds_ext
   in

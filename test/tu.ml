@@ -78,6 +78,73 @@ module Set_rig (S : Pop_ds.Set_intf.SET) = struct
     (s, S.register s ~tid:0)
 end
 
+(* A concurrent cell on small nodes: hash load 2 and (a,b)-tree b = 4,
+   so buckets stay short and the tree splits and merges on most updates
+   ([Runner] builds the default load 4 and b = 8). Three workers run the
+   50/50 update mix over 192 keys half prefilled, polling after every
+   operation, for [duration] seconds under aggressive reclamation. The
+   cell fails on a use-after-free, a double free, a broken invariant, a
+   final size other than prefill plus net inserts, no operations, or a
+   sanitizer violation. *)
+let small_node_cell ?(sanitize = false) ~duration ds smr () =
+  let threads = 3 and key_range = 192 in
+  let (module S) = Pop_harness.Dispatch.set_module ~sanitize ds smr in
+  let scfg =
+    {
+      (Smr_config.default ~max_threads:(threads + 1) ()) with
+      reclaim_freq = 24;
+      epoch_freq = 8;
+      max_hp = 18 (* the skip list's 2*levels+2 *);
+    }
+  in
+  let dcfg = { (Pop_ds.Ds_config.default ~key_range) with ht_load = 2; ab_branch = 4 } in
+  let s = S.create scfg dcfg ~hub:(Softsignal.create ~max_threads:(threads + 1)) in
+  let pctx = S.register s ~tid:threads in
+  let prefilled =
+    List.fold_left
+      (fun n k -> if S.insert pctx k then n + 1 else n)
+      0
+      (Pop_harness.Workload.prefill_keys ~key_range)
+  in
+  S.flush pctx;
+  S.deregister pctx;
+  let stop = Atomic.make false in
+  let worker tid () =
+    let ctx = S.register s ~tid in
+    let rng = Rng.make (42 + (7919 * (tid + 1))) in
+    let ops = ref 0 and net = ref 0 in
+    while not (Atomic.get stop) do
+      (match Pop_harness.Workload.(gen rng update_heavy ~key_range) with
+      | Contains k -> ignore (S.contains ctx k)
+      | Insert k -> if S.insert ctx k then incr net
+      | Delete k -> if S.delete ctx k then decr net);
+      incr ops;
+      S.poll ctx
+    done;
+    S.flush ctx;
+    S.deregister ctx;
+    (!ops, !net)
+  in
+  let domains = Array.init threads (fun tid -> Domain.spawn (worker tid)) in
+  Unix.sleepf duration;
+  Atomic.set stop true;
+  let tallies = Array.map Domain.join domains in
+  let ops = Array.fold_left (fun a (o, _) -> a + o) 0 tallies in
+  let net = Array.fold_left (fun a (_, n) -> a + n) 0 tallies in
+  if S.heap_uaf s <> 0 then Alcotest.failf "UAF: %d" (S.heap_uaf s);
+  if S.heap_double_free s <> 0 then Alcotest.failf "double free: %d" (S.heap_double_free s);
+  (match S.check_invariants s with
+  | () -> ()
+  | exception Failure msg -> Alcotest.failf "invariants: %s" msg);
+  if S.size_seq s <> prefilled + net then
+    Alcotest.failf "size %d, expected %d" (S.size_seq s) (prefilled + net);
+  if ops = 0 then Alcotest.fail "no operations executed";
+  let v = (S.smr_stats s).Smr_stats.violations in
+  if v <> 0 then
+    Alcotest.failf "%d protocol violations under %s: %s" v S.smr_name
+      (String.concat ", "
+         (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) (S.smr_violations s)))
+
 let all_safe_smrs : (string * (module Smr.S)) list =
   [
     ("nr", (module Pop_baselines.Nr));

@@ -254,6 +254,15 @@ let check_poly_compare line =
       end);
   !hit
 
+(* The calls behind the shell's harness-facing entry points
+   ([Ds_common.Make.Shell]); a structure that makes one is forking the
+   plumbing again. *)
+let ds_plumbing =
+  [
+    "T.register"; "T.deregister"; "T.flush"; "T.stats"; "T.unreclaimed"; "T.violation_breakdown";
+    "Heap.live_nodes"; "Heap.uaf_count"; "Heap.double_free_count";
+  ]
+
 let rules =
   [
     {
@@ -329,6 +338,23 @@ let rules =
         "forbid Id_set.exists_in_range in scheme code outside the Reclaimer engine \
          (era and interval passes use the block-stamp fast path via \
          Reclaimer.scan_eras and Reclaimer.scan_intervals)";
+    };
+    {
+      name = "ds-plumbing";
+      applies =
+        (fun path -> ml_file path && under "lib/dslib" path && path <> "lib/dslib/ds_common.ml");
+      check =
+        (fun line ->
+          match List.find_opt (has_token line) ds_plumbing with
+          | Some tok ->
+              Some
+                (tok
+                ^ " in a data structure; registration, flush and the heap/SMR probes \
+                   belong to the Ds_common shell (include Common.Shell)")
+          | None -> None);
+      doc =
+        "forbid the harness-facing SMR and heap calls in lib/dslib outside \
+         ds_common.ml, so each structure keeps only its algorithm";
     };
   ]
 

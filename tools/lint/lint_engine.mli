@@ -32,6 +32,10 @@
       hp-asym's and cadence's [read]) contains the [Softsignal.poll]
       call; a guarded function that is
       missing is a finding;
+    - [ds-plumbing] — no registration, flush or heap/SMR probe call
+      ([T.register], [T.flush], [T.stats], [Heap.live_nodes], ...) in
+      [lib/dslib/*.ml] outside [ds_common.ml]: the shell owns them, so
+      each structure keeps only its algorithm;
     - [missing-mli] — every [lib/] module except [*_intf.ml] carries an
       interface file.
 
