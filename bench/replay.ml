@@ -281,7 +281,6 @@ let churn_cell ~total donors =
     ("ns_total", Float (dt *. 1e9));
     ("handoff_mops", Float (float_of_int goal /. dt /. 1e6));
     ("splice_moves", Int (donor_moves + Reclaimer.node_moves adopter - goal));
-    ("stripe_contention", Int s.Smr_stats.orphan_stripe_contention);
     ("donated", Int s.Smr_stats.orphans_donated);
     ("adopted", Int s.Smr_stats.orphans_adopted);
   ]
@@ -333,8 +332,8 @@ let fig_seg (sc : Experiments.scale) =
   cells_table
     [
       ("donors", "donors", 0); ("nodes", "nodes", 0); ("handoff Mops", "handoff_mops", 2);
-      ("splice moves", "splice_moves", 0); ("stripe contention", "stripe_contention", 0);
-      ("donated", "donated", 0); ("adopted", "adopted", 0);
+      ("splice moves", "splice_moves", 0); ("donated", "donated", 0);
+      ("adopted", "adopted", 0);
     ]
     churn;
   Json.Obj [ ("pass_cost", cells pass); ("era_span", cells era); ("donor_churn", cells churn) ]

@@ -74,10 +74,21 @@ let print_result (r : Runner.result) =
           (Pop_core.Smr_stats.to_alist r.smr));
   if not (Runner.consistent r) then prerr_endline "warning: cell inconsistent (see table)"
 
-let run_cell ds smr threads duration key_range ins del reclaim_freq epoch_freq pop_mult lrr kv
-    zipf rate stall_for stall_polling churn_counts churn_start churn_period ping_timeout
-    suspect_after segment_size drop_ping delay_poll seed sanitize json =
-  let mix = { Workload.ins_pct = ins; del_pct = del } in
+(* The load-shape flags name one [Workload.load]; a pair that no single
+   load can hold is a usage error rather than a silently dropped flag. *)
+let load_of_flags ~ins ~del ~lrr ~kv ~zipf ~rate =
+  match (kv, lrr, zipf, rate) with
+  | true, true, _, _ -> Error "--kv and --long-running-reads are two loads; pick one"
+  | false, _, Some _, _ | false, _, _, Some _ -> Error "--zipf and --rate apply only with --kv"
+  | true, false, zipf, rate ->
+      let value = Option.value ~default:0.0 in
+      Ok (Workload.Kv { zipf_theta = value zipf; arrival_rate = value rate })
+  | false, true, None, None -> Ok Workload.Long_running_reads
+  | false, false, None, None -> Ok (Workload.Mix { ins_pct = ins; del_pct = del })
+
+let run_cell ds smr threads duration key_range load reclaim_freq epoch_freq pop_mult stall_for
+    stall_polling churn_counts churn_start churn_period ping_timeout suspect_after segment_size
+    drop_ping delay_poll seed sanitize json =
   let stall =
     if stall_for > 0.0 then
       Some
@@ -104,20 +115,15 @@ let run_cell ds smr threads duration key_range ins del reclaim_freq epoch_freq p
   in
   let cfg =
     {
-      Runner.default_cfg with
-      ds;
+      Runner.ds;
       smr;
       threads;
       duration;
       key_range;
-      mix;
+      load;
       reclaim_freq;
       epoch_freq;
       pop_mult;
-      long_running_reads = lrr;
-      kv;
-      zipf_theta = zipf;
-      arrival_rate = rate;
       stall;
       churn;
       ping_timeout_spins = ping_timeout;
@@ -164,7 +170,8 @@ let cmd =
   in
   let zipf =
     Arg.(
-      value & opt float 0.0
+      value
+      & opt (some float) None
       & info [ "zipf" ] ~docv:"THETA"
           ~doc:
             "Zipfian key-popularity skew for --kv (0.99 = YCSB default); 0 keeps keys \
@@ -172,7 +179,8 @@ let cmd =
   in
   let rate =
     Arg.(
-      value & opt float 0.0
+      value
+      & opt (some float) None
       & info [ "rate" ] ~docv:"OPS"
           ~doc:
             "Open-loop aggregate arrival rate in ops/second for --kv: operations arrive on \
@@ -301,19 +309,24 @@ let cmd =
     match fig with
     | Some name ->
         let scale = if fullscale then Experiments.full else Experiments.quick in
-        Pop_bench.Figures.run ?out { scale; smrs; scenarios } name
-    | None ->
-        run_cell ds smr threads duration key_range ins del reclaim epochf popm lrr kv zipf rate
-          stall_for stall_polling churn_counts churn_start churn_period ping_timeout
-          suspect_after segment_size drop_ping delay_poll seed sanitize json
+        `Ok (Pop_bench.Figures.run ?out { scale; smrs; scenarios } name)
+    | None -> (
+        match load_of_flags ~ins ~del ~lrr ~kv ~zipf ~rate with
+        | Error msg -> `Error (true, msg)
+        | Ok load ->
+            `Ok
+              (run_cell ds smr threads duration key_range load reclaim epochf popm stall_for
+                 stall_polling churn_counts churn_start churn_period ping_timeout suspect_after
+                 segment_size drop_ping delay_poll seed sanitize json))
   in
   Cmd.v
     (Cmd.info "popbench" ~doc:"Publish-on-ping reclamation benchmark")
     Term.(
-      const main $ ds $ smr $ threads $ duration $ key_range $ ins $ del $ reclaim $ epochf
-      $ popm $ lrr $ kv $ zipf $ rate $ stall_for $ stall_polling $ churn_counts $ churn_start
-      $ churn_period $ ping_timeout $ suspect_after $ segment_size $ drop_ping $ delay_poll
-      $ seed $ sanitize $ json $ fig $ out $ tournament_smrs $ tournament_scenarios
-      $ fullscale)
+      ret
+        (const main $ ds $ smr $ threads $ duration $ key_range $ ins $ del $ reclaim $ epochf
+       $ popm $ lrr $ kv $ zipf $ rate $ stall_for $ stall_polling $ churn_counts $ churn_start
+       $ churn_period $ ping_timeout $ suspect_after $ segment_size $ drop_ping $ delay_poll
+       $ seed $ sanitize $ json $ fig $ out $ tournament_smrs $ tournament_scenarios
+       $ fullscale))
 
 let () = exit (Cmd.eval cmd)

@@ -19,8 +19,7 @@ let run smr =
       duration = 1.0;
       key_range = 16384;
       reclaim_freq = 16 (* tiny retire threshold: reclamation storms *);
-      long_running_reads = true (* 2 full-range readers + 2 head updaters *);
-      near_head_span = 64;
+      load = Workload.Long_running_reads (* 2 full-range readers + 2 head updaters *);
     }
 
 let () =

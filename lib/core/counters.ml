@@ -18,7 +18,6 @@ type t = {
   stale_stamps : Striped.t;
   orphans_donated : Striped.t;
   orphans_adopted : Striped.t;
-  orphan_stripe_contention : Striped.t;
   pause_ns : Striped.t;
   unreclaimed_hw : Striped.t;
 }
@@ -42,7 +41,6 @@ let create n =
     stale_stamps = Striped.create n;
     orphans_donated = Striped.create n;
     orphans_adopted = Striped.create n;
-    orphan_stripe_contention = Striped.create n;
     pause_ns = Striped.create n;
     unreclaimed_hw = Striped.create n;
   }
@@ -83,8 +81,6 @@ let block_skip t ~tid = Striped.incr t.block_skips tid
 let block_keep t ~tid = Striped.incr t.block_keeps tid
 
 let stale_stamp t ~tid = Striped.incr t.stale_stamps tid
-
-let orphan_stripe_contention t ~tid = Striped.incr t.orphan_stripe_contention tid
 
 let orphan_donate t ~tid n = if n > 0 then Striped.add t.orphans_donated tid n
 
@@ -144,7 +140,6 @@ let snapshot ?hs ?heap t ~hub ~epoch =
     stale_stamps = Striped.sum t.stale_stamps;
     orphans_donated = Striped.sum t.orphans_donated;
     orphans_adopted = Striped.sum t.orphans_adopted;
-    orphan_stripe_contention = Striped.sum t.orphan_stripe_contention;
     block_grabs;
     block_returns;
     pool_blocks;

@@ -64,9 +64,6 @@ val stale_stamp : t -> tid:int -> unit
     invariant violation surfaced through {!Smr_stats.t.stale_stamps}
     and the sanitizer. *)
 
-val orphan_stripe_contention : t -> tid:int -> unit
-(** A donor or adopter hit a held orphanage-stripe lock. *)
-
 val orphan_donate : t -> tid:int -> int -> unit
 (** [orphan_donate t ~tid n] records [n] retired nodes donated to the
     {!Reclaimer} orphanage by departing thread [tid] (no-op when

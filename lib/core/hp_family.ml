@@ -30,6 +30,7 @@ type 'a tctx = {
   srow : int Atomic.t array;
   rl : 'a Reclaimer.local;
   mutable count : int;
+  mutable swept : int;
 }
 
 let tick_interval = 0.002
@@ -82,6 +83,7 @@ let register g ~tid =
         Reclaimer.register g.eng ~tid
           ~scratch_slots:(2 * g.cfg.max_threads * Reservations.slots g.res);
       count = 0;
+      swept = 0;
     }
   in
   (match g.publication with
@@ -191,6 +193,13 @@ let reclaim ~force ctx =
     (match (g.reservation, g.publication) with
     | Ids, Tick ->
         let now = Atomic.get g.epoch in
+        (* Every survivor of a pass is younger than two ticks, and a
+           fresh pass re-vets only a few covered blocks beyond the ones
+           it adds: the blocks that come of age would wait for that
+           rotation while the covered list grows with the run. So the
+           first pass after each tick vets everything. *)
+        let force = force || now <> ctx.swept in
+        ctx.swept <- now;
         Reclaimer.scan ~force ~kind ~collect ~except
           ~keep:(fun n -> n.Heap.retire_era + 2 > now || reserved ctx n)
           ctx.rl
@@ -201,7 +210,12 @@ let reclaim ~force ctx =
 
 (* IBR keeps its [mod] trigger: with [due], once survivors hold the list
    above the threshold a fresh pass would run after every [epoch_freq]
-   allocations, each advance having invalidated the snapshot. *)
+   allocations, each advance having invalidated the snapshot. Cadence
+   frees nothing retired within the last two ticks, so its survivors
+   hold the list at the threshold too, and [due] would run a pass (a
+   clock read, the pass closures, a cache check) on every retire; like
+   [Epoch_family.retire], a pass the tick guard blocked is retried once
+   per segment block. *)
 let retire ctx n =
   let g = ctx.g in
   n.Heap.retire_era <- Atomic.get g.epoch;
@@ -209,7 +223,13 @@ let retire ctx n =
   match g.reservation with
   | Intervals ->
       if Reclaimer.pending ctx.rl mod Reclaimer.threshold g.eng = 0 then reclaim ~force:false ctx
-  | Ids | Eras -> if Reclaimer.due ctx.rl then reclaim ~force:false ctx
+  | Ids | Eras -> (
+      match g.publication with
+      | Tick ->
+          let len = Reclaimer.pending ctx.rl and freq = Reclaimer.threshold g.eng in
+          if len mod freq = 0 || (len > freq && len mod g.cfg.segment_size = 0) then
+            reclaim ~force:false ctx
+      | Eager | Barrier | Ping -> if Reclaimer.due ctx.rl then reclaim ~force:false ctx)
 
 let free_unpublished ctx n = Reclaimer.free_unpublished ctx.rl n
 

@@ -77,6 +77,7 @@ type 'a tctx = {
   srow : int Atomic.t array;  (** This thread's shared row. *)
   rl : 'a Reclaimer.local;
   mutable count : int;  (** Operations (cadence) or allocations (ibr) so far. *)
+  mutable swept : int;  (** [Tick]: the tick this thread's last pass read. *)
 }
 
 val tick_interval : float

@@ -376,18 +376,14 @@ let snapshot l = l.reserved
 
 (* Donate into the donor's own stripe: the only thread that can hold
    this lock against us is an adopter momentarily claiming the stripe,
-   so a failed [try_lock] is genuine cross-thread contention (counted)
-   and two departing threads never serialize on each other. The donor
-   must not skip — its buffer has nowhere else to go — so it falls back
-   to the blocking acquire. *)
+   so two departing threads never serialize on each other. The donor
+   must not skip — its buffer has nowhere else to go — so it takes the
+   blocking acquire. *)
 let donate l =
   let n = pending l in
   if n > 0 then begin
     let st = l.r.orphans.(l.tid mod Array.length l.r.orphans) in
-    if not (Spinlock.try_lock st.s_lock) then begin
-      Counters.orphan_stripe_contention l.r.c ~tid:l.tid;
-      Spinlock.lock st.s_lock
-    end;
+    Spinlock.lock st.s_lock;
     splice_blist st.s_list l.covered;
     splice_blist st.s_list l.open_seg;
     Atomic.set st.s_count st.s_list.nodes;
@@ -417,18 +413,16 @@ let adopt l =
     let total = ref 0 in
     for i = 0 to ns - 1 do
       let st = stripes.((l.adopt_cursor + i) mod ns) in
-      if Atomic.get st.s_count > 0 then
-        if Spinlock.try_lock st.s_lock then begin
-          let n = st.s_list.nodes in
-          splice_blist l.open_seg st.s_list;
-          Atomic.set st.s_count 0;
-          Spinlock.unlock st.s_lock;
-          if n > 0 then begin
-            ignore (Atomic.fetch_and_add l.r.orphan_count (-n));
-            total := !total + n
-          end
+      if Atomic.get st.s_count > 0 && Spinlock.try_lock st.s_lock then begin
+        let n = st.s_list.nodes in
+        splice_blist l.open_seg st.s_list;
+        Atomic.set st.s_count 0;
+        Spinlock.unlock st.s_lock;
+        if n > 0 then begin
+          ignore (Atomic.fetch_and_add l.r.orphan_count (-n));
+          total := !total + n
         end
-        else Counters.orphan_stripe_contention l.r.c ~tid:l.tid
+      end
     done;
     l.adopt_cursor <- (l.adopt_cursor + 1) mod ns;
     if !total > 0 then Counters.orphan_adopt l.r.c ~tid:l.tid !total;

@@ -148,8 +148,7 @@ val take_all : 'a local -> 'a Heap.node array
 val donate : 'a local -> unit
 (** Splice the entire retire buffer (covered list included) into the
     donor's own orphanage stripe — O(1) in nodes and blocks, contending
-    only with an adopter momentarily claiming that stripe (counted in
-    [orphan_stripe_contention]). Called on the thread's own exit path
+    only with an adopter momentarily claiming that stripe. Called on the thread's own exit path
     ([deregister]); the nodes are freed by whichever surviving thread
     scans next. Exactly-once with respect to
     {!scan}/{!scan_plain}/{!take_all} adoption. *)

@@ -20,7 +20,6 @@ type t = {
   stale_stamps : int;
   orphans_donated : int;
   orphans_adopted : int;
-  orphan_stripe_contention : int;
   block_grabs : int;
   block_returns : int;
   pool_blocks : int;
@@ -54,7 +53,6 @@ let zero =
     stale_stamps = 0;
     orphans_donated = 0;
     orphans_adopted = 0;
-    orphan_stripe_contention = 0;
     block_grabs = 0;
     block_returns = 0;
     pool_blocks = 0;
@@ -94,7 +92,6 @@ let to_alist
       stale_stamps;
       orphans_donated;
       orphans_adopted;
-      orphan_stripe_contention;
       block_grabs;
       block_returns;
       pool_blocks;
@@ -128,7 +125,6 @@ let to_alist
     ("stale_stamps", stale_stamps);
     ("orphans_donated", orphans_donated);
     ("orphans_adopted", orphans_adopted);
-    ("orphan_stripe_contention", orphan_stripe_contention);
     ("block_grabs", block_grabs);
     ("block_returns", block_returns);
     ("pool_blocks", pool_blocks);

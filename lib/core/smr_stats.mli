@@ -69,11 +69,6 @@ type t = {
       (** Orphaned nodes a surviving thread folded into its own retire
           buffer during a later scan ([= orphans_donated] at quiescence:
           the hand-off is exactly-once). *)
-  orphan_stripe_contention : int;
-      (** Times a donor or adopter found an orphanage stripe's lock held
-          and either fell back to blocking (donor) or skipped the stripe
-          (adopter). With per-donor stripes this stays near 0; the old
-          single-lock orphanage would count every collision here. *)
   block_grabs : int;
       (** Whole free-node blocks threads popped from the heap's shared
           block pool (the Blelloch–Wei allocator's refill hand-off). 0

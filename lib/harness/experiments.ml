@@ -67,6 +67,8 @@ let base_cfg sc ds smr threads =
     reclaim_freq = sc.reclaim_freq;
   }
 
+let kv_load sc = Workload.Kv { zipf_theta = sc.kv_theta; arrival_rate = sc.kv_rate }
+
 let flag r = if Runner.consistent r then "" else "!"
 
 let fig_mixed ?(check = true) ~title ~mix ~dss ~smrs sc =
@@ -81,7 +83,7 @@ let fig_mixed ?(check = true) ~title ~mix ~dss ~smrs sc =
           (fun smr ->
             ( smr,
               List.map
-                (fun th -> Runner.run { (base_cfg sc ds smr th) with mix })
+                (fun th -> Runner.run { (base_cfg sc ds smr th) with load = Mix mix })
                 sc.threads_list ))
           smrs
       in
@@ -144,8 +146,7 @@ let fig_long_running_reads sc =
             duration = sc.duration;
             key_range = size;
             reclaim_freq = sc.lrr_reclaim_freq;
-            long_running_reads = true;
-            near_head_span = 64;
+            load = Workload.Long_running_reads;
           }
       in
       let nr = run Dispatch.NR in
@@ -200,10 +201,7 @@ let fig_kv sc =
                 {
                   (base_cfg sc ds smr threads) with
                   duration;
-                  kv = true;
-                  kv_mix = Workload.kv_default;
-                  zipf_theta = sc.kv_theta;
-                  arrival_rate = sc.kv_rate;
+                  load = kv_load sc;
                   sanitize = true;
                 } ))
           smrs
@@ -334,10 +332,7 @@ let tournament_scenarios sc =
       fun smr ->
         {
           (base ~ds:Dispatch.HMHT smr) with
-          kv = true;
-          kv_mix = Workload.kv_default;
-          zipf_theta = sc.kv_theta;
-          arrival_rate = sc.kv_rate;
+          load = kv_load sc;
         } );
   ]
 

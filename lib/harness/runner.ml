@@ -23,12 +23,10 @@ type cfg = {
   threads : int;
   duration : float;
   key_range : int;
-  mix : Workload.mix;
+  load : Workload.load;
   reclaim_freq : int;
   epoch_freq : int;
   pop_mult : int;
-  long_running_reads : bool;
-  near_head_span : int;
   stall : stall_spec option;
   churn : churn_spec option;
   ping_timeout_spins : int;
@@ -38,10 +36,6 @@ type cfg = {
   delay_poll : float;
   seed : int;
   sanitize : bool;
-  kv : bool;
-  kv_mix : Workload.kv_mix;
-  zipf_theta : float;
-  arrival_rate : float;
 }
 
 let default_cfg =
@@ -52,12 +46,10 @@ let default_cfg =
     threads = 2;
     duration = 0.5;
     key_range = 2048;
-    mix = Workload.update_heavy;
+    load = Workload.Mix Workload.update_heavy;
     reclaim_freq = smr.reclaim_freq;
     epoch_freq = smr.epoch_freq;
     pop_mult = smr.pop_mult;
-    long_running_reads = false;
-    near_head_span = 64;
     stall = None;
     churn = None;
     ping_timeout_spins = smr.ping_timeout_spins;
@@ -67,10 +59,6 @@ let default_cfg =
     delay_poll = 0.0;
     seed = 42;
     sanitize = false;
-    kv = false;
-    kv_mix = Workload.kv_default;
-    zipf_theta = 0.0;
-    arrival_rate = 0.0;
   }
 
 type result = {
@@ -104,7 +92,7 @@ type result = {
 (* Per-worker tally, returned through Domain.join — no shared state.
    [fate]: 0 = ran to the stop flag, 1 = exited early (clean
    deregister), 2 = crashed (abandoned everything mid-operation).
-   [lat] is only populated in KV mode (empty otherwise). *)
+   [lat] is only populated under a [Kv] load (empty otherwise). *)
 type tally = {
   ops : int;
   reads : int;
@@ -156,11 +144,23 @@ let spin_wait ?(poll = fun () -> ()) cond =
     else Unix.sleepf 5e-5
   done
 
+(* The Figure-4 updaters' key span: keys [0, near_head_span) sit near
+   the head of a sorted list, so every update retires a node the
+   full-range readers are about to pass. *)
+let near_head_span = 64
+
+(* The next scheduled arrival of an open-loop worker. A flat float
+   record, so advancing it boxes nothing (a captured [float ref] would
+   box a fresh float per operation). *)
+type schedule = { mutable at : float }
+
 let run cfg =
-  Workload.validate cfg.mix;
-  if cfg.kv then Workload.validate_kv cfg.kv_mix;
-  if cfg.arrival_rate < 0.0 then
-    invalid_arg "Runner.run: arrival_rate must be non-negative (0 = closed loop)";
+  (match cfg.load with
+  | Workload.Mix m -> Workload.validate m
+  | Long_running_reads -> ()
+  | Kv k ->
+      if k.arrival_rate < 0.0 then
+        invalid_arg "Runner.run: arrival_rate must be non-negative (0 = closed loop)");
   if cfg.threads < 1 then invalid_arg "Runner.run: need at least one thread";
   (match cfg.churn with
   | None -> ()
@@ -209,8 +209,7 @@ let run cfg =
   let worker tid () =
     let ctx = S.register set ~tid in
     let rng = Rng.make (cfg.seed + (7919 * (tid + 1))) in
-    let reader_role = cfg.long_running_reads && tid < cfg.threads / 2 in
-    let updater_span = max 1 (min cfg.near_head_span cfg.key_range) in
+    let key_range = cfg.key_range in
     let ops = ref 0 and reads = ref 0 and updates = ref 0 and net = ref 0 in
     let lat = Histogram.create () in
     let stalled = ref false in
@@ -228,89 +227,80 @@ let run cfg =
             ~seconds:sp.stall_for ~polling:sp.stall_polling
       | _ -> ()
     in
+    let contains k =
+      ignore (S.contains ctx k);
+      incr reads
+    in
+    let insert k =
+      if S.insert ctx k then incr net;
+      incr updates
+    in
+    let delete k =
+      if S.delete ctx k then decr net;
+      incr updates
+    in
+    (* One operation of the load, chosen once per worker. *)
+    let step =
+      match cfg.load with
+      | Workload.Mix m -> (
+          fun () ->
+            match Workload.gen rng m ~key_range with
+            | Workload.Contains k -> contains k
+            | Insert k -> insert k
+            | Delete k -> delete k)
+      | Long_running_reads when tid < cfg.threads / 2 ->
+          fun () -> contains (Rng.int rng key_range)
+      | Long_running_reads ->
+          let span = min near_head_span key_range in
+          fun () -> if Rng.bool rng then insert (Rng.int rng span) else delete (Rng.int rng span)
+      | Kv { zipf_theta; arrival_rate } ->
+          (* Latency-instrumented. Open loop when [arrival_rate > 0]:
+             each worker draws its own Poisson stream at 1/threads of the
+             aggregate rate, and an op's latency runs from its
+             *scheduled* arrival to completion — a worker that falls
+             behind accrues queueing delay instead of silently shedding
+             load, which is what makes reclamation pauses visible at the
+             tail. Closed loop (rate = 0) measures bare service time. *)
+          let kg = Workload.keygen ~key_range ~theta:zipf_theta in
+          let rate = arrival_rate /. float_of_int cfg.threads in
+          let arrival = { at = 0.0 } in
+          let poll = Some (fun () -> S.poll ctx) in
+          let due () = Clock.elapsed !t0 >= arrival.at || Atomic.get stop in
+          fun () ->
+            let op = Workload.gen_kv rng kg ~key_range in
+            if rate > 0.0 then begin
+              arrival.at <- arrival.at +. Workload.exp_interval rng ~rate;
+              (* Ahead of schedule: idle (still serving pings) until due. *)
+              spin_wait ?poll due
+            end;
+            let op_start = Clock.elapsed !t0 in
+            (match op with
+            | Workload.Get k -> contains k
+            | Set k -> insert k
+            | Cas k ->
+                (* Read-modify-write over a SET: replace the key if
+                   present (delete + re-insert — two traversals and a
+                   retire, like a value swap would be), else behave as
+                   an insert-if-absent. Not atomic end-to-end, which is
+                   fine for a latency workload: consistency accounting
+                   uses the actual return values. *)
+                if S.contains ctx k && S.delete ctx k then decr net;
+                insert k
+            | Remove k -> delete k);
+            let since = if rate > 0.0 then arrival.at else op_start in
+            Histogram.record_s lat (Clock.elapsed !t0 -. since)
+    in
     Atomic.incr ready;
     spin_wait (fun () -> Atomic.get start);
     t0 := Clock.now ();
-    if cfg.kv then begin
-      (* KV-service loop, latency-instrumented. Open loop when
-         [arrival_rate > 0]: each worker draws its own Poisson stream at
-         1/threads of the aggregate rate, and an op's latency runs from
-         its *scheduled* arrival to completion — a worker that falls
-         behind accrues queueing delay instead of silently shedding
-         load, which is what makes reclamation pauses visible at the
-         tail. Closed loop (rate = 0) measures bare service time. *)
-      let kg = Workload.keygen ~key_range:cfg.key_range ~theta:cfg.zipf_theta in
-      let rate = cfg.arrival_rate /. float_of_int cfg.threads in
-      let open_loop = rate > 0.0 in
-      let next_arrival = ref 0.0 in
-      while !quit = 0 && not (Atomic.get stop) do
-        check_stall ();
-        let op = Workload.gen_kv rng cfg.kv_mix kg ~key_range:cfg.key_range in
-        if open_loop then begin
-          next_arrival := !next_arrival +. Workload.exp_interval rng ~rate;
-          (* Ahead of schedule: idle (still serving pings) until due. *)
-          spin_wait
-            ~poll:(fun () -> S.poll ctx)
-            (fun () -> Clock.elapsed !t0 >= !next_arrival || Atomic.get stop)
-        end;
-        let op_start = Clock.elapsed !t0 in
-        (match op with
-        | Workload.Get k ->
-            ignore (S.contains ctx k);
-            incr reads
-        | Workload.Set k ->
-            if S.insert ctx k then incr net;
-            incr updates
-        | Workload.Cas k ->
-            (* Read-modify-write over a SET: replace the key if present
-               (delete + re-insert — two traversals and a retire, like a
-               value swap would be), else behave as an insert-if-absent.
-               Not atomic end-to-end, which is fine for a latency
-               workload: consistency accounting uses the actual return
-               values. *)
-            if S.contains ctx k then begin
-              if S.delete ctx k then decr net;
-              if S.insert ctx k then incr net
-            end
-            else if S.insert ctx k then incr net;
-            incr updates
-        | Workload.Remove k ->
-            if S.delete ctx k then decr net;
-            incr updates);
-        let finished = Clock.elapsed !t0 in
-        let since = if open_loop then !next_arrival else op_start in
-        Histogram.record_s lat (finished -. since);
-        incr ops;
-        Atomic.incr progress.(tid);
-        S.poll ctx;
-        quit := Atomic.get commands.(tid)
-      done
-    end
-    else
-      while !quit = 0 && not (Atomic.get stop) do
-        check_stall ();
-        let op =
-          if cfg.long_running_reads then
-            if reader_role then Workload.Contains (Rng.int rng cfg.key_range)
-            else if Rng.bool rng then Workload.Insert (Rng.int rng updater_span)
-            else Workload.Delete (Rng.int rng updater_span)
-          else Workload.gen rng cfg.mix ~key_range:cfg.key_range
-        in
-        (match op with
-        | Workload.Contains k ->
-            ignore (S.contains ctx k);
-            incr reads
-        | Workload.Insert k ->
-            if S.insert ctx k then incr net;
-            incr updates
-        | Workload.Delete k ->
-            if S.delete ctx k then decr net;
-            incr updates);
-        incr ops;
-        Atomic.incr progress.(tid);
-        S.poll ctx;
-        quit := Atomic.get commands.(tid)
-      done;
+    while !quit = 0 && not (Atomic.get stop) do
+      check_stall ();
+      step ();
+      incr ops;
+      Atomic.incr progress.(tid);
+      S.poll ctx;
+      quit := Atomic.get commands.(tid)
+    done;
     let fate =
       if !quit = 2 then begin
         (* Die mid-operation: the open op, raised reservations, retire
@@ -556,8 +546,14 @@ let consistent r =
 (* The scenario descriptor makes each emitted row self-describing: every
    parameter needed to reproduce the cell from the committed JSON alone
    (disruption shape, load shape, seed) travels with the measurement. *)
+let kv_shape cfg =
+  match cfg.load with
+  | Workload.Kv k -> (true, k.zipf_theta, k.arrival_rate)
+  | Mix _ | Long_running_reads -> (false, 0.0, 0.0)
+
 let scenario_json cfg =
   let cores = Domain.recommended_domain_count () in
+  let kv, zipf_theta, arrival_rate = kv_shape cfg in
   Json.Obj
     [
       ("seed", Int cfg.seed); ("threads", Int cfg.threads); ("cores", Int cores);
@@ -574,14 +570,15 @@ let scenario_json cfg =
         | Some c ->
             Obj [ ("exits", Int c.exits); ("crashes", Int c.crashes); ("joins", Int c.joins);
                   ("start", Float c.churn_start); ("period", Float c.churn_period) ] );
-      ("kv", Bool cfg.kv); ("zipf_theta", Float cfg.zipf_theta);
-      ("arrival_rate", Float cfg.arrival_rate); ("duration", Float cfg.duration);
+      ("kv", Bool kv); ("zipf_theta", Float zipf_theta);
+      ("arrival_rate", Float arrival_rate); ("duration", Float cfg.duration);
       ("ping_timeout_spins", Int cfg.ping_timeout_spins); ("sanitize", Bool cfg.sanitize);
     ]
 
 let cell_json label r =
   let cfg = r.r_cfg and s = r.smr in
-  (* Latency percentiles in microseconds (0 outside KV mode, where no
+  let kv, zipf_theta, arrival_rate = kv_shape cfg in
+  (* Latency percentiles in microseconds (0 outside a [Kv] load, where no
      samples are recorded), plus the worst single reclamation-pass
      pause any thread absorbed. *)
   let us ns = Json.Float (float_of_int ns /. 1e3) in
@@ -599,7 +596,7 @@ let cell_json label r =
       ("reclaim_freq", Int cfg.reclaim_freq);
       ("mops", Float r.mops); ("read_mops", Float r.read_mops); ("pre_mops", Float r.pre_mops);
       ("recovery_ns", Int r.recovery_ns); ("recovered", Bool r.recovered);
-      ("kv", Bool cfg.kv); ("zipf_theta", Float cfg.zipf_theta); ("rate", Float cfg.arrival_rate);
+      ("kv", Bool kv); ("zipf_theta", Float zipf_theta); ("rate", Float arrival_rate);
       ("lat_count", Int (Histogram.count r.latency));
       ("p50", lat 0.50); ("p99", lat 0.99); ("p999", lat 0.999);
       ("max", us (Histogram.max_value r.latency)); ("max_pause", us s.max_pause_ns);

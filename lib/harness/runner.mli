@@ -1,6 +1,7 @@
 (** Multi-threaded benchmark driver: spawns one domain per thread,
-    prefills the structure to half its key range, runs a timed mixed
-    workload, samples memory, and checks consistency afterwards. *)
+    prefills the structure to half its key range, runs a timed
+    {!Workload.load}, samples memory, and checks consistency
+    afterwards. *)
 
 type stall_spec = {
   stall_tid : int;  (** Which worker stalls. *)
@@ -38,15 +39,14 @@ type cfg = {
   threads : int;
   duration : float;
   key_range : int;
-  mix : Workload.mix;
+  load : Workload.load;
+      (** What the workers run: a mixed set workload (Figures 1–3,
+          5–11), Figure 4's long-running reads, or the open-loop KV
+          service, whose cells alone record per-op latency. See
+          {!Workload.load}. *)
   reclaim_freq : int;
   epoch_freq : int;
   pop_mult : int;
-  long_running_reads : bool;
-      (** Figure-4 mode: the first half of the threads run full-range
-          contains only; the second half update keys in
-          [\[0, near_head_span)]. *)
-  near_head_span : int;
   stall : stall_spec option;
   churn : churn_spec option;
   ping_timeout_spins : int;
@@ -68,20 +68,6 @@ type cfg = {
       (** Wrap the scheme in the {!Pop_check.Smr_check} typestate
           sanitizer (counting mode); the run's violation total lands in
           [result.smr.violations]. *)
-  kv : bool;
-      (** Run the latency-instrumented KV-service loop
-          ({!Workload.kv_op} over the SET) instead of the plain
-          throughput loop; [mix] is ignored in favour of [kv_mix]. *)
-  kv_mix : Workload.kv_mix;
-  zipf_theta : float;
-      (** Zipfian skew of KV key popularity ([0.99] = YCSB default);
-          [<= 0.] keeps keys uniform. Only read in KV mode. *)
-  arrival_rate : float;
-      (** Aggregate open-loop arrival rate in ops/second, split evenly
-          across workers as independent Poisson streams. Latency then
-          runs from *scheduled* arrival to completion, so queueing
-          delay counts. [0.] = closed loop (latency = service time).
-          Only read in KV mode. *)
 }
 
 val default_cfg : cfg
@@ -126,8 +112,8 @@ type result = {
           label ([read_outside_op], [check_unreserved], ...). Empty
           when [cfg.sanitize] is false. *)
   latency : Pop_runtime.Histogram.t;
-      (** Per-op latencies (ns) merged across workers; empty unless
-          [cfg.kv]. *)
+      (** Per-op latencies (ns) merged across workers, one sample per
+          operation under a [Kv] load; empty otherwise. *)
 }
 
 val run : cfg -> result
@@ -143,7 +129,7 @@ val to_json : ?label:string -> result -> string
     [recovery_ns], [recovered]), memory peaks
     ([max_unreclaimed]), safety counters ([uaf], [double_free]),
     latency percentiles in microseconds ([p50]/[p99]/[p999]/[max],
-    zeros outside KV mode) with the worst reclamation-pass pause
+    zeros outside a [Kv] load) with the worst reclamation-pass pause
     ([max_pause]), amortization stats ([frees_per_pass],
     [snapshot_reuse_ratio]), the sanitizer's per-category tallies under
     ["violations_by_category"] (an empty object on unsanitized runs)

@@ -21,24 +21,16 @@ let gen rng mix ~key_range =
   else if r < mix.ins_pct + mix.del_pct then Delete key
   else Contains key
 
+type load =
+  | Mix of mix
+  | Long_running_reads
+  | Kv of { zipf_theta : float; arrival_rate : float }
+
 (* ------------------------------------------------------------------ *)
 (* KV-service front-end: memcached-style get/set/cas/delete mix over a
    SET, with Zipfian key popularity and an open-loop arrival schedule. *)
 
 type kv_op = Get of int | Set of int | Cas of int | Remove of int
-
-type kv_mix = { get_pct : int; set_pct : int; cas_pct : int }
-
-(* Roughly YCSB-B-shaped with a small read-modify-write slice:
-   90% get / 6% set / 2% cas / 2% delete. *)
-let kv_default = { get_pct = 90; set_pct = 6; cas_pct = 2 }
-
-let validate_kv m =
-  if
-    m.get_pct < 0 || m.set_pct < 0 || m.cas_pct < 0
-    || m.get_pct + m.set_pct + m.cas_pct > 100
-  then
-    invalid_arg "Workload.kv_mix: percentages must be non-negative and sum to at most 100"
 
 (* Zipfian rank sampler after Gray et al. ("Quickly generating
    billion-record synthetic databases", SIGMOD '94) — the same
@@ -103,13 +95,12 @@ let draw_key kg rng ~key_range =
   | Uniform -> Rng.int rng key_range
   | Zipfian z -> Rng.hash (zipf_draw z rng) mod key_range
 
-let gen_kv rng mix kg ~key_range =
+(* Roughly YCSB-B-shaped with a small read-modify-write slice:
+   90% get / 6% set / 2% cas / 2% delete. *)
+let gen_kv rng kg ~key_range =
   let key = draw_key kg rng ~key_range in
   let r = Rng.int rng 100 in
-  if r < mix.get_pct then Get key
-  else if r < mix.get_pct + mix.set_pct then Set key
-  else if r < mix.get_pct + mix.set_pct + mix.cas_pct then Cas key
-  else Remove key
+  if r < 90 then Get key else if r < 96 then Set key else if r < 98 then Cas key else Remove key
 
 (* Exponential inter-arrival draw for the open-loop schedule: with [u]
    uniform in [0,1), [-log1p (-u) / rate] is Exp(rate) — log1p keeps

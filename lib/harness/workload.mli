@@ -23,6 +23,25 @@ val prefill_keys : key_range:int -> int list
     range (every even key, shuffled), matching the paper's
     prefill-to-half setup. *)
 
+(** {1 Loads}
+
+    The three shapes a benchmark cell can drive. *)
+
+type load =
+  | Mix of mix  (** Every thread draws from the mix with uniform keys. *)
+  | Long_running_reads
+      (** Paper Figure 4 (section 5.1.2): the first half of the threads
+          run full-range contains only; the rest insert and delete, half
+          and half, keys in [\[0, 64)] near the head of the structure. *)
+  | Kv of { zipf_theta : float; arrival_rate : float }
+      (** The latency-instrumented KV service ({!gen_kv}). [zipf_theta]
+          is the key-popularity skew ([0.99] = YCSB default; [<= 0.]
+          keeps keys uniform). [arrival_rate] is the aggregate open-loop
+          rate in ops/second, split evenly across workers as independent
+          Poisson streams; latency then runs from the {e scheduled}
+          arrival to completion, so queueing delay counts. [0.] = closed
+          loop (latency = service time). *)
+
 (** {1 KV-service workload}
 
     A memcached-style front-end over a SET: get/set/cas/delete with
@@ -34,15 +53,6 @@ type kv_op =
   | Set of int  (** Blind write ([insert]). *)
   | Cas of int  (** Read-modify-write: read, then replace or insert. *)
   | Remove of int  (** Delete. *)
-
-type kv_mix = { get_pct : int; set_pct : int; cas_pct : int }
-(** Percentages of gets, sets and cas; the rest are removes. *)
-
-val kv_default : kv_mix
-(** 90% get / 6% set / 2% cas / 2% remove — YCSB-B-shaped with a small
-    read-modify-write slice. *)
-
-val validate_kv : kv_mix -> unit
 
 type zipf
 (** Precomputed constants for an O(1) Zipfian rank sampler (Gray et
@@ -64,8 +74,9 @@ val keygen : key_range:int -> theta:float -> keygen
 (** [Zipfian] with the given [theta] when [theta > 0.], else
     [Uniform]. *)
 
-val gen_kv : Pop_runtime.Rng.t -> kv_mix -> keygen -> key_range:int -> kv_op
-(** Draw one KV operation. *)
+val gen_kv : Pop_runtime.Rng.t -> keygen -> key_range:int -> kv_op
+(** Draw one KV operation: 90% get / 6% set / 2% cas / 2% remove,
+    YCSB-B-shaped with a small read-modify-write slice. *)
 
 val exp_interval : Pop_runtime.Rng.t -> rate:float -> float
 (** One exponential inter-arrival gap in seconds for a Poisson arrival

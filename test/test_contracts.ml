@@ -29,7 +29,7 @@ let seg_doc =
     {|{"pass_cost": [{"covered": 4096, "uncovered": 512, "freed_per_pass": 512, "fresh_ns_per_pass": 12807.2, "forced_ns_per_pass": 42859.4, "fresh_max_scan_blocks": 18, "forced_max_scan_blocks": 72, "segments_recycled": 7934},
                      {"covered": 16384, "uncovered": 512, "freed_per_pass": 512, "fresh_ns_per_pass": 13102.5, "forced_ns_per_pass": 150398.6, "fresh_max_scan_blocks": 18, "forced_max_scan_blocks": 264, "segments_recycled": 8228}],
       "era_span": [{"covered": 512, "uncovered": 512, "freed_per_pass": 512, "fresh_ns_per_pass": 6958.6, "block_keeps": 800, "block_skips": 3200, "stale_stamps": 0}],
-      "donor_churn": [{"donors": 2, "nodes": 4096, "ns_total": 1000000.0, "handoff_mops": 4.1, "splice_moves": 0, "stripe_contention": 0, "donated": 4096, "adopted": 4096}]}|}
+      "donor_churn": [{"donors": 2, "nodes": 4096, "ns_total": 1000000.0, "handoff_mops": 4.1, "splice_moves": 0, "donated": 4096, "adopted": 4096}]}|}
 
 let alloc_doc =
   let cell t grabs =

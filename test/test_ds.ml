@@ -167,6 +167,44 @@ let alloc_ceiling ds () =
   check "delete of an absent key" delete_absent (fun k -> S.delete ctx ((2 * (k / 2)) + 1));
   Alcotest.(check int) "no write happened" (key_range / 2) (S.size_seq s)
 
+(* Minor words per insert+delete pair of one absent key: one domain,
+   hmht over 65,536 keys half full, the update-heavy shape, at the
+   default retire threshold. Cadence frees a node only two ticks after
+   its retire, so one domain's retire list sits above the threshold. A
+   pass run on every retire there (a clock read and the pass closures
+   each time) shows up as words that hp-pop's pair does not allocate,
+   and so does a backlog that outgrows two ticks of retires: its nodes
+   are fresh heap nodes, not recycled ones. *)
+let pair_words smr =
+  let (module S) = set_of Dispatch.HMHT smr in
+  let key_range = 65_536 in
+  let s =
+    S.create
+      (Pop_core.Smr_config.default ~max_threads:1 ())
+      (Pop_ds.Ds_config.default ~key_range)
+      ~hub:(Pop_runtime.Softsignal.create ~max_threads:1)
+  in
+  let ctx = S.register s ~tid:0 in
+  List.iter (fun k -> ignore (S.insert ctx k)) (Workload.prefill_keys ~key_range);
+  let pairs = 100_000 in
+  let batch () =
+    for i = 0 to pairs - 1 do
+      let k = (2 * (i mod (key_range / 2))) + 1 in
+      ignore (S.insert ctx k);
+      ignore (S.delete ctx k)
+    done
+  in
+  batch ();
+  let w0 = Gc.minor_words () in
+  batch ();
+  (Gc.minor_words () -. w0) /. float_of_int pairs
+
+let cadence_pair_words () =
+  let hp_pop = pair_words Dispatch.HPPOP and cadence = pair_words Dispatch.CADENCE in
+  if cadence > hp_pop +. 2. then
+    Alcotest.failf "cadence allocates %.1f words per insert+delete pair, hp-pop %.1f" cadence
+      hp_pop
+
 let per_ds ds =
   let n = Dispatch.ds_name ds in
   [
@@ -277,4 +315,6 @@ let suite =
         hm_core_unlinked_fails_check;
       case "hml: a cyclic chain ends every walk and fails check_seq" hm_core_cycle_terminates;
       case "hmht: the hash spreads every key range over every bucket" hmht_hash_spreads_keys;
+      case "hmht: a cadence insert+delete pair allocates within 2 words of hp-pop's"
+        cadence_pair_words;
     ]

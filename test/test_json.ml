@@ -26,9 +26,7 @@ let golden_result () =
       ping_timeout_spins = 20;
       seed = 7;
       sanitize = true;
-      kv = true;
-      zipf_theta = 0.99;
-      arrival_rate = 20000.0;
+      load = Workload.Kv { zipf_theta = 0.99; arrival_rate = 20000.0 };
     }
   in
   let smr =
@@ -77,7 +75,7 @@ let runner_to_json_golden () =
   let cores = Domain.recommended_domain_count () in
   let expected =
     Printf.sprintf
-      {|{"label": "a \"quoted\"\nlabel", "scenario": {"seed": 7, "threads": 3, "cores": %d, "oversubscribed": %b, "stall": {"tid": 1, "after": 0.050000, "for": 0.100000, "polling": false}, "churn": {"exits": 1, "crashes": 2, "joins": 1, "start": 0.020000, "period": 0.030000}, "kv": true, "zipf_theta": 0.990000, "arrival_rate": 20000.000000, "duration": 0.250000, "ping_timeout_spins": 20, "sanitize": true}, "ds": "hml", "smr": "hp-pop", "threads": 3, "duration": 0.250000, "reclaim_freq": 128, "mops": 0.004000, "read_mops": 0.002400, "pre_mops": null, "recovery_ns": 5000000, "recovered": false, "kv": true, "zipf_theta": 0.990000, "rate": 20000.000000, "lat_count": 4, "p50": 2.047000, "p99": 1000.000000, "p999": 1000.000000, "max": 1000.000000, "max_pause": 12.345000, "total_ops": 1000, "read_ops": 600, "update_ops": 400, "max_live": 2048, "max_unreclaimed": 100, "final_unreclaimed": 0, "uaf": 0, "double_free": 0, "exited": 1, "crashed": 2, "joined": 1, "consistent": true, "frees_per_pass": 100.000000, "snapshot_reuse_ratio": 0.200000, "violations_by_category": {"read_outside_op": 0, "double_retire": 3}, "smr": {"retired": 900, "freed": 800, "unreclaimed": 100, "max_unreclaimed": 100, "reclaim_passes": 3, "pop_passes": 5, "scan_skips": 0, "snapshot_reuses": 2, "retire_segments": 0, "segments_recycled": 0, "segment_occupancy": 0, "max_scan_blocks": 0, "pings": 11, "publishes": 0, "restarts": 0, "handshake_timeouts": 0, "suspects": 0, "quarantine_rounds": 0, "block_skips": 0, "block_keeps": 0, "stale_stamps": 0, "orphans_donated": 0, "orphans_adopted": 0, "orphan_stripe_contention": 0, "block_grabs": 0, "block_returns": 0, "pool_blocks": 0, "max_pause_ns": 12345, "epoch": 0, "violations": 0}}|}
+      {|{"label": "a \"quoted\"\nlabel", "scenario": {"seed": 7, "threads": 3, "cores": %d, "oversubscribed": %b, "stall": {"tid": 1, "after": 0.050000, "for": 0.100000, "polling": false}, "churn": {"exits": 1, "crashes": 2, "joins": 1, "start": 0.020000, "period": 0.030000}, "kv": true, "zipf_theta": 0.990000, "arrival_rate": 20000.000000, "duration": 0.250000, "ping_timeout_spins": 20, "sanitize": true}, "ds": "hml", "smr": "hp-pop", "threads": 3, "duration": 0.250000, "reclaim_freq": 128, "mops": 0.004000, "read_mops": 0.002400, "pre_mops": null, "recovery_ns": 5000000, "recovered": false, "kv": true, "zipf_theta": 0.990000, "rate": 20000.000000, "lat_count": 4, "p50": 2.047000, "p99": 1000.000000, "p999": 1000.000000, "max": 1000.000000, "max_pause": 12.345000, "total_ops": 1000, "read_ops": 600, "update_ops": 400, "max_live": 2048, "max_unreclaimed": 100, "final_unreclaimed": 0, "uaf": 0, "double_free": 0, "exited": 1, "crashed": 2, "joined": 1, "consistent": true, "frees_per_pass": 100.000000, "snapshot_reuse_ratio": 0.200000, "violations_by_category": {"read_outside_op": 0, "double_retire": 3}, "smr": {"retired": 900, "freed": 800, "unreclaimed": 100, "max_unreclaimed": 100, "reclaim_passes": 3, "pop_passes": 5, "scan_skips": 0, "snapshot_reuses": 2, "retire_segments": 0, "segments_recycled": 0, "segment_occupancy": 0, "max_scan_blocks": 0, "pings": 11, "publishes": 0, "restarts": 0, "handshake_timeouts": 0, "suspects": 0, "quarantine_rounds": 0, "block_skips": 0, "block_keeps": 0, "stale_stamps": 0, "orphans_donated": 0, "orphans_adopted": 0, "block_grabs": 0, "block_returns": 0, "pool_blocks": 0, "max_pause_ns": 12345, "epoch": 0, "violations": 0}}|}
       cores (3 > cores)
   in
   Alcotest.(check string) "Runner.to_json golden" expected

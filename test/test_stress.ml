@@ -43,7 +43,7 @@ let unsafe_detected () =
 
 let read_mostly_cell ds smr () =
   let r =
-    Runner.run { (stress_cfg ds smr) with mix = Workload.read_heavy; key_range = 256 }
+    Runner.run { (stress_cfg ds smr) with load = Workload.Mix Workload.read_heavy; key_range = 256 }
   in
   if not (Runner.consistent r) then
     Alcotest.failf "inconsistent read-heavy cell: %s" r.Runner.invariant_error

@@ -88,7 +88,7 @@ let churn doc =
   if exited + crashed < 1 then fail "%s.exited + crashed: 0, expected a churn event" c.path;
   holds c [ "consistent" ];
   let smr = get c "smr" in
-  present int smr [ "suspects"; "quarantine_rounds"; "orphan_stripe_contention" ];
+  present int smr [ "suspects"; "quarantine_rounds" ];
   present int smr [ "orphans_donated"; "orphans_adopted" ];
   zero smr [ "violations"; "stale_stamps" ];
   let cats = get c "violations_by_category" in

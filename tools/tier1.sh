@@ -6,10 +6,11 @@
 #   3. smrlint, the source-level protocol/style gate (tools/lint)
 #   4. dune-file formatting (@fmt is restricted to dune files in
 #      dune-project because ocamlformat is not in the build image)
-#   5. nineteen fixed-seed smoke runs, each checked by `benchcheck CONTRACT
-#      FILE` against its named JSON contract (json three times:
-#      hml/epoch-pop, a sanitized hmht/nbr, and a sanitized hmht/hp-pop
-#      over 65,536 keys, the update-heavy benchmark shape; churn once
+#   5. twenty fixed-seed smoke runs, each checked by `benchcheck CONTRACT
+#      FILE` against its named JSON contract (json four times:
+#      hml/epoch-pop, a sanitized hmht/nbr, a sanitized hmht/hp-pop
+#      over 65,536 keys, the update-heavy benchmark shape, and a
+#      sanitized hml/nbr under Figure 4's long-running reads; churn once
 #      per ping-round scheme, so every caller's handshake-timeout
 #      fallback runs, and for hp, he, ebr, hyaline-1, hyaline-1s and
 #      ibr, so every Hp_family, Epoch_family and Hyaline_family scheme
@@ -17,6 +18,7 @@
 #      tools/benchcheck/contracts.ml says what each requires).
 #      Figures write to _build/smoke (`popbench --fig NAME --out DIR`), so
 #      the committed repo-root baselines are not overwritten.
+#   6. popbench rejects a flag pair that no single load can hold.
 # Run from the repository root: sh tools/tier1.sh
 set -e
 cd "$(dirname "$0")/.."
@@ -36,6 +38,9 @@ $popbench --ds hmht --smr nbr --sanitize -t 2 -d 0.2 --json "$out/hmht.json" > /
 $check json "$out/hmht.json"
 $popbench --ds hmht --smr hp-pop --sanitize -s 65536 -t 2 -d 0.2 --json "$out/hmht-pop.json" > /dev/null
 $check json "$out/hmht-pop.json"
+$popbench --ds hml --smr nbr --long-running-reads -t 4 -s 4096 --reclaim-freq 16 --sanitize \
+  -d 0.3 --json "$out/lrr.json" > /dev/null
+$check json "$out/lrr.json"
 for smr in hp-pop he-pop epoch-pop hp-asym cadence nbr hp he ebr hyaline-1 hyaline-1s ibr; do
   $popbench --ds hml --smr $smr -t 4 -d 0.5 \
     --churn 1,1,1 --ping-timeout 20 --sanitize --seed 7 \
@@ -49,4 +54,8 @@ done
 $popbench --fig tournament --smrs ebr,hyaline-1s \
   --scenarios stall-poll,crash,kv-skew --out "$out" > /dev/null
 $check tournament "$out/BENCH_tournament.json"
+if $popbench --zipf 0.99 -d 0.01 > /dev/null 2>&1; then
+  echo "tier-1: popbench ran --zipf without --kv instead of rejecting it" >&2
+  exit 1
+fi
 echo "tier-1: ok"
