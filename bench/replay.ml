@@ -8,7 +8,6 @@ open Pop_harness
 module Smr_config = Pop_core.Smr_config
 module Smr_stats = Pop_core.Smr_stats
 module Reclaimer = Pop_core.Reclaimer
-module Counters = Pop_core.Counters
 module Heap = Pop_sim.Heap
 module Clock = Pop_runtime.Clock
 
@@ -54,7 +53,6 @@ let best_of ~reps ~key cell configs =
 
 type rig = {
   heap : unit Heap.t;
-  counters : Counters.t;
   eng : unit Reclaimer.t;
   rl : unit Reclaimer.local;
   hub : Pop_runtime.Softsignal.t;
@@ -65,16 +63,15 @@ type rig = {
 let engine ~threads =
   let scfg = { (Smr_config.default ~max_threads:threads ()) with reclaim_freq = 1 lsl 30 } in
   let heap = Heap.create ~max_threads:threads ~payload:(fun _ -> ()) () in
-  let counters = Counters.create threads in
-  (heap, counters, Reclaimer.create scfg ~heap ~counters)
+  (heap, Reclaimer.create scfg ~heap)
 
 (* One thread's retire list on a private engine. *)
 let rig () =
-  let heap, counters, eng = engine ~threads:2 in
+  let heap, eng = engine ~threads:2 in
   let rl = Reclaimer.register eng ~tid:0 ~scratch_slots:8 in
-  { heap; counters; eng; rl; hub = Pop_runtime.Softsignal.create ~max_threads:1 }
+  { heap; eng; rl; hub = Pop_runtime.Softsignal.create ~max_threads:1 }
 
-let stats r = Counters.snapshot r.counters ~hub:r.hub ~epoch:0
+let stats r = Reclaimer.stats r.eng ~hub:r.hub ~epoch:0
 
 (* Retire [count] fresh nodes; the i-th (from 1) gets [era i]. *)
 let retire_batch r count ~birth ~era =
@@ -231,7 +228,7 @@ let era_cell ~rounds (covered, uncovered) =
    retire pushes: donate and adopt splice whole block lists, so it must
    be exactly 0. *)
 let churn_cell ~total donors =
-  let heap, c, eng = engine ~threads:16 in
+  let heap, eng = engine ~threads:16 in
   let hub = Pop_runtime.Softsignal.create ~max_threads:1 in
   let batch = 64 in
   let rounds = total / (batch * donors) in
@@ -274,7 +271,7 @@ let churn_cell ~total donors =
   let donor_moves =
     Array.fold_left (fun acc l -> acc + Reclaimer.node_moves l) 0 donor_locals
   in
-  let s = Counters.snapshot c ~hub ~epoch:0 in
+  let s = Reclaimer.stats eng ~hub ~epoch:0 in
   [
     ("donors", Json.Int donors);
     ("nodes", Int goal);
@@ -426,7 +423,7 @@ let alloc_imbalanced_cell ~total threads =
    adopter pool, so orphan adoption rides the same block hand-off. An
    op is one retire-to-free node trip. *)
 let alloc_churn_cell ~total threads =
-  let heap, _, eng = engine ~threads in
+  let heap, eng = engine ~threads in
   let locals = Array.init threads (fun tid -> Reclaimer.register eng ~tid ~scratch_slots:8) in
   let adopter = locals.(0) in
   let batch = 64 in

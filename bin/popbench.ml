@@ -80,11 +80,15 @@ let load_of_flags ~ins ~del ~lrr ~kv ~zipf ~rate =
   match (kv, lrr, zipf, rate) with
   | true, true, _, _ -> Error "--kv and --long-running-reads are two loads; pick one"
   | false, _, Some _, _ | false, _, _, Some _ -> Error "--zipf and --rate apply only with --kv"
+  | _ when (kv || lrr) && (ins <> None || del <> None) ->
+      Error "--inserts and --deletes apply only to the default mixed load"
   | true, false, zipf, rate ->
       let value = Option.value ~default:0.0 in
       Ok (Workload.Kv { zipf_theta = value zipf; arrival_rate = value rate })
   | false, true, None, None -> Ok Workload.Long_running_reads
-  | false, false, None, None -> Ok (Workload.Mix { ins_pct = ins; del_pct = del })
+  | false, false, None, None ->
+      let pct = Option.value ~default:50 in
+      Ok (Workload.Mix { ins_pct = pct ins; del_pct = pct del })
 
 let run_cell ds smr threads duration key_range load reclaim_freq epoch_freq pop_mult stall_for
     stall_polling churn_counts churn_start churn_period ping_timeout suspect_after segment_size
@@ -150,8 +154,8 @@ let cmd =
   let threads = Arg.(value & opt int 2 & info [ "threads"; "t" ] ~doc:"Worker threads.") in
   let duration = Arg.(value & opt float 1.0 & info [ "duration"; "d" ] ~doc:"Seconds.") in
   let key_range = Arg.(value & opt int 2048 & info [ "size"; "s" ] ~doc:"Key range.") in
-  let ins = Arg.(value & opt int 50 & info [ "inserts" ] ~doc:"Insert percentage.") in
-  let del = Arg.(value & opt int 50 & info [ "deletes" ] ~doc:"Delete percentage.") in
+  let ins = Arg.(value & opt (some int) None & info [ "inserts" ] ~doc:"Insert percentage.") in
+  let del = Arg.(value & opt (some int) None & info [ "deletes" ] ~doc:"Delete percentage.") in
   let reclaim =
     Arg.(value & opt int d.reclaim_freq & info [ "reclaim-freq" ] ~doc:"Retire threshold.")
   in

@@ -19,7 +19,6 @@ type 'a t = {
   slots : 'a slot Atomic.t array;
   eras : int Atomic.t array;
   era : int Atomic.t;
-  c : Counters.t;
   eng : 'a Reclaimer.t;
   guard : bool;
 }
@@ -28,7 +27,6 @@ type 'a tctx = { g : 'a t; tid : int; port : Softsignal.port; rl : 'a Reclaimer.
 
 let create ~guard (cfg : Smr_config.t) hub heap =
   Smr_config.validate cfg;
-  let c = Counters.create cfg.max_threads in
   {
     cfg;
     hub;
@@ -36,8 +34,7 @@ let create ~guard (cfg : Smr_config.t) hub heap =
     slots = Array.init cfg.max_threads (fun _ -> Atomic.make Inactive);
     eras = Array.init cfg.max_threads (fun _ -> Atomic.make 0);
     era = Atomic.make 1;
-    c;
-    eng = Reclaimer.create cfg ~heap ~counters:c;
+    eng = Reclaimer.create cfg ~heap;
     guard;
   }
 
@@ -117,22 +114,19 @@ let adjust ctx batch ~min_birth =
 
 let reclaim ctx =
   let g = ctx.g in
-  Counters.reclaim_pass g.c ~tid:ctx.tid;
-  (* The pass here is drain + adjust (frees happen lazily on traverse),
-     so that whole span is this scheme's reclamation pause. *)
-  let t0 = Clock.now () in
   (* Under the guard, bump the global era at batch formation: later
      allocations are born into a newer era, so frozen threads fall
      behind the min-birth guard of every batch formed after they
      stalled. *)
   if g.guard then ignore (Atomic.fetch_and_add g.era 1);
-  let nodes = Reclaimer.take_all ctx.rl in
-  let min_birth =
-    if g.guard then Array.fold_left (fun acc n -> min acc n.Heap.birth_era) max_int nodes
-    else min_int
-  in
-  adjust ctx { nodes; refs = Atomic.make 0 } ~min_birth;
-  Counters.note_pause g.c ~tid:ctx.tid (int_of_float (Clock.elapsed t0 *. 1e9))
+  (* The pass here is drain + adjust (frees happen lazily on traverse),
+     so the engine's pass frame times that whole span. *)
+  Reclaimer.take_all ctx.rl (fun nodes ->
+      let min_birth =
+        if g.guard then Array.fold_left (fun acc n -> min acc n.Heap.birth_era) max_int nodes
+        else min_int
+      in
+      adjust ctx { nodes; refs = Atomic.make 0 } ~min_birth)
 
 let retire ctx n =
   n.Heap.retire_era <- Atomic.get ctx.g.era;
@@ -152,8 +146,8 @@ let deregister ctx =
   Reclaimer.donate ctx.rl;
   Softsignal.deregister ctx.port
 
-let unreclaimed g = Counters.unreclaimed g.c
+let unreclaimed g = Reclaimer.unreclaimed g.eng
 
 let stats g =
   let epoch = if g.guard then Atomic.get g.era else 0 in
-  Counters.snapshot ~heap:g.heap g.c ~hub:g.hub ~epoch
+  Reclaimer.stats g.eng ~hub:g.hub ~epoch

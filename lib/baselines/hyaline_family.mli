@@ -29,7 +29,6 @@ type 'a t = {
   slots : 'a slot Atomic.t array;
   eras : int Atomic.t array;  (** Each thread's published era (guard only). *)
   era : int Atomic.t;  (** The global era; it stays 1 without the guard. *)
-  c : Pop_core.Counters.t;
   eng : 'a Pop_core.Reclaimer.t;
   guard : bool;
 }

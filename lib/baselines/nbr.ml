@@ -14,7 +14,6 @@ type 'a t = {
   heap : 'a Heap.t;
   res : Reservations.t; (* write-phase reservations, published eagerly *)
   hs : Handshake.t;
-  c : Counters.t;
   eng : 'a Reclaimer.t;
   rounds_started : int Atomic.t;
   rounds_done : int Atomic.t;
@@ -36,15 +35,13 @@ type 'a tctx = {
 
 let create cfg hub heap =
   Smr_config.validate cfg;
-  let c = Counters.create cfg.max_threads in
   {
     cfg;
     hub;
     heap;
     res = Reservations.create ~max_threads:cfg.max_threads ~slots:cfg.max_hp ~none:no_id;
     hs = Handshake.create cfg hub;
-    c;
-    eng = Reclaimer.create cfg ~heap ~counters:c;
+    eng = Reclaimer.create cfg ~heap;
     rounds_started = Atomic.make 0;
     rounds_done = Atomic.make 0;
     clean_rounds_done = Atomic.make 0;
@@ -98,7 +95,7 @@ let read ctx _slot addr _proj =
   if Atomic.get ctx.pending = 1 then Softsignal.poll ctx.port;
   if ctx.neutralized then begin
     ctx.neutralized <- false;
-    Counters.restart ctx.g.c ~tid:ctx.tid;
+    Reclaimer.note_restart ctx.rl;
     if ctx.published_slots > 0 then clear_published ctx;
     raise Smr.Restart
   end;
@@ -124,7 +121,7 @@ let enter_write_phase ctx nodes =
   if Atomic.get ctx.pending = 1 then Softsignal.poll ctx.port;
   if ctx.neutralized then begin
     ctx.neutralized <- false;
-    Counters.restart ctx.g.c ~tid:ctx.tid;
+    Reclaimer.note_restart ctx.rl;
     clear_published ctx;
     raise Smr.Restart
   end;
@@ -187,6 +184,6 @@ let deregister ctx =
   Reclaimer.donate ctx.rl;
   Softsignal.deregister ctx.port
 
-let unreclaimed g = Counters.unreclaimed g.c
+let unreclaimed g = Reclaimer.unreclaimed g.eng
 
-let stats g = Counters.snapshot ~heap:g.heap ~hs:g.hs g.c ~hub:g.hub ~epoch:(Atomic.get g.rounds_done)
+let stats g = Reclaimer.stats ~hs:g.hs g.eng ~hub:g.hub ~epoch:(Atomic.get g.rounds_done)

@@ -8,7 +8,6 @@ type 'a t = {
   cfg : Smr_config.t;
   hub : Softsignal.t;
   heap : 'a Heap.t;
-  c : Counters.t;
   eng : 'a Reclaimer.t;
 }
 
@@ -16,8 +15,7 @@ type 'a tctx = { g : 'a t; tid : int; port : Softsignal.port; rl : 'a Reclaimer.
 
 let create cfg hub heap =
   Smr_config.validate cfg;
-  let c = Counters.create cfg.max_threads in
-  { cfg; hub; heap; c; eng = Reclaimer.create cfg ~heap ~counters:c }
+  { cfg; hub; heap; eng = Reclaimer.create cfg ~heap }
 
 let register g ~tid =
   { g; tid; port = Softsignal.register g.hub ~tid; rl = Reclaimer.register g.eng ~tid ~scratch_slots:1 }
@@ -54,6 +52,6 @@ let deregister ctx =
   Reclaimer.donate ctx.rl;
   Softsignal.deregister ctx.port
 
-let unreclaimed g = Counters.unreclaimed g.c
+let unreclaimed g = Reclaimer.unreclaimed g.eng
 
-let stats g = Counters.snapshot ~heap:g.heap g.c ~hub:g.hub ~epoch:0
+let stats g = Reclaimer.stats g.eng ~hub:g.hub ~epoch:0

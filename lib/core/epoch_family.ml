@@ -10,7 +10,6 @@ type 'a t = {
   res : Reservations.t;
   reserved_epoch : Striped.t;
   hs : Handshake.t;
-  c : Counters.t;
   eng : 'a Reclaimer.t;
   epoch : int Atomic.t;
   fallback : bool;
@@ -36,7 +35,6 @@ let create ~fallback (cfg : Smr_config.t) hub heap =
   for tid = 0 to cfg.max_threads - 1 do
     Striped.set reserved_epoch tid max_int
   done;
-  let c = Counters.create cfg.max_threads in
   {
     cfg;
     hub;
@@ -44,8 +42,7 @@ let create ~fallback (cfg : Smr_config.t) hub heap =
     res = Reservations.create ~max_threads:cfg.max_threads ~slots:cfg.max_hp ~none:no_id;
     reserved_epoch;
     hs = Handshake.create cfg hub;
-    c;
-    eng = Reclaimer.create cfg ~heap ~counters:c;
+    eng = Reclaimer.create cfg ~heap;
     epoch = Atomic.make 1;
     fallback;
   }
@@ -200,6 +197,6 @@ let deregister ctx =
   Reclaimer.donate ctx.rl;
   Softsignal.deregister ctx.port
 
-let unreclaimed g = Counters.unreclaimed g.c
+let unreclaimed g = Reclaimer.unreclaimed g.eng
 
-let stats g = Counters.snapshot ~heap:g.heap ~hs:g.hs g.c ~hub:g.hub ~epoch:(Atomic.get g.epoch)
+let stats g = Reclaimer.stats ~hs:g.hs g.eng ~hub:g.hub ~epoch:(Atomic.get g.epoch)

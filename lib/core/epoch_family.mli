@@ -25,8 +25,7 @@ type 'a t = {
   res : Reservations.t;  (** Private node-id reservations, published on ping. *)
   reserved_epoch : Pop_runtime.Striped.t;  (** Per-operation epoch announcements. *)
   hs : Handshake.t;  (** Never runs a round without [fallback]; its counters then read 0. *)
-  c : Counters.t;
-  eng : 'a Reclaimer.t;
+  eng : 'a Reclaimer.t;  (** Retire buffers and scans; it owns the statistics [stats] reports. *)
   epoch : int Atomic.t;
   fallback : bool;
 }

@@ -11,7 +11,6 @@ type 'a t = {
   heap : 'a Heap.t;
   res : Reservations.t;
   hs : Handshake.t;
-  c : Counters.t;
   eng : 'a Reclaimer.t;
   epoch : int Atomic.t;
   publication : publication;
@@ -37,7 +36,6 @@ let tick_interval = 0.002
 
 let create ~publication ~reservation (cfg : Smr_config.t) hub heap =
   Smr_config.validate cfg;
-  let c = Counters.create cfg.max_threads in
   let slots, none =
     match reservation with
     | Ids -> (cfg.max_hp, min_int)
@@ -50,8 +48,7 @@ let create ~publication ~reservation (cfg : Smr_config.t) hub heap =
     heap;
     res = Reservations.create ~max_threads:cfg.max_threads ~slots ~none;
     hs = Handshake.create cfg hub;
-    c;
-    eng = Reclaimer.create cfg ~heap ~counters:c;
+    eng = Reclaimer.create cfg ~heap;
     epoch = Atomic.make 1;
     publication;
     reservation;
@@ -246,6 +243,6 @@ let deregister ctx =
   Reclaimer.donate ctx.rl;
   Softsignal.deregister ctx.port
 
-let unreclaimed g = Counters.unreclaimed g.c
+let unreclaimed g = Reclaimer.unreclaimed g.eng
 
-let stats g = Counters.snapshot ~heap:g.heap ~hs:g.hs g.c ~hub:g.hub ~epoch:(Atomic.get g.epoch)
+let stats g = Reclaimer.stats ~hs:g.hs g.eng ~hub:g.hub ~epoch:(Atomic.get g.epoch)

@@ -56,8 +56,7 @@ type 'a t = {
   heap : 'a Pop_sim.Heap.t;
   res : Reservations.t;
   hs : Handshake.t;  (** Never runs a round under [Eager]; its counters then read 0. *)
-  c : Counters.t;
-  eng : 'a Reclaimer.t;
+  eng : 'a Reclaimer.t;  (** Retire buffers and scans; it owns the statistics [stats] reports. *)
   epoch : int Atomic.t;
       (** The global era, or the tick under [Tick]; it stays at 1 under
           [Ids] with any other publication. *)

@@ -55,12 +55,41 @@ type 'a stripe = {
   s_count : int Atomic.t;
 }
 
+(* The statistic slots of a thread's row in [stats]. The three marked
+   max are single-writer high-watermarks; the rest are sums. *)
+module Slot = struct
+  let retired = 0
+  let freed = 1
+  let reclaim_passes = 2
+  let pop_passes = 3
+  let restarts = 4
+  let scan_skips = 5
+  let snapshot_reuses = 6
+  let retire_segments = 7
+  let segments_recycled = 8
+  let seg_slots = 9
+  let seg_nodes = 10
+  let scan_blocks = 11 (* max *)
+  let block_skips = 12
+  let block_keeps = 13
+  let stale_stamps = 14
+  let orphans_donated = 15
+  let orphans_adopted = 16
+  let pause_ns = 17 (* max *)
+  let unreclaimed_hw = 18 (* max *)
+  let width = 19
+end
+
 type 'a t = {
   heap : 'a Heap.t;
   dummy : 'a Heap.node;
       (* The one heap sentinel every scrubbed slot holds: permanently
          live, so an unused slot never pins a reclaimable node. *)
-  c : Counters.t;
+  threads : int;
+  stats : Padded.t;
+      (* One row of [Slot.width] statistics per tid, each on its own
+         lines: a row is written only by its tid's locals, with plain
+         stores, and summed racily by the readers below. *)
   gen : int Atomic.t;
   threshold : int;
   seg_size : int;
@@ -75,11 +104,12 @@ type 'a t = {
   orphan_count : int Atomic.t;
 }
 
-let create (cfg : Smr_config.t) ~heap ~counters =
+let create (cfg : Smr_config.t) ~heap =
   {
     heap;
     dummy = Heap.sentinel heap;
-    c = counters;
+    threads = cfg.max_threads;
+    stats = Padded.create ~max_threads:cfg.max_threads ~width:Slot.width 0;
     gen = Atomic.make 0;
     threshold = cfg.reclaim_freq;
     seg_size = cfg.segment_size;
@@ -91,8 +121,6 @@ let create (cfg : Smr_config.t) ~heap ~counters =
 
 let threshold t = t.threshold
 
-let counters t = t.c
-
 let invalidate t = Atomic.incr t.gen
 
 let generation t = Atomic.get t.gen
@@ -100,6 +128,10 @@ let generation t = Atomic.get t.gen
 type 'a local = {
   r : 'a t;
   tid : int;
+  row : int array;
+  at : int;
+      (* [row.(at + slot)] is this tid's statistic [slot]: the engine's
+         stats block and this tid's base in it, cached. *)
   covered : 'a blist;
       (* Nodes that already survived a scan against the cached snapshot;
          they stay covered by it forever (see the .mli). The old integer
@@ -143,6 +175,8 @@ let register r ~tid ~scratch_slots =
   {
     r;
     tid;
+    row = Padded.block r.stats;
+    at = Padded.base r.stats tid;
     covered = empty_blist ();
     open_seg = empty_blist ();
     free_head = None;
@@ -157,6 +191,88 @@ let register r ~tid ~scratch_slots =
   }
 
 let node_moves l = l.moves
+
+(* Statistics are plain single-writer stores into the local's own row;
+   [Padded.base] checked the row, and every slot is below
+   [Slot.width]. *)
+let[@inline] add l slot n =
+  let i = l.at + slot in
+  Array.unsafe_set l.row i (Array.unsafe_get l.row i + n)
+
+(* A single-writer max: only [tid] writes its row, so read-compare-set
+   needs no CAS loop. *)
+let[@inline] note_max l slot v =
+  let i = l.at + slot in
+  if v > Array.unsafe_get l.row i then Array.unsafe_set l.row i v
+
+let fold_rows t slot f init =
+  let b = Padded.block t.stats in
+  let acc = ref init in
+  for tid = 0 to t.threads - 1 do
+    acc := f !acc b.(Padded.base t.stats tid + slot)
+  done;
+  !acc
+
+let sum t slot = fold_rows t slot ( + ) 0
+
+let peak t slot = fold_rows t slot max 0
+
+let unreclaimed t = sum t Slot.retired - sum t Slot.freed
+
+(* High-watermark of the racy retired-minus-freed sum, sampled by each
+   thread at the entry of its own reclamation passes. Scan-time
+   sampling is the honest choice: it is exactly when a scheme decides
+   what it cannot yet free, so a stalled reservation shows up as a
+   growing watermark while a healthy scheme's stays near its reclaim
+   threshold. *)
+let note_unreclaimed l = note_max l Slot.unreclaimed_hw (unreclaimed l.r)
+
+let stats ?hs t ~hub ~epoch =
+  let retired = sum t Slot.retired and freed = sum t Slot.freed in
+  let handshake_timeouts, suspects, quarantine_rounds =
+    match hs with
+    | None -> (0, 0, 0)
+    | Some hs ->
+        ( Handshake.timeout_count hs,
+          Handshake.suspect_count hs,
+          Handshake.quarantine_round_count hs )
+  in
+  let seg_slots = sum t Slot.seg_slots and seg_nodes = sum t Slot.seg_nodes in
+  {
+    Smr_stats.retired;
+    freed;
+    reclaim_passes = sum t Slot.reclaim_passes;
+    pop_passes = sum t Slot.pop_passes;
+    pings = Softsignal.pings_sent hub;
+    publishes = Softsignal.handler_runs hub;
+    scan_skips = sum t Slot.scan_skips;
+    snapshot_reuses = sum t Slot.snapshot_reuses;
+    retire_segments = sum t Slot.retire_segments;
+    segments_recycled = sum t Slot.segments_recycled;
+    (* Occupied fraction of the block capacity currently in service;
+       0 when no local holds any segment block. *)
+    segment_occupancy = (if seg_slots <= 0 then 0 else 100 * max 0 seg_nodes / seg_slots);
+    max_scan_blocks = peak t Slot.scan_blocks;
+    restarts = sum t Slot.restarts;
+    handshake_timeouts;
+    suspects;
+    quarantine_rounds;
+    block_skips = sum t Slot.block_skips;
+    block_keeps = sum t Slot.block_keeps;
+    stale_stamps = sum t Slot.stale_stamps;
+    orphans_donated = sum t Slot.orphans_donated;
+    orphans_adopted = sum t Slot.orphans_adopted;
+    block_grabs = Heap.block_grabs t.heap;
+    block_returns = Heap.block_returns t.heap;
+    pool_blocks = Heap.pool_blocks t.heap;
+    max_pause_ns = peak t Slot.pause_ns;
+    epoch;
+    unreclaimed = retired - freed;
+    (* The watermark can lag the live value (it is only refreshed at
+       pass entry), so fold the snapshot-time figure in too. *)
+    max_unreclaimed = max (retired - freed) (peak t Slot.unreclaimed_hw);
+    violations = 0;
+  }
 
 let free_blocks l = l.free_len
 
@@ -180,8 +296,7 @@ let stamp_node b (n : 'a Heap.node) =
    [max_retire]), on every path that already reads the node, so the
    audit costs two compares, never an extra traversal. *)
 let check_stamp l ~lo ~hi (n : 'a Heap.node) =
-  if n.Heap.birth_era < lo || n.Heap.retire_era > hi then
-    Counters.stale_stamp l.r.c ~tid:l.tid
+  if n.Heap.birth_era < lo || n.Heap.retire_era > hi then add l Slot.stale_stamps 1
 
 (* Pop the freelist or allocate; unused slots hold the engine's dummy. *)
 let new_block l =
@@ -203,7 +318,7 @@ let new_block l =
           max_retire = min_int;
         }
   in
-  Counters.seg_slots_add l.r.c ~tid:l.tid l.r.seg_size;
+  add l Slot.seg_slots l.r.seg_size;
   b
 
 (* Scrub the occupied prefix (slots past [len] are the dummy already, by
@@ -215,8 +330,8 @@ let recycle_block l b =
   b.next <- l.free_head;
   l.free_head <- Some b;
   l.free_len <- l.free_len + 1;
-  Counters.seg_slots_add l.r.c ~tid:l.tid (-l.r.seg_size);
-  Counters.segment_recycle l.r.c ~tid:l.tid
+  add l Slot.seg_slots (-l.r.seg_size);
+  add l Slot.segments_recycled 1
 
 (* Link [b] at [bl]'s tail through [cell], which must be [Some b]: a
    block relinked by [vet] reuses the cell that held it, so moving a
@@ -278,10 +393,10 @@ let vet ?block_keep l ~src ~dst ~n keep =
         let kept =
           match verdict with
           | Keep_block ->
-              Counters.block_keep l.r.c ~tid:l.tid;
+              add l Slot.block_keeps 1;
               b.len
           | Free_block ->
-              Counters.block_skip l.r.c ~tid:l.tid;
+              add l Slot.block_skips 1;
               for i = 0 to b.len - 1 do
                 check_stamp l ~lo:b.min_birth ~hi:b.max_retire b.slots.(i)
               done;
@@ -348,15 +463,15 @@ let retire l n =
   stamp_node b n;
   bl.nodes <- bl.nodes + 1;
   l.moves <- l.moves + 1;
-  Counters.seg_nodes_add l.r.c ~tid:l.tid 1;
-  Counters.retire l.r.c ~tid:l.tid
+  add l Slot.seg_nodes 1;
+  add l Slot.retired 1
 
-let retire_leak l (_ : 'a Heap.node) = Counters.retire l.r.c ~tid:l.tid
+let retire_leak l (_ : 'a Heap.node) = add l Slot.retired 1
 
 let retire_now l n =
-  Counters.retire l.r.c ~tid:l.tid;
+  add l Slot.retired 1;
   Heap.free l.r.heap ~tid:l.tid n;
-  Counters.free l.r.c ~tid:l.tid 1
+  add l Slot.freed 1
 
 let free_unpublished l n = Heap.free l.r.heap ~tid:l.tid n
 
@@ -364,7 +479,7 @@ let free_unpublished l n = Heap.free l.r.heap ~tid:l.tid n
    one whole-block call, not [Array.length] per-node frees. *)
 let free_array l nodes =
   Heap.free_block l.r.heap ~tid:l.tid nodes;
-  Counters.free l.r.c ~tid:l.tid (Array.length nodes)
+  add l Slot.freed (Array.length nodes)
 
 let pending l = l.covered.nodes + l.open_seg.nodes
 
@@ -389,7 +504,7 @@ let donate l =
     Atomic.set st.s_count st.s_list.nodes;
     Spinlock.unlock st.s_lock;
     ignore (Atomic.fetch_and_add l.r.orphan_count n);
-    Counters.orphan_donate l.r.c ~tid:l.tid n
+    add l Slot.orphans_donated n
   end
 
 let orphans_pending r = Atomic.get r.orphan_count
@@ -425,13 +540,33 @@ let adopt l =
       end
     done;
     l.adopt_cursor <- (l.adopt_cursor + 1) mod ns;
-    if !total > 0 then Counters.orphan_adopt l.r.c ~tid:l.tid !total;
+    add l Slot.orphans_adopted !total;
     !total
   end
 
-let take_all l =
+(* The frame every pass that runs shares: [start_pass] counts the pass
+   and starts the clock, [finish_pass] records the pause, the blocks
+   [vet] settled, and the frees. Timing covers the whole pass — collect
+   included, so a ping-based scheme's handshake wait (and timeout
+   fallback) lands in the pause figure the latency report surfaces. *)
+let start_pass l kind =
+  add l (match kind with Plain -> Slot.reclaim_passes | Pop -> Slot.pop_passes) 1;
+  l.scanned <- 0;
+  Clock.now ()
+
+let finish_pass l t0 freed =
+  note_max l Slot.pause_ns (int_of_float (Clock.elapsed t0 *. 1e9));
+  note_max l Slot.scan_blocks l.scanned;
+  add l Slot.seg_nodes (-freed);
+  add l Slot.freed freed;
+  freed
+
+(* A [Plain] pass that frees nothing itself: the frees of the batch it
+   hands to [f] are counted when {!free_array} releases them. *)
+let take_all l f =
   ignore (adopt l);
-  Counters.note_unreclaimed l.r.c ~tid:l.tid;
+  note_unreclaimed l;
+  let t0 = start_pass l Plain in
   let total = pending l in
   let out = Array.make total l.r.dummy in
   let k = ref 0 in
@@ -458,31 +593,16 @@ let take_all l =
   in
   drain l.covered;
   drain l.open_seg;
-  Counters.seg_nodes_add l.r.c ~tid:l.tid (-total);
-  out
+  add l Slot.seg_nodes (-total);
+  let r = f out in
+  ignore (finish_pass l t0 0);
+  r
 
 let note_skip l =
-  Counters.note_unreclaimed l.r.c ~tid:l.tid;
-  Counters.scan_skip l.r.c ~tid:l.tid
+  note_unreclaimed l;
+  add l Slot.scan_skips 1
 
-(* The frame every pass that runs shares: [start_pass] counts the pass
-   and starts the clock, [finish_pass] records the pause, the blocks
-   [vet] settled, and the frees. Timing covers the whole pass — collect
-   included, so a ping-based scheme's handshake wait (and timeout
-   fallback) lands in the pause figure the latency report surfaces. *)
-let start_pass l kind =
-  (match kind with
-  | Plain -> Counters.reclaim_pass l.r.c ~tid:l.tid
-  | Pop -> Counters.pop_pass l.r.c ~tid:l.tid);
-  l.scanned <- 0;
-  Clock.now ()
-
-let finish_pass l t0 freed =
-  Counters.note_pause l.r.c ~tid:l.tid (int_of_float (Clock.elapsed t0 *. 1e9));
-  Counters.note_scan_blocks l.r.c ~tid:l.tid l.scanned;
-  Counters.seg_nodes_add l.r.c ~tid:l.tid (-freed);
-  Counters.free l.r.c ~tid:l.tid freed;
-  freed
+let note_restart l = add l Slot.restarts 1
 
 (* How many covered blocks a fresh non-forced pass re-vets beyond the
    blocks it adds: a pass whose survivors fill [b] blocks re-vets up to
@@ -501,7 +621,7 @@ let snapshot_pass ~force ~fill ?block_keep ~kind ~collect ~except ~keep l =
      departed thread's garbage is vetted by whichever survivor scans
      next instead of waiting for the adopter's own retires. *)
   ignore (adopt l);
-  Counters.note_unreclaimed l.r.c ~tid:l.tid;
+  note_unreclaimed l;
   let gen = Atomic.get l.r.gen in
   if (not force) && l.snap_gen = gen && l.open_seg.nodes < l.r.threshold then begin
     (* Served from the cache: the covered list already survived this
@@ -512,8 +632,8 @@ let snapshot_pass ~force ~fill ?block_keep ~kind ~collect ~except ~keep l =
        block lists the covered watermark is the list boundary itself,
        so there is nothing to advance: O(1) flat, instead of the seed's
        O(T×H + n log n + n) pass. *)
-    Counters.snapshot_reuse l.r.c ~tid:l.tid;
-    Counters.scan_skip l.r.c ~tid:l.tid;
+    add l Slot.snapshot_reuses 1;
+    add l Slot.scan_skips 1;
     0
   end
   else begin
@@ -560,7 +680,7 @@ let snapshot_pass ~force ~fill ?block_keep ~kind ~collect ~except ~keep l =
        collect read the table is in this snapshot, so handler bumps
        caused by our own ping round must not mark it stale. *)
     l.snap_gen <- Atomic.get l.r.gen;
-    Counters.segment l.r.c ~tid:l.tid;
+    add l Slot.retire_segments 1;
     finish_pass l t0 freed
   end
 
@@ -569,7 +689,7 @@ let scan ?(force = false) ~kind ~collect ~except ~keep l =
 
 let scan_plain ~kind ~keep l =
   ignore (adopt l);
-  Counters.note_unreclaimed l.r.c ~tid:l.tid;
+  note_unreclaimed l;
   let t0 = start_pass l kind in
   (* Epoch-style passes don't use the snapshot: filter both lists in
      place. Filtering only removes nodes, so the covered list stays

@@ -66,7 +66,15 @@
     copied while a stripe lock is held ({!node_moves} stays flat across
     a splice). Adopted blocks land in the adopter's uncovered open
     list, so the covered invariant is preserved and the next fresh pass
-    vets them against a snapshot collected after the donor left. *)
+    vets them against a snapshot collected after the donor left.
+
+    {b Statistics.} The engine owns every reclamation statistic and
+    the {!Smr_stats} snapshot schemes report: one {!Pop_runtime.Padded}
+    block with a row per tid and a slot per statistic. Each local
+    caches its row and bumps it with plain single-writer stores (the
+    three peaks — scan blocks, pause, unreclaimed watermark — with a
+    read-compare-set), so counting costs no atomic and no call out of
+    this module. {!unreclaimed} and {!stats} sum the rows racily. *)
 
 module Heap := Pop_sim.Heap
 
@@ -77,12 +85,22 @@ type pass =
 type 'a t
 (** Shared engine state for one scheme instance. *)
 
-val create : Smr_config.t -> heap:'a Heap.t -> counters:Counters.t -> 'a t
+val create : Smr_config.t -> heap:'a Heap.t -> 'a t
 
 val threshold : 'a t -> int
 (** The pass-trigger threshold, {!Smr_config.t.reclaim_freq}. *)
 
-val counters : 'a t -> Counters.t
+val unreclaimed : 'a t -> int
+(** Retired minus freed, racily summed over the rows. *)
+
+val stats : ?hs:Handshake.t -> 'a t -> hub:Pop_runtime.Softsignal.t -> epoch:int -> Smr_stats.t
+(** The scheme's statistics snapshot, racily summed over the rows.
+    [?hs] supplies the handshake whose timeout and failure-detector
+    counters ([handshake_timeouts]/[suspects]/[quarantine_rounds]) it
+    reports; omit it for schemes without a ping round (the fields read
+    0). The allocator hand-off counters
+    ([block_grabs]/[block_returns]/[pool_blocks]) are the engine's
+    heap's; [pings]/[publishes] are [hub]'s. *)
 
 val invalidate : 'a t -> unit
 (** Bump the snapshot generation: some reservation state just became
@@ -98,7 +116,9 @@ type 'a local
 val register : 'a t -> tid:int -> scratch_slots:int -> 'a local
 (** [scratch_slots] sizes the collect scratch and the snapshot (e.g.
     [2 * max_threads * max_hp] when the scheme unions in racy local
-    rows of timed-out peers). *)
+    rows of timed-out peers). Only one domain at a time may use the
+    locals of a tid: they bump the tid's statistic row with plain
+    stores. *)
 
 val retire : 'a local -> 'a Heap.node -> unit
 (** Buffer a retired node and count it. The caller decides when to
@@ -141,9 +161,12 @@ val snapshot : 'a local -> Id_set.t
 (** The current sealed reservation snapshot; valid inside a [keep]
     callback of a fresh {!scan}. *)
 
-val take_all : 'a local -> 'a Heap.node array
-(** Adopt any pending orphans, then drain the buffer without freeing
-    (Hyaline hands the batch over to its reference-counted lists). *)
+val take_all : 'a local -> ('a Heap.node array -> 'b) -> 'b
+(** [take_all l f] runs one [Plain] pass that frees nothing itself:
+    adopt any pending orphans, drain the buffer, and hand the batch to
+    [f] (Hyaline forms its reference-counted batch there). The pass is
+    counted and timed around [f]; its frees are counted when
+    {!free_array} releases them. *)
 
 val donate : 'a local -> unit
 (** Splice the entire retire buffer (covered list included) into the
@@ -159,6 +182,9 @@ val orphans_pending : 'a t -> int
 val note_skip : 'a local -> unit
 (** Record an engine-external pass suppression (EBR's unchanged-epoch
     guard) in [scan_skips]. *)
+
+val note_restart : 'a local -> unit
+(** Record an operation restart (NBR's neutralization) in [restarts]. *)
 
 val scan :
   ?force:bool ->

@@ -1,4 +1,5 @@
-(** Snapshot of an SMR instance's counters, for reports and tests. *)
+(** Snapshot of an SMR instance's counters, for reports and tests.
+    Every scheme takes it from its {!Reclaimer} ({!Reclaimer.stats}). *)
 
 type t = {
   retired : int;  (** Nodes handed to [retire] so far. *)
@@ -93,12 +94,16 @@ type t = {
   epoch : int;  (** Current global epoch (0 for non-epoch schemes). *)
   unreclaimed : int;  (** Nodes currently sitting in retire lists. *)
   max_unreclaimed : int;
-      (** High-watermark of [unreclaimed], sampled at the entry of each
-          reclamation pass (and again at snapshot time). This is the
-          bounded-garbage score of the robustness tournament: a scheme
-          that keeps reclaiming under stalls holds it near its reclaim
-          threshold, while one pinned by a frozen reservation (EBR under
-          a stalled reader) watches it grow with run length. *)
+      (** The pass-entry peak: the high-watermark of [unreclaimed],
+          sampled by each thread at the entry of its own reclamation
+          passes (and again at snapshot time). A scheme that keeps
+          reclaiming under stalls holds it near its reclaim threshold,
+          while one pinned by a frozen reservation (EBR under a stalled
+          reader) watches it grow with run length. perfbench's
+          [peak_garbage.*] reads this field. It is not the robustness
+          tournament's bounded-garbage score: that is
+          {!Pop_harness.Runner.result.max_unreclaimed}, a 10 ms sample
+          of [unreclaimed] taken outside the workers. *)
   violations : int;
       (** Protocol violations recorded by the {!Smr_check} sanitizer
           (always 0 when the scheme is not wrapped — see

@@ -94,7 +94,13 @@ type result = {
       (** Whether the 90% threshold was reached before the run ended
           (vacuously true without a disruption). *)
   max_live : int;  (** Peak heap nodes alive (reachable + garbage). *)
-  max_unreclaimed : int;  (** Peak retire-list backlog. *)
+  max_unreclaimed : int;
+      (** The sampled peak: the largest [unreclaimed] the main domain
+          read in its 10 ms sampling loop. This is the robustness
+          tournament's bounded-garbage score (the tournament table,
+          [benchcheck tournament] and the robustness tests read it). It
+          can miss a short spike between samples; the pass-entry peak
+          is {!Pop_core.Smr_stats.t.max_unreclaimed}, under [smr]. *)
   final_unreclaimed : int;
   final_live : int;
   uaf : int;

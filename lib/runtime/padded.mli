@@ -2,7 +2,9 @@
     padded block.
 
     For single-writer words on a hot path that must not share a cache
-    line with another thread's hot word: each row starts at least 8
+    line with another thread's hot word: the soft-signal heartbeats,
+    the private reservation rows, and the reclamation engine's
+    statistic rows (one slot per statistic). Each row starts at least 8
     words (64 bytes) after the previous row's last slot, and guard words
     keep the first and last rows 8 words away from whatever the
     allocator places before and after the block. Padding inside one

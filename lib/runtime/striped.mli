@@ -5,9 +5,11 @@
     wherever the major heap has room, and blocks made one after another
     usually end up next to each other. Two threads updating neighbouring
     slots can therefore contend for one line. That is acceptable for
-    counters updated off the hot path; a single-writer word written on
-    every operation belongs in {!Padded} instead, as a plain store on a
-    line of its own. *)
+    counters updated off the hot path (handshake acks and timeouts,
+    epoch announcements, the heap's error tallies); a single-writer word
+    written on every operation belongs in {!Padded} instead, as a plain
+    store on a line of its own. The reclamation statistics are such
+    words, so they live in the engine's {!Padded} rows, not here. *)
 
 type t
 (** A fixed-size array of single-writer multi-reader counters. *)

@@ -1,5 +1,5 @@
 (** Tests for pop_core's shared machinery: Id_set, Reservations,
-    Handshake, Smr_config, Counters. *)
+    Handshake, Smr_config, the Reclaimer's statistics. *)
 
 open Pop_runtime
 open Pop_core
@@ -338,12 +338,17 @@ let handshake_dropped_pings_time_out () =
   Alcotest.(check bool) "drops counted" true (Softsignal.pings_dropped hub > 0);
   Alcotest.(check int) "no ack ever arrived" 0 (Handshake.get hs 1)
 
+(* A fresh heap and a private engine over it, the statistics' owner. *)
+let engine threads =
+  let heap = Pop_sim.Heap.create ~max_threads:threads ~payload:(fun _ -> ()) () in
+  (heap, Reclaimer.create (Smr_config.default ~max_threads:threads ()) ~heap)
+
 (* Two reclaimers on different tids run rounds concurrently against one
    deaf registered peer. Each reads only its own timed-out row: after
    every round the deaf peer is flagged, the caller is not, and the
    flags match the count [round] returned (a row shared between callers
    would be rewritten under the other's reads). The handshake's tally,
-   as reported by [Counters.snapshot ~hs], is the sum of those counts. *)
+   as reported by [Reclaimer.stats ~hs], is the sum of those counts. *)
 let handshake_rows_per_caller () =
   let hub = Softsignal.create ~max_threads:3 in
   let hs = handshake ~spins:8 hub in
@@ -383,7 +388,7 @@ let handshake_rows_per_caller () =
   Domain.join deaf;
   Alcotest.(check int) "reclaimer 0 saw only its own row" 0 bad0;
   Alcotest.(check int) "reclaimer 1 saw only its own row" 0 bad1;
-  let s = Counters.snapshot ~hs (Counters.create 3) ~hub ~epoch:0 in
+  let s = Reclaimer.stats ~hs (snd (engine 3)) ~hub ~epoch:0 in
   Alcotest.(check int) "tally is the sum of the returned counts" (sum0 + sum1)
     s.Smr_stats.handshake_timeouts
 
@@ -409,17 +414,21 @@ let config_validation () =
       | exception Invalid_argument _ -> ())
     bad_cases
 
-let counters_snapshot () =
+let engine_stats () =
   let hub = Softsignal.create ~max_threads:2 in
-  let c = Counters.create 2 in
-  Counters.retire c ~tid:0;
-  Counters.retire c ~tid:1;
-  Counters.retire c ~tid:1;
-  Counters.free c ~tid:1 2;
-  Counters.reclaim_pass c ~tid:0;
-  Counters.pop_pass c ~tid:1;
-  Counters.restart c ~tid:0;
-  let s = Counters.snapshot c ~hub ~epoch:5 in
+  let heap, eng = engine 2 in
+  let local tid = Reclaimer.register eng ~tid ~scratch_slots:1 in
+  let l0 = local 0 and l1 = local 1 in
+  let retire l = Reclaimer.retire l (Pop_sim.Heap.alloc heap ~tid:0 ~birth_era:0) in
+  retire l0;
+  retire l1;
+  retire l1;
+  (* tid 1 frees both of its nodes in a POP pass; tid 0 keeps its one
+     through a plain pass. *)
+  ignore (Reclaimer.scan_plain ~kind:Reclaimer.Pop ~keep:(fun _ -> false) l1);
+  ignore (Reclaimer.scan_plain ~kind:Reclaimer.Plain ~keep:(fun _ -> true) l0);
+  Reclaimer.note_restart l0;
+  let s = Reclaimer.stats eng ~hub ~epoch:5 in
   Alcotest.(check int) "retired" 3 s.Smr_stats.retired;
   Alcotest.(check int) "freed" 2 s.Smr_stats.freed;
   Alcotest.(check int) "unreclaimed" 1 s.Smr_stats.unreclaimed;
@@ -429,7 +438,7 @@ let counters_snapshot () =
   Alcotest.(check int) "epoch" 5 s.Smr_stats.epoch;
   Alcotest.(check int) "no handshake, no timeouts" 0 s.Smr_stats.handshake_timeouts;
   Alcotest.(check int) "violations" 0 s.Smr_stats.violations;
-  Alcotest.(check int) "gauge" 1 (Counters.unreclaimed c)
+  Alcotest.(check int) "gauge" 1 (Reclaimer.unreclaimed eng)
 
 let stats_pp_smoke () =
   let s = Smr_stats.zero in
@@ -471,7 +480,7 @@ let suite =
     case "handshake: dropped pings time out" handshake_dropped_pings_time_out;
     case "handshake: concurrent callers keep their own rows" handshake_rows_per_caller;
     case "smr_config: validation" config_validation;
-    case "counters: snapshot arithmetic" counters_snapshot;
+    case "counters: snapshot arithmetic" engine_stats;
     case "smr_stats: pp" stats_pp_smoke;
     case "smr_stats: total row derivation" stats_total_rows;
   ]

@@ -19,13 +19,12 @@ let cfg ?(reclaim_freq = 4) ?(max_threads = 2) ?(max_hp = 4) ?(segment_size = 64
 let make ?reclaim_freq ?max_threads ?max_hp ?segment_size () =
   let cfg = cfg ?reclaim_freq ?max_threads ?max_hp ?segment_size () in
   let heap = Heap.create ~max_threads:cfg.Smr_config.max_threads ~payload:(fun _ -> ()) () in
-  let c = Counters.create cfg.Smr_config.max_threads in
-  let eng = Reclaimer.create cfg ~heap ~counters:c in
-  (heap, c, eng, Reclaimer.register eng ~tid:0 ~scratch_slots:64)
+  let eng = Reclaimer.create cfg ~heap in
+  (heap, eng, Reclaimer.register eng ~tid:0 ~scratch_slots:64)
 
-let stats c =
+let stats eng =
   let hub = Softsignal.create ~max_threads:1 in
-  Counters.snapshot c ~hub ~epoch:0
+  Reclaimer.stats eng ~hub ~epoch:0
 
 (* Collect closure over a mutable reservation table; flips [called] so a
    test can observe whether a pass went fresh or was served from cache. *)
@@ -44,7 +43,7 @@ let keep_reserved rl n = Id_set.mem (Reclaimer.snapshot rl) n.Heap.id
 (* --- snapshot cache + invalidation --- *)
 
 let cache_and_invalidate () =
-  let heap, c, eng, rl = make ~reclaim_freq:4 () in
+  let heap, eng, rl = make ~reclaim_freq:4 () in
   let table = Hashtbl.create 8 in
   let called = ref false in
   let scan ?force () =
@@ -63,7 +62,7 @@ let cache_and_invalidate () =
   (* Same generation, suffix below threshold: served from the cache. *)
   Alcotest.(check int) "cached pass frees nothing" 0 (scan ());
   Alcotest.(check bool) "collect skipped" false !called;
-  let s = stats c in
+  let s = stats eng in
   Alcotest.(check int) "snapshot reuse counted" 1 s.Smr_stats.snapshot_reuses;
   Alcotest.(check int) "scan skip counted" 1 s.Smr_stats.scan_skips;
   Alcotest.(check int) "one segment so far" 1 s.Smr_stats.retire_segments;
@@ -92,7 +91,7 @@ let invalidation_property =
   QCheck2.Test.make ~name:"reclaimer: pre-retirement reservation always honoured" ~count:200
     QCheck2.Gen.(list_size (int_range 1 60) (int_range 0 99))
     (fun ops ->
-      let heap, _c, eng, rl = make ~reclaim_freq:3 () in
+      let heap, eng, rl = make ~reclaim_freq:3 () in
       let table = Hashtbl.create 8 in
       let called = ref false in
       let scan ?force () =
@@ -153,7 +152,7 @@ end
    sets must agree at the end. Reservations follow the protocol: an id
    is only reserved before its node is retired. *)
 let equivalence_trace ?segment_size seed steps =
-  let heap, _c, eng, rl = make ~reclaim_freq:4 ?segment_size () in
+  let heap, eng, rl = make ~reclaim_freq:4 ?segment_size () in
   let table = Hashtbl.create 32 in
   let called = ref false in
   let model = Model.create () in
@@ -200,7 +199,7 @@ let equivalence_trace ?segment_size seed steps =
   done;
   check_sync "final";
   let survivors =
-    Reclaimer.take_all rl |> Array.to_list
+    Reclaimer.take_all rl Array.to_list
     |> List.map (fun n -> n.Heap.id)
     |> List.sort Int.compare
   in
@@ -232,7 +231,7 @@ let block_boundary_property =
   QCheck2.Test.make ~name:"reclaimer: block-boundary retire/free accounting" ~count:100
     QCheck2.Gen.(pair (int_range 1 6) (int_range 0 70))
     (fun (seg, n) ->
-      let heap, c, _eng, rl = make ~reclaim_freq:4 ~segment_size:seg () in
+      let heap, eng, rl = make ~reclaim_freq:4 ~segment_size:seg () in
       let table = Hashtbl.create 8 in
       let called = ref false in
       let nodes = Array.init n (fun _ -> Heap.alloc heap ~tid:0 ~birth_era:0) in
@@ -244,9 +243,9 @@ let block_boundary_property =
           ~collect:(table_collect table called)
           ~except:(-1) ~keep:(keep_reserved rl) rl
       in
-      let drained = Reclaimer.take_all rl in
+      let drained = Reclaimer.take_all rl Fun.id in
       let blocks = (n + seg - 1) / seg in
-      let s = stats c in
+      let s = stats eng in
       freed = n - survivors
       && Array.length drained = survivors
       && Reclaimer.pending rl = 0
@@ -264,7 +263,7 @@ let block_boundary_property =
    adopt splice block lists, so neither side copies a single node. Only
    the donor's original pushes (one move per retire) appear. *)
 let donate_adopt_zero_moves () =
-  let heap, c, eng, donor = make ~reclaim_freq:1_000_000 () in
+  let heap, eng, donor = make ~reclaim_freq:1_000_000 () in
   let adopter = Reclaimer.register eng ~tid:1 ~scratch_slots:64 in
   let m = 1000 in
   for _ = 1 to m do
@@ -281,7 +280,7 @@ let donate_adopt_zero_moves () =
   Alcotest.(check int) "keep-all frees nothing" 0 freed;
   Alcotest.(check int) "adopter holds the batch" m (Reclaimer.pending adopter);
   Alcotest.(check int) "adoption copies no node" 0 (Reclaimer.node_moves adopter);
-  let s = stats c in
+  let s = stats eng in
   Alcotest.(check int) "donated" m s.Smr_stats.orphans_donated;
   Alcotest.(check int) "adopted" m s.Smr_stats.orphans_adopted;
   (* The batch is still fully freeable after the two splices. *)
@@ -296,8 +295,7 @@ let concurrent_donate_adopt () =
   let threads = 4 in
   let cfg = cfg ~max_threads:threads ~reclaim_freq:1_000_000 ~segment_size:8 () in
   let heap = Heap.create ~max_threads:threads ~payload:(fun _ -> ()) () in
-  let c = Counters.create threads in
-  let eng = Reclaimer.create cfg ~heap ~counters:c in
+  let eng = Reclaimer.create cfg ~heap in
   let m = 500 in
   let donor tid () =
     let l = Reclaimer.register eng ~tid ~scratch_slots:8 in
@@ -322,16 +320,52 @@ let concurrent_donate_adopt () =
   Alcotest.(check int) "every donated node freed" (3 * m) freed;
   Alcotest.(check int) "adopter copied no node" 0 moves;
   Alcotest.(check int) "no orphans left" 0 (Reclaimer.orphans_pending eng);
-  Alcotest.(check int) "unreclaimed zero" 0 (Counters.unreclaimed c);
+  Alcotest.(check int) "unreclaimed zero" 0 (Reclaimer.unreclaimed eng);
   Alcotest.(check int) "no double free" 0 (Heap.double_free_count heap);
   Alcotest.(check int) "no uaf" 0 (Heap.uaf_count heap)
+
+(* Four threads retire and scan on one engine at once. Each bumps only
+   its own stat row with plain stores, so no update is lost: the sums
+   are exact once the domains are joined, and the pass count is the sum
+   of the passes each thread ran itself. *)
+let stat_rows_exact () =
+  let threads = 4 and n = 20_000 in
+  let cfg = cfg ~max_threads:threads ~reclaim_freq:1_000_000 ~segment_size:8 () in
+  let heap = Heap.create ~max_threads:threads ~payload:(fun _ -> ()) () in
+  let eng = Reclaimer.create cfg ~heap in
+  let ready = Atomic.make 0 in
+  let worker tid () =
+    let l = Reclaimer.register eng ~tid ~scratch_slots:8 in
+    Atomic.incr ready;
+    while Atomic.get ready < threads do
+      Domain.cpu_relax ()
+    done;
+    let passes = ref 0 in
+    let pass () =
+      incr passes;
+      ignore (Reclaimer.scan_plain ~kind:Reclaimer.Plain ~keep:(fun _ -> false) l)
+    in
+    for i = 1 to n do
+      Reclaimer.retire l (Heap.alloc heap ~tid ~birth_era:0);
+      if i mod 16 = 0 then pass ()
+    done;
+    pass ();
+    !passes
+  in
+  let domains = Array.init threads (fun tid -> Domain.spawn (worker tid)) in
+  let passes = Array.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
+  let s = stats eng in
+  Alcotest.(check int) "retired" (threads * n) s.Smr_stats.retired;
+  Alcotest.(check int) "freed" (threads * n) s.Smr_stats.freed;
+  Alcotest.(check int) "unreclaimed" 0 (Reclaimer.unreclaimed eng);
+  Alcotest.(check int) "passes" passes s.Smr_stats.reclaim_passes
 
 (* Recycled blocks must not pin drained nodes under the GC: [take_all]
    scrubs every slot with the sentinel before a block enters the
    freelist, so once the caller drops the drained array the nodes are
    collectable. *)
 let recycled_blocks_do_not_pin () =
-  let heap, _c, _eng, rl = make ~segment_size:4 () in
+  let heap, _, rl = make ~segment_size:4 () in
   let w = Weak.create 1 in
   (* Allocate the tracked node inside a closure so no stack slot keeps
      it alive after the drain drops it. *)
@@ -348,7 +382,7 @@ let recycled_blocks_do_not_pin () =
      blocks, the blocks hit the freelist scrubbed, the array is dropped.
      A freed node would sit in the heap's pool (reachably pooled); a
      drained one has no owner left but a stale block slot. *)
-  ignore (Sys.opaque_identity (Reclaimer.take_all rl));
+  ignore (Reclaimer.take_all rl Sys.opaque_identity);
   Alcotest.(check bool) "blocks recycled" true (Reclaimer.free_blocks rl >= 2);
   Gc.full_major ();
   Gc.full_major ();
@@ -362,7 +396,7 @@ let recycled_blocks_do_not_pin () =
    scan_plain with snapshot scans never frees a reserved node and never
    double-frees. *)
 let scan_plain_interleaving () =
-  let heap, _c, eng, rl = make ~reclaim_freq:4 () in
+  let heap, eng, rl = make ~reclaim_freq:4 () in
   let table = Hashtbl.create 8 in
   let called = ref false in
   let era = ref 0 in
@@ -424,8 +458,7 @@ let stamp_maintenance_property =
     (fun ops ->
       let cfg = cfg ~reclaim_freq:1_000_000 ~segment_size:4 () in
       let heap = Heap.create ~max_threads:2 ~payload:(fun _ -> ()) () in
-      let c = Counters.create 2 in
-      let eng = Reclaimer.create cfg ~heap ~counters:c in
+      let eng = Reclaimer.create cfg ~heap in
       let rl = Reclaimer.register eng ~tid:0 ~scratch_slots:8 in
       let rl2 = Reclaimer.register eng ~tid:1 ~scratch_slots:8 in
       let reserved = ref 0 in
@@ -460,7 +493,7 @@ let stamp_maintenance_property =
         ops;
       Reclaimer.debug_stamp_errors rl = 0
       && Reclaimer.debug_stamp_errors rl2 = 0
-      && (stats c).Smr_stats.stale_stamps = 0
+      && (stats eng).Smr_stats.stale_stamps = 0
       && Heap.double_free_count heap = 0
       && Heap.uaf_count heap = 0)
 
@@ -470,7 +503,7 @@ let stamp_maintenance_property =
    one ([block_keeps]), and a mixed block falls back to the per-node
    path. Verified against the counters and the freed set. *)
 let era_block_fast_path () =
-  let heap, c, eng, rl = make ~reclaim_freq:1_000_000 ~segment_size:4 () in
+  let heap, eng, rl = make ~reclaim_freq:1_000_000 ~segment_size:4 () in
   let retire ~birth ~retire =
     let n = Heap.alloc heap ~tid:0 ~birth_era:birth in
     n.Heap.retire_era <- retire;
@@ -491,14 +524,14 @@ let era_block_fast_path () =
       ~except:(-1) rl
   in
   Alcotest.(check int) "doomed blocks freed" 8 (scan ());
-  let s = stats c in
+  let s = stats eng in
   Alcotest.(check bool) "block skips fired" true (s.Smr_stats.block_skips >= 2);
   Alcotest.(check int) "no stale stamps" 0 s.Smr_stats.stale_stamps;
   Array.iter (fun n -> Alcotest.(check bool) "kept alive" true (Heap.is_live n)) kept;
   Array.iter (fun n -> Alcotest.(check bool) "doomed freed" false (Heap.is_live n)) doomed;
   (* A forced pass re-vets the covered kept blocks: whole-block keeps. *)
   Alcotest.(check int) "forced pass keeps the reserved blocks" 0 (scan ~force:true ());
-  let s = stats c in
+  let s = stats eng in
   Alcotest.(check bool) "block keeps fired" true (s.Smr_stats.block_keeps >= 2);
   (* Move the reservation past every kept lifespan: the whole backlog
      drains. *)
@@ -527,7 +560,7 @@ let interval_verdict_property =
         (list_size (int_range 1 40) (pair (int_range 0 30) (int_range 0 10)))
         (list_repeat 4 (int_range 0 40)))
     (fun (spans, bounds) ->
-      let heap, c, eng, rl = make ~reclaim_freq:1_000_000 ~segment_size:4 () in
+      let heap, eng, rl = make ~reclaim_freq:1_000_000 ~segment_size:4 () in
       let pair a b = (min a b, max a b) in
       let pairs =
         match bounds with
@@ -558,14 +591,14 @@ let interval_verdict_property =
         List.exists (fun (lo, hi) -> lo <= n.Heap.retire_era && n.Heap.birth_era <= hi) pairs
       in
       List.for_all (fun n -> Heap.is_live n = overlapped n) nodes
-      && (stats c).Smr_stats.stale_stamps = 0
+      && (stats eng).Smr_stats.stale_stamps = 0
       && Heap.double_free_count heap = 0)
 
 (* A mixed block (kept and doomed nodes sharing one block) must fall
    back to the per-node path: exactly the doomed half is freed and the
    surviving block's stamps are recomputed over the survivors. *)
 let era_mixed_block_fallback () =
-  let heap, c, eng, rl = make ~reclaim_freq:1_000_000 ~segment_size:8 () in
+  let heap, eng, rl = make ~reclaim_freq:1_000_000 ~segment_size:8 () in
   let retire ~birth ~retire =
     let n = Heap.alloc heap ~tid:0 ~birth_era:birth in
     n.Heap.retire_era <- retire;
@@ -587,7 +620,7 @@ let era_mixed_block_fallback () =
   Array.iter (fun n -> Alcotest.(check bool) "doomed freed" false (Heap.is_live n)) doomed;
   Alcotest.(check int) "stamps recomputed over survivors" 0
     (Reclaimer.debug_stamp_errors rl);
-  Alcotest.(check int) "no stale stamps" 0 (stats c).Smr_stats.stale_stamps
+  Alcotest.(check int) "no stale stamps" 0 (stats eng).Smr_stats.stale_stamps
 
 (* Every engine free path hands nodes back at block granularity: the
    per-node filter (Scan_block partition), the era fast path
@@ -596,7 +629,7 @@ let era_mixed_block_fallback () =
    [Heap.free] API calls and pins the claim at exactly zero; only
    [retire_now]/[free_unpublished] (not exercised here) may use it. *)
 let engine_frees_whole_blocks () =
-  let heap, _c, eng, rl = make ~reclaim_freq:1_000_000 ~segment_size:4 () in
+  let heap, eng, rl = make ~reclaim_freq:1_000_000 ~segment_size:4 () in
   let retire ~birth ~retire_era =
     let n = Heap.alloc heap ~tid:0 ~birth_era:birth in
     n.Heap.retire_era <- retire_era;
@@ -625,7 +658,7 @@ let engine_frees_whole_blocks () =
   for _ = 1 to 6 do
     retire ~birth:0 ~retire_era:0
   done;
-  let drained = Reclaimer.take_all rl in
+  let drained = Reclaimer.take_all rl Fun.id in
   Alcotest.(check int) "drained" 6 (Array.length drained);
   Reclaimer.free_array rl drained;
   Alcotest.(check int) "all frees were batched" 24 (Heap.bulk_freed_total heap);
@@ -636,7 +669,7 @@ let engine_frees_whole_blocks () =
 (* Every scrubbed slot holds the engine's one dummy: registering,
    filtering, recycling blocks and draining mint no further sentinel. *)
 let one_dummy_per_engine () =
-  let heap, _c, eng, rl = make ~reclaim_freq:1_000_000 ~segment_size:4 () in
+  let heap, eng, rl = make ~reclaim_freq:1_000_000 ~segment_size:4 () in
   let before = (Heap.sentinel heap).Heap.id in
   ignore (Reclaimer.register eng ~tid:1 ~scratch_slots:4);
   for _ = 1 to 3 do
@@ -648,7 +681,7 @@ let one_dummy_per_engine () =
   for _ = 1 to 6 do
     Reclaimer.retire rl (Heap.alloc heap ~tid:0 ~birth_era:0)
   done;
-  Reclaimer.free_array rl (Reclaimer.take_all rl);
+  Reclaimer.take_all rl (Reclaimer.free_array rl);
   Alcotest.(check bool) "blocks recycled" true (Reclaimer.free_blocks rl >= 2);
   Alcotest.(check int) "no sentinel minted in between" 1
     (before - (Heap.sentinel heap).Heap.id)
@@ -665,7 +698,7 @@ let one_dummy_per_engine () =
    drain. *)
 let covered_blocks_drain () =
   let seg = 4 and blocks = 4 in
-  let heap, _, _, rl = make ~reclaim_freq:(seg * blocks) ~segment_size:seg () in
+  let heap, _, rl = make ~reclaim_freq:(seg * blocks) ~segment_size:seg () in
   let table = Hashtbl.create 64 and called = ref false in
   let pass () =
     ignore
@@ -708,7 +741,7 @@ let covered_blocks_drain () =
    and the released nodes would wait behind all forty blocks. *)
 let youngest_covered_first () =
   let seg = 4 in
-  let heap, _, eng, rl = make ~reclaim_freq:(4 * seg) ~segment_size:seg () in
+  let heap, eng, rl = make ~reclaim_freq:(4 * seg) ~segment_size:seg () in
   let table = Hashtbl.create 64 and called = ref false in
   let pass () =
     Reclaimer.invalidate eng;
@@ -751,8 +784,7 @@ let sharded_orphanage_drains () =
   let threads = 4 in
   let cfg = cfg ~max_threads:threads ~reclaim_freq:1_000_000 ~segment_size:8 () in
   let heap = Heap.create ~max_threads:threads ~payload:(fun _ -> ()) () in
-  let c = Counters.create threads in
-  let eng = Reclaimer.create cfg ~heap ~counters:c in
+  let eng = Reclaimer.create cfg ~heap in
   let m = 100 in
   let donors =
     Array.init 3 (fun i ->
@@ -769,7 +801,7 @@ let sharded_orphanage_drains () =
   Alcotest.(check int) "one pass drains every stripe" (3 * m) freed;
   Alcotest.(check int) "no orphans left" 0 (Reclaimer.orphans_pending eng);
   Alcotest.(check int) "adoption copies no node" 0 (Reclaimer.node_moves adopter);
-  let s = stats c in
+  let s = stats eng in
   Alcotest.(check int) "donated" (3 * m) s.Smr_stats.orphans_donated;
   Alcotest.(check int) "adopted" (3 * m) s.Smr_stats.orphans_adopted;
   (* A second donation from the same tid reuses the now-empty stripe. *)
@@ -794,6 +826,7 @@ let suite =
     QCheck_alcotest.to_alcotest block_boundary_property;
     case "reclaimer: donate/adopt splice copies no nodes" donate_adopt_zero_moves;
     case "reclaimer: concurrent donate/adopt splices" concurrent_donate_adopt;
+    case "reclaimer: per-thread stat rows stay exact under concurrent retire" stat_rows_exact;
     case "reclaimer: recycled blocks do not pin drained nodes" recycled_blocks_do_not_pin;
     case "reclaimer: scan_plain keeps segment bookkeeping" scan_plain_interleaving;
     QCheck_alcotest.to_alcotest stamp_maintenance_property;

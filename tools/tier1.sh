@@ -18,7 +18,8 @@
 #      tools/benchcheck/contracts.ml says what each requires).
 #      Figures write to _build/smoke (`popbench --fig NAME --out DIR`), so
 #      the committed repo-root baselines are not overwritten.
-#   6. popbench rejects a flag pair that no single load can hold.
+#   6. popbench rejects a flag pair that no single load can hold:
+#      --zipf without --kv, and --inserts with --kv.
 # Run from the repository root: sh tools/tier1.sh
 set -e
 cd "$(dirname "$0")/.."
@@ -56,6 +57,10 @@ $popbench --fig tournament --smrs ebr,hyaline-1s \
 $check tournament "$out/BENCH_tournament.json"
 if $popbench --zipf 0.99 -d 0.01 > /dev/null 2>&1; then
   echo "tier-1: popbench ran --zipf without --kv instead of rejecting it" >&2
+  exit 1
+fi
+if $popbench --kv --inserts 90 -d 0.01 > /dev/null 2>&1; then
+  echo "tier-1: popbench ran --inserts with --kv instead of rejecting it" >&2
   exit 1
 fi
 echo "tier-1: ok"
