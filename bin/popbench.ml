@@ -159,7 +159,14 @@ let cmd =
   let reclaim =
     Arg.(value & opt int d.reclaim_freq & info [ "reclaim-freq" ] ~doc:"Retire threshold.")
   in
-  let epochf = Arg.(value & opt int d.epoch_freq & info [ "epoch-freq" ] ~doc:"Epoch frequency.") in
+  let epochf =
+    Arg.(
+      value & opt int d.epoch_freq
+      & info [ "epoch-freq" ]
+          ~doc:
+            "Epoch frequency: operations between ebr and epoch-pop epoch advances, \
+             allocations between he, he-pop and ibr era ticks.")
+  in
   let popm = Arg.(value & opt int d.pop_mult & info [ "pop-mult" ] ~doc:"EpochPOP C multiplier.") in
   let lrr =
     Arg.(value & flag & info [ "long-running-reads" ] ~doc:"Figure-4 reader/updater split.")
@@ -270,7 +277,9 @@ let cmd =
           ~doc:
             (Printf.sprintf
                "Run a figure of the paper's evaluation instead of a single cell: %s. 'all' \
-                runs every figure but the tournament; the cell options do not apply."
+                runs every figure but the tournament. The other cell options are ignored, \
+                and --inserts, --deletes, --zipf, --rate, --kv, --long-running-reads and \
+                --json are usage errors with it."
                (String.concat ", " Pop_bench.Figures.names)))
   in
   let out =
@@ -311,9 +320,28 @@ let cmd =
       segment_size drop_ping delay_poll seed sanitize json fig out smrs scenarios fullscale
       =
     match fig with
-    | Some name ->
-        let scale = if fullscale then Experiments.full else Experiments.quick in
-        `Ok (Pop_bench.Figures.run ?out { scale; smrs; scenarios } name)
+    | Some name -> (
+        (* A figure sets its own loads and writes its own files, so a
+           single cell's load or output flag with it is a usage error. *)
+        let cell_only =
+          List.filter_map
+            (fun (given, flag) -> if given then Some flag else None)
+            [
+              (ins <> None, "--inserts");
+              (del <> None, "--deletes");
+              (zipf <> None, "--zipf");
+              (rate <> None, "--rate");
+              (kv, "--kv");
+              (lrr, "--long-running-reads");
+              (json <> None, "--json");
+            ]
+        in
+        match cell_only with
+        | [] ->
+            let scale = if fullscale then Experiments.full else Experiments.quick in
+            `Ok (Pop_bench.Figures.run ?out { scale; smrs; scenarios } name)
+        | flags ->
+            `Error (true, String.concat ", " flags ^ " apply only to a single cell, not to --fig"))
     | None -> (
         match load_of_flags ~ins ~del ~lrr ~kv ~zipf ~rate with
         | Error msg -> `Error (true, msg)

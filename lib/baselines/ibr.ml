@@ -33,9 +33,3 @@ let rec read_from ctx cell addr proj old_era =
 let read ctx _slot addr proj =
   let cell = Array.unsafe_get ctx.srow 1 in
   read_from ctx cell addr proj (Atomic.get cell)
-
-(* The global epoch advances every [epoch_freq] allocations. *)
-let alloc ctx =
-  ctx.count <- ctx.count + 1;
-  if ctx.count mod ctx.g.cfg.epoch_freq = 0 then Hp_family.advance ctx.g;
-  Hp_family.alloc ctx

@@ -105,7 +105,22 @@ let advance g =
   ignore (Atomic.fetch_and_add g.epoch 1);
   Reclaimer.invalidate g.eng
 
-let alloc ctx = Heap.alloc ctx.g.heap ~tid:ctx.tid ~birth_era:(Atomic.get ctx.g.epoch)
+let stamp ctx = Heap.alloc ctx.g.heap ~tid:ctx.tid ~birth_era:(Atomic.get ctx.g.epoch)
+
+(* The [Eras] tick must not invalidate: a cache-served pass frees
+   nothing, while an invalidating tick makes every retire a fresh ping
+   round once a stalled peer's survivors hold the list above the
+   threshold (hp_family.mli, [alloc]). *)
+let tick_and_stamp ctx =
+  let g = ctx.g in
+  ctx.count <- ctx.count + 1;
+  if ctx.count mod g.cfg.epoch_freq = 0 then
+    if g.reservation = Intervals then advance g else Atomic.incr g.epoch;
+  stamp ctx
+
+(* Both arms are tail calls, so the [Ids] path keeps no frame. *)
+let alloc ctx =
+  match ctx.g.reservation with Ids -> stamp ctx | Eras | Intervals -> tick_and_stamp ctx
 
 (* A barrier round; only a clean one is a real barrier. A timed-out
    peer never acknowledged, so its reservation stores may be unordered
@@ -207,8 +222,10 @@ let reclaim ~force ctx =
 
 (* IBR keeps its [mod] trigger: with [due], once survivors hold the list
    above the threshold a fresh pass would run after every [epoch_freq]
-   allocations, each advance having invalidated the snapshot. Cadence
-   frees nothing retired within the last two ticks, so its survivors
+   allocations, each advance having invalidated the snapshot. The
+   [Eras] tick leaves the snapshot valid, so [due] serves their passes
+   from the cache until the open list itself reaches the threshold.
+   Cadence frees nothing retired within the last two ticks, so its survivors
    hold the list at the threshold too, and [due] would run a pass (a
    clock read, the pass closures, a cache check) on every retire; like
    [Epoch_family.retire], a pass the tick guard blocked is retried once

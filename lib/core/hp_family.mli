@@ -18,7 +18,7 @@
     Each scheme keeps its own [read] (and [read_from]), [end_op] and
     [name] as top-level code over the concrete {!tctx}, so no closure or
     functor parameter sits on the read path; cadence and ibr keep their
-    own [start_op] too, and ibr its [alloc]. *)
+    own [start_op] too. *)
 
 type publication =
   | Eager  (** Readers store to the shared row with a fenced store; reclaimers scan it. *)
@@ -41,14 +41,16 @@ type reservation =
   | Ids  (** A reservation is a node id; a node is kept while its id is reserved. *)
   | Eras
       (** A reservation is an era; a node is kept while a reserved era
-          lies within its lifespan. *)
+          lies within its lifespan. [epoch] ticks every
+          [epoch_freq] allocations of a thread ({!alloc}) and in a fresh
+          pass's collect. *)
   | Intervals
       (** IBR: each thread's row is a [lo; hi] pair of eras (slot 0 and
           1, [max_int] for none); a node is kept while its lifespan
           overlaps a published interval ({!Reclaimer.scan_intervals}).
           A pass runs when the retire list reaches a multiple of the
-          threshold, and [epoch] advances only in the scheme's [alloc]
-          and in {!flush}. *)
+          threshold, and [epoch] advances only every [epoch_freq]
+          allocations of a thread ({!alloc}) and in {!flush}. *)
 
 type 'a t = {
   cfg : Smr_config.t;
@@ -75,7 +77,8 @@ type 'a tctx = {
   base : int;  (** Index of this thread's slot 0 in [rows]. *)
   srow : int Atomic.t array;  (** This thread's shared row. *)
   rl : 'a Reclaimer.local;
-  mutable count : int;  (** Operations (cadence) or allocations (ibr) so far. *)
+  mutable count : int;
+      (** Operations (cadence) or allocations ([Eras], [Intervals]) so far. *)
   mutable swept : int;  (** [Tick]: the tick this thread's last pass read. *)
 }
 
@@ -117,12 +120,25 @@ val poll : 'a tctx -> unit
 val check : 'a tctx -> 'a Pop_sim.Heap.node -> unit
 
 val alloc : 'a tctx -> 'a Pop_sim.Heap.node
-(** Stamped with [epoch]. *)
+(** Stamped with [epoch]. Under [Eras] and [Intervals] every
+    [epoch_freq]-th allocation of a thread first ticks the era, so the
+    nodes a pass sees retired between two collects carry many eras and
+    a peer's in-flight reservation pins only those whose lifespan holds
+    its era, not the whole open segment. The [Intervals] tick is
+    {!advance}. The [Eras] tick is a bare increment that leaves the
+    engine's snapshot valid: a pass the cache serves frees nothing, so
+    a stale snapshot only keeps nodes until the next fresh pass, while
+    an invalidating tick would make every retire a fresh pass (under
+    [Ping], a ping round) whenever survivors a stalled peer pins hold
+    the list above the threshold. Under [Ids] it only allocates. *)
 
 val retire : 'a tctx -> 'a Pop_sim.Heap.node -> unit
 (** Stamp the retire era from [epoch], retire, and run a pass when the
-    retire list is due (under [Intervals], when it reaches a multiple of
-    the threshold). Under [Tick] the pass first runs {!maybe_tick}.
+    retire list is due. Under [Intervals] the trigger is the list
+    reaching a multiple of the threshold instead: once survivors hold
+    the list above the threshold, [due] would run a fresh pass after
+    every tick, since each {!advance} invalidates the snapshot. Under
+    [Tick] the pass first runs {!maybe_tick}.
 
     A fresh pass collects the reservation table per the publication:
     - [Eager]: the shared table.

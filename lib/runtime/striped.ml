@@ -15,5 +15,3 @@ let incr t i = Atomic.incr t.(i)
 let add t i v = ignore (Atomic.fetch_and_add t.(i) v)
 
 let sum t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t
-
-let max_value t = Array.fold_left (fun acc c -> max acc (Atomic.get c)) min_int t

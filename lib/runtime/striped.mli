@@ -34,6 +34,3 @@ val add : t -> int -> int -> unit
 
 val sum : t -> int
 (** Racy sum across all slots (each slot read atomically). *)
-
-val max_value : t -> int
-(** Racy maximum across all slots. *)

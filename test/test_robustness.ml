@@ -205,7 +205,13 @@ let stalled_hp_pop_stays_bounded () =
    only the nodes whose lifespan covers its reserved eras, and the
    reclaimer's covered re-vet reaches the short-lived survivors before
    the pinned backlog. The stall covers the run from 10% on (the
-   wake-on-stop hook ends it); the bound is 4x the ~2,048 live nodes. *)
+   wake-on-stop hook ends it); the bound is 4x the ~2,048 live nodes.
+
+   The plateau must not cost a ping storm: the stalled thread's
+   survivors hold the reclaimer's list above the threshold, so an era
+   tick that invalidated the snapshot would make every retire a fresh
+   ping round (about one per 55 retires). Passes stay at most one per
+   two segment blocks of retires (about one per 500 here). *)
 let stalled_era_scheme_plateaus smr =
   let name = Dispatch.smr_name smr in
   case
@@ -234,7 +240,14 @@ let stalled_era_scheme_plateaus smr =
       Alcotest.(check bool)
         (Printf.sprintf "%s garbage (%d) <= 8192" name r.Runner.max_unreclaimed)
         true
-        (r.Runner.max_unreclaimed <= 8192))
+        (r.Runner.max_unreclaimed <= 8192);
+      let s = r.Runner.smr and two_blocks = 2 * Runner.default_cfg.segment_size in
+      let passes = s.Smr_stats.pop_passes + s.Smr_stats.reclaim_passes in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d passes for %d retires, at most one per %d" name passes
+           s.Smr_stats.retired two_blocks)
+        true
+        (passes > 0 && passes * two_blocks <= s.Smr_stats.retired))
 
 let deaf_stall_delays_but_recovers () =
   (* A stalled thread that does not serve pings blocks POP reclaimers

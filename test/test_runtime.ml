@@ -255,7 +255,6 @@ let striped_basic () =
   Striped.add s 2 10;
   Alcotest.(check int) "get" 5 (Striped.get s 0);
   Alcotest.(check int) "sum" 16 (Striped.sum s);
-  Alcotest.(check int) "max" 10 (Striped.max_value s);
   Alcotest.(check bool) "cell is live view" true (Atomic.get (Striped.cell s 2) = 10)
 
 let striped_parallel_incr () =

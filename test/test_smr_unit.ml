@@ -644,6 +644,44 @@ let every_read_delivers (module S : Smr.S) ~period ~delivers () =
     Alcotest.(check int) "each delivery restarts the operation" !P.delivered
       ((L.smr_stats set).Smr_stats.restarts - restarts0)
 
+(* One thread whose every operation reads, allocates and retires, so its
+   own reservation is the only one. The era ticks every [epoch_freq]
+   allocations, so a pass keeps only the nodes retired in the reserved
+   era: the list peaks at one threshold plus one tick of retires and a
+   partial block. An era that moved only in a pass's collect would pin
+   the whole open segment each pass, about twice the threshold. *)
+let era_tick_bounds_lone_garbage (module R : Smr.S) () =
+  let cfg =
+    {
+      (Smr_config.default ~max_threads:1 ()) with
+      reclaim_freq = 256;
+      epoch_freq = 8;
+      segment_size = 16;
+    }
+  in
+  let heap = Heap.create ~max_threads:1 ~payload:(fun _ -> ()) () in
+  let g = R.create cfg (Softsignal.create ~max_threads:1) heap in
+  let ctx = R.register g ~tid:0 in
+  let cell = Atomic.make (R.alloc ctx) in
+  for _ = 1 to 16 * cfg.reclaim_freq do
+    R.start_op ctx;
+    let old = R.read ctx 0 cell Fun.id in
+    Atomic.set cell (R.alloc ctx);
+    R.retire ctx old;
+    R.end_op ctx
+  done;
+  let s = R.stats g in
+  let bound = cfg.reclaim_freq + cfg.epoch_freq + cfg.segment_size in
+  Alcotest.(check bool)
+    (Printf.sprintf "peak %d within [%d, %d]" s.Smr_stats.max_unreclaimed cfg.reclaim_freq bound)
+    true
+    (s.Smr_stats.max_unreclaimed >= cfg.reclaim_freq && s.Smr_stats.max_unreclaimed <= bound);
+  Alcotest.(check bool) "passes ran" true
+    (s.Smr_stats.pop_passes + s.Smr_stats.reclaim_passes >= 8);
+  R.flush ctx;
+  R.deregister ctx;
+  Alcotest.(check int) "no UAF" 0 (Heap.uaf_count heap)
+
 (* Cadence gates frees on global barrier ticks, so threshold-exact
    expectations do not apply to it; it gets dedicated tests instead. *)
 let generic =
@@ -703,6 +741,10 @@ let suite =
         (era_old_nodes_freeable_despite_reservation (module Pop_baselines.Hazard_eras));
       case "he-pop: old lifespans freeable despite reservation"
         (era_old_nodes_freeable_despite_reservation (module Hazard_era_pop));
+      case "he: the era ticks by allocations, bounding a lone thread's garbage"
+        (era_tick_bounds_lone_garbage (module Pop_baselines.Hazard_eras));
+      case "he-pop: the era ticks by allocations, bounding a lone thread's garbage"
+        (era_tick_bounds_lone_garbage (module Hazard_era_pop));
       case "ibr: overlapping interval protects" ibr_interval_protects;
       case "epoch-pop: birth eras advance" epoch_pop_birth_eras_advance;
       case "epoch-pop: a blocked epoch pass is retried when the floor moves"

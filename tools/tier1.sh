@@ -19,7 +19,8 @@
 #      Figures write to _build/smoke (`popbench --fig NAME --out DIR`), so
 #      the committed repo-root baselines are not overwritten.
 #   6. popbench rejects a flag pair that no single load can hold:
-#      --zipf without --kv, and --inserts with --kv.
+#      --zipf without --kv, and --inserts with --kv; and a single cell's
+#      load flag with a figure: --fig seg --zipf 0.5.
 # Run from the repository root: sh tools/tier1.sh
 set -e
 cd "$(dirname "$0")/.."
@@ -61,6 +62,10 @@ if $popbench --zipf 0.99 -d 0.01 > /dev/null 2>&1; then
 fi
 if $popbench --kv --inserts 90 -d 0.01 > /dev/null 2>&1; then
   echo "tier-1: popbench ran --inserts with --kv instead of rejecting it" >&2
+  exit 1
+fi
+if $popbench --fig seg --zipf 0.5 --out "$out" > /dev/null 2>&1; then
+  echo "tier-1: popbench ran --fig seg with --zipf instead of rejecting it" >&2
   exit 1
 fi
 echo "tier-1: ok"
